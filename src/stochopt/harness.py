@@ -700,8 +700,8 @@ def _trace_to_metrics(
         if not selected:
             continue
 
-        loss = float(problem.full_loss(rec.x))
-        gnorm = float(np.linalg.norm(problem.full_grad(rec.x)))
+        loss, grad = problem.loss_and_grad(np.arange(N), rec.x)
+        gnorm = float(np.linalg.norm(grad))
         rows.append(
             MetricsRecord(
                 epoch=epoch,

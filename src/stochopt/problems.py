@@ -16,8 +16,16 @@ Three loss kinds are supported:
   split into rank-one summands (:func:`make_quadratic`) or a shared Hessian
   with per-sample linear terms (:func:`make_noisy_quadratic`).
 
-Reductions over a batch always run in ascending index order with numpy's
-pairwise summation so that results are bit-reproducible and batch_grad over
+Every batch is sorted before use, so its reductions run in ascending index
+order.  Losses are averaged with numpy's pairwise summation; the gradient
+sum over rows, sum_i c_i u_i, is a sequential ascending-row accumulation
+(``einsum`` for dense rows, the CSR transpose product for sparse ones).
+Results do not depend on the BLAS thread count: the only BLAS call is the
+margin product rows @ x, where a thread split hands out whole rows and each
+margin stays one dot product, while the reductions over rows stay out of
+BLAS, whose gemv would split their sums across threads and change the bits.
+A batch that is the whole index set reads the feature matrix in place
+instead of gathering a copy; the arithmetic is the same, so batch_grad over
 the full index set equals full_grad exactly.
 """
 
@@ -55,7 +63,9 @@ class Dataset:
             feats = feats.tocsr()
             object.__setattr__(self, "features", feats)
         else:
-            feats = np.asarray(feats, dtype=float)
+            # C order: a gathered batch and the in-place whole set then
+            # share one memory layout, hence one reduction order
+            feats = np.ascontiguousarray(feats, dtype=float)
             if feats.ndim != 2:
                 raise ValueError("features must be a 2-D array")
             object.__setattr__(self, "features", feats)
@@ -130,30 +140,57 @@ class FiniteSumProblem:
         # ascending order keeps every reduction deterministic
         return np.sort(idx)
 
-    def _margins_and_coefs(self, idx: np.ndarray, x: np.ndarray):
-        """Return (pure per-sample losses, d loss_i / d z coefficients)."""
-        X = self.dataset.features
-        v = self.dataset.labels[idx]
-        rows = X[idx]
+    def _rows(self, idx: np.ndarray):
+        """Feature rows and labels of a sorted, validated batch.
+
+        The whole index set (size N, no repeats) reads the dataset in place;
+        any other batch gathers one copy."""
+        ds = self.dataset
+        if idx.size == self.N and not np.any(idx[1:] == idx[:-1]):
+            return ds.features, ds.labels
+        return ds.features[idx], ds.labels[idx]
+
+    def _margins_and_coefs(self, rows, v: np.ndarray, x: np.ndarray,
+                           losses: bool, coefs: bool):
+        """One margin pass: (pure per-sample losses, d loss_i / d z
+        coefficients); a value not asked for is None."""
         z = v * np.asarray(rows @ x).ravel()
         if self.kind == "sigmoid-svm":
             t = np.tanh(z)
-            return 1.0 - t, -v * (1.0 - t * t)
-        # logistic: log(1+exp(-z)) computed stably
-        losses = np.logaddexp(0.0, -z)
-        coef = -v / (1.0 + np.exp(z))  # = -v * sigmoid(-z)
-        return losses, coef
+            return (1.0 - t if losses else None,
+                    -v * (1.0 - t * t) if coefs else None)
+        # logistic: log(1+exp(-z)) computed stably; coef = -v * sigmoid(-z)
+        return (np.logaddexp(0.0, -z) if losses else None,
+                -v / (1.0 + np.exp(z)) if coefs else None)
+
+    def _pass(self, batch, x: np.ndarray, loss: bool, grad: bool):
+        """(mean loss, mean gradient) over the batch from one margin pass;
+        a value not asked for is None."""
+        x = _check_finite(x)
+        idx = self._batch_array(batch)
+        if self.kind == "quadratic":
+            return (float(np.mean(self._quad_losses(idx, x))) if loss else None,
+                    self._quad_batch_grad(idx, x) if grad else None)
+        rows, v = self._rows(idx)
+        losses, coef = self._margins_and_coefs(rows, v, x, losses=loss, coefs=grad)
+        f = g = None
+        if loss:
+            f = float(np.mean(losses) + self.lam * (x @ x))
+        if grad:
+            # sequential ascending-row sum of coef_i * row_i; a dense BLAS
+            # gemv would split it across threads and change its bits
+            if sp.issparse(rows):
+                base = np.asarray(rows.T @ coef).ravel()
+            else:
+                base = np.einsum("i,ij->j", coef, rows)
+            g = base / idx.size + (2.0 * self.lam) * x
+        return f, g
 
     # -- operations --------------------------------------------------------
 
     def eval_loss_i(self, i: int, x: np.ndarray) -> float:
         """f_i(x), including the full lam*||x||^2 term."""
-        x = _check_finite(x)
-        idx = self._batch_array([i])
-        if self.kind == "quadratic":
-            return self._quad_losses(idx, x)[0]
-        losses, _ = self._margins_and_coefs(idx, x)
-        return float(losses[0] + self.lam * (x @ x))
+        return self.batch_loss([i], x)
 
     def eval_grad_i(self, i: int, x: np.ndarray) -> np.ndarray:
         """Exact analytic gradient of f_i at x."""
@@ -161,28 +198,18 @@ class FiniteSumProblem:
 
     def batch_loss(self, batch, x: np.ndarray) -> float:
         """Mean of f_i over the batch."""
-        x = _check_finite(x)
-        idx = self._batch_array(batch)
-        if self.kind == "quadratic":
-            return float(np.mean(self._quad_losses(idx, x)))
-        losses, _ = self._margins_and_coefs(idx, x)
-        return float(np.mean(losses) + self.lam * (x @ x))
+        return self._pass(batch, x, loss=True, grad=False)[0]
 
     def batch_grad(self, batch, x: np.ndarray) -> np.ndarray:
         """(1/m) sum over the batch of grad f_i(x), ascending index order."""
-        x = _check_finite(x)
-        idx = self._batch_array(batch)
-        m = idx.size
-        if self.kind == "quadratic":
-            return self._quad_batch_grad(idx, x)
-        X = self.dataset.features
-        _, coef = self._margins_and_coefs(idx, x)
-        rows = X[idx]
-        if sp.issparse(rows):
-            base = np.asarray(rows.T @ coef).ravel() / m
-        else:
-            base = (coef[:, None] * rows).sum(axis=0) / m
-        return base + (2.0 * self.lam) * x
+        return self._pass(batch, x, loss=False, grad=True)[1]
+
+    def loss_and_grad(self, batch, x: np.ndarray):
+        """(batch_loss(batch, x), batch_grad(batch, x)) from one margin pass.
+
+        Each value is bitwise equal to the separate call; use this wherever
+        both are needed at the same point."""
+        return self._pass(batch, x, loss=True, grad=True)
 
     def full_grad(self, x: np.ndarray) -> np.ndarray:
         """grad f(x) over all N samples (same code path as batch_grad)."""
@@ -196,15 +223,13 @@ class FiniteSumProblem:
         """Dense (m, n) matrix of grad f_i(x) for i in the sorted batch."""
         x = _check_finite(x)
         idx = self._batch_array(batch)
-        reg = (2.0 * self.lam) * x
         if self.kind == "quadratic":
             return self._quad_per_sample_grads(idx, x)
-        X = self.dataset.features
-        rows = X[idx]
+        rows, v = self._rows(idx)
+        _, coef = self._margins_and_coefs(rows, v, x, losses=False, coefs=True)
         if sp.issparse(rows):
             rows = rows.toarray()
-        _, coef = self._margins_and_coefs(idx, x)
-        return coef[:, None] * rows + reg
+        return coef[:, None] * rows + (2.0 * self.lam) * x
 
     # -- quadratic payloads -------------------------------------------------
 

@@ -89,6 +89,11 @@ class RegState:
     # a rejected step re-enters the step computation with the same gradient
     pending_g: Optional[np.ndarray] = None
     pending_omega: float = 0.0
+    # (iterate, f there) from a function-oracle call that reported error 0;
+    # valid while state.x is that very array (steps replace x, never mutate
+    # it).  An exact value satisfies any accuracy request, so the next step
+    # reuses it instead of asking for f(x) again.
+    exact_f: Optional[Tuple[np.ndarray, float]] = None
 
 
 @dataclass(frozen=True)
@@ -212,8 +217,12 @@ def arig_step(
     model_dec = model_decrease(sigma, gnorm_sq)
 
     omega_f_req = 0.0 if params.eta0 is None else params.eta0 * model_dec
-    f_old, omega_f = fun_oracle(state.x, omega_f_req)
-    f_new, omega_f_hat = fun_oracle(state.x + s, omega_f_req)
+    if state.exact_f is not None and state.exact_f[0] is state.x:
+        f_old, omega_f = state.exact_f[1], 0.0
+    else:
+        f_old, omega_f = fun_oracle(state.x, omega_f_req)
+    x_new = state.x + s
+    f_new, omega_f_hat = fun_oracle(x_new, omega_f_req)
     if params.eta0 is not None and not check_inexact_decrease(
         omega_f, omega_f_hat, params.eta0, model_dec
     ):
@@ -224,7 +233,8 @@ def arig_step(
 
     rho = rho_ratio(f_old, f_new, sigma, gnorm_sq)
     if rho >= params.eta1:
-        state.x = state.x + s
+        state.x = x_new
+        f_kept, omega_kept = f_new, omega_f_hat
         state.n_success += 1
         if rho >= params.eta2:
             state.n_very_success += 1
@@ -232,6 +242,7 @@ def arig_step(
         state.pending_g = None
         status = "accepted"
     else:
+        f_kept, omega_kept = f_old, omega_f
         state.n_reject += 1
         state.consec_rejects += 1
         state.pending_g = g
@@ -243,6 +254,7 @@ def arig_step(
                 "gradient or function oracle looks misconfigured"
             )
 
+    state.exact_f = (state.x, f_kept) if omega_kept == 0.0 else None
     state.sigma = update_sigma(sigma, rho, params)
     state.k += 1
     return StepOutcome(status=status, gnorm=gnorm, omega_g=omega, rho=rho, f_old=f_old)

@@ -182,10 +182,9 @@ def varchen_run(
     t0 = time.perf_counter()
 
     for epoch in range(params.n_epochs):
-        anchor = AnchorState(
-            x_anchor=x.copy(), full_grad_anchor=problem.full_grad(x), M=0
-        )
-        epoch_losses.append(problem.full_loss(x))
+        f_anchor, g_anchor = problem.loss_and_grad(np.arange(N), x)
+        anchor = AnchorState(x_anchor=x.copy(), full_grad_anchor=g_anchor, M=0)
+        epoch_losses.append(f_anchor)
         sampler.start_epoch()
         while anchor.M < N:
             m_k = min(m_eff, N - anchor.M)

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stochopt
 from stochopt import (
     Dataset,
     make_logistic,
@@ -144,6 +150,44 @@ class TestBatchOps:
             direct = np.mean([prob.eval_grad_i(int(i), x) for i in batch], axis=0)
             np.testing.assert_allclose(prob.batch_grad(batch, x), direct, atol=1e-12)
 
+    def test_loss_and_grad_equals_separate_calls_bitwise(self, rng):
+        ds = _random_dataset(rng)
+        csr = Dataset(features=sp.csr_matrix(ds.features), labels=ds.labels)
+        probs = _all_problems(rng) + [make_logistic(csr, 0.05), make_sigmoid_svm(csr, 0.05)]
+        for prob in probs:
+            x = rng.standard_normal(prob.n)
+            N = prob.N
+            dup = np.arange(N)
+            dup[-1] = 0
+            batches = [rng.choice(N, size=int(rng.integers(1, N + 1))) for _ in range(5)]
+            batches += [np.arange(N), rng.permutation(N), dup]
+            for batch in batches:
+                f, g = prob.loss_and_grad(batch, x)
+                assert f == prob.batch_loss(batch, x)
+                assert np.array_equal(g, prob.batch_grad(batch, x))
+
+    def test_whole_index_set_in_place_and_repeats_gathered(self, rng):
+        ds = _random_dataset(rng)
+        csr = Dataset(features=sp.csr_matrix(ds.features), labels=ds.labels)
+        for data in (ds, csr):
+            for make in (make_logistic, make_sigmoid_svm):
+                prob = make(data, 0.05)
+                x = rng.standard_normal(prob.n)
+                full_f, full_g = prob.full_loss(x), prob.full_grad(x)
+                perm = rng.permutation(prob.N)
+                assert prob.batch_loss(perm, x) == full_f
+                assert np.array_equal(prob.batch_grad(perm, x), full_g)
+                # size N but one repeat: the gathered rows, not the dataset
+                dup = np.arange(prob.N)
+                dup[-1] = 0
+                rows = np.sort(dup)
+                gathered = make(
+                    Dataset(features=data.features[rows], labels=data.labels[rows]), 0.05
+                )
+                assert prob.batch_loss(dup, x) == gathered.full_loss(x)
+                assert np.array_equal(prob.batch_grad(dup, x), gathered.full_grad(x))
+                assert not np.array_equal(prob.batch_grad(dup, x), full_g)
+
     def test_empty_batch_rejected(self, rng):
         prob = make_logistic(_random_dataset(rng), lam=0.0)
         with pytest.raises(ValueError):
@@ -157,6 +201,20 @@ class TestBatchOps:
             assert G.shape == (2, prob.n)
             np.testing.assert_allclose(G[0], prob.eval_grad_i(0, x), atol=1e-12)
             np.testing.assert_allclose(G[1], prob.eval_grad_i(2, x), atol=1e-12)
+
+
+_THREAD_PROBE = """
+import sys
+import numpy as np
+from stochopt import Dataset, make_logistic
+rng = np.random.default_rng(2024)
+X = rng.standard_normal((10000, 100))
+y = np.where(rng.standard_normal(10000) >= 0, 1.0, -1.0)
+prob = make_logistic(Dataset(features=X, labels=y), lam=0.01)
+x = rng.standard_normal(100)
+sys.stdout.write(prob.full_grad(x).tobytes().hex() + " "
+                 + np.float64(prob.full_loss(x)).tobytes().hex())
+"""
 
 
 class TestFullGrad:
@@ -174,6 +232,21 @@ class TestFullGrad:
         y = np.ones(6)
         prob = make_logistic(Dataset(features=X, labels=y), lam=0.3)
         np.testing.assert_array_equal(prob.full_grad(np.zeros(4)), np.zeros(4))
+
+    def test_full_pass_bits_independent_of_blas_threads(self):
+        """A BLAS gemv row reduction would split its sum across threads."""
+        src = str(Path(stochopt.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", _THREAD_PROBE],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
 
 class TestQuadratics:

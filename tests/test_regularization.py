@@ -417,6 +417,45 @@ class TestArigRun:
         assert res.sigma_final == pytest.approx(sigma, rel=1e-12)
 
 
+class _LossCounter:
+    """Problem proxy counting full_loss calls."""
+
+    def __init__(self, problem):
+        self._problem = problem
+        self.loss_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._problem, name)
+
+    def full_loss(self, x):
+        self.loss_calls += 1
+        return self._problem.full_loss(x)
+
+
+class TestArigFunctionOracleCalls:
+    @pytest.mark.parametrize("mode", ["exact", "inexact-g"])
+    def test_exact_f_evaluated_once_per_iterate(self, mode):
+        prob = diag_quadratic([0.5, 5.0], b=[2.0, 1.0])
+        counter = _LossCounter(prob)
+        x0 = np.zeros(2)
+        res = arig_run(counter, RegParams(eps=1e-7), mode=mode, seed=3, x0=x0)
+        accepted = [r.accepted for r in res.trace]
+        assert any(accepted) and not all(accepted)  # both reuse paths ran
+        assert counter.loss_calls == res.iterations + 1
+        prev_x = x0
+        for rec in res.trace:
+            assert rec.f_val == prob.full_loss(prev_x)
+            prev_x = rec.x
+
+    def test_noisy_f_still_evaluated_twice_per_step(self):
+        prob = diag_quadratic([1.0, 2.0], b=[1.0, 1.0])
+        counter = _LossCounter(prob)
+        params = RegParams(eps=1e-6, eta0=0.1)
+        res = arig_run(counter, params, mode="inexact-g-and-f", seed=7, x0=np.zeros(2))
+        assert res.iterations > 0
+        assert counter.loss_calls == 2 * res.iterations
+
+
 class TestOracles:
     def test_exact_oracles_report_zero_error(self):
         prob = diag_quadratic([1.0, 2.0], b=[1.0, 0.0])
