@@ -161,7 +161,7 @@ def transient_step(state: ArasState, problem, params: ArasParams, epoch: int = 0
         raise RuntimeError("transient_step called in stationary phase")
     sigma_pre = state.sigma
     batch = state.sampler.draw_batch(state.m)
-    g_old = problem.batch_grad(batch, state.x)
+    f_old, g_old = problem.loss_and_grad(batch, state.x)
     gnorm_sq = float(g_old @ g_old)
 
     if gnorm_sq == 0.0:
@@ -175,14 +175,12 @@ def transient_step(state: ArasState, problem, params: ArasParams, epoch: int = 0
 
     s = -g_old / sigma_pre
     x_new = state.x + s
-    f_old = problem.batch_loss(batch, state.x)
-    f_new = problem.batch_loss(batch, x_new)
+    f_new, g_new = problem.loss_and_grad(batch, x_new)
     rho_bar = (f_old - f_new) * sigma_pre / gnorm_sq
 
     state.sigma = update_sigma_two_branch(
         sigma_pre, rho_bar, params.eta, params.gamma1, params.gamma2, params.sigma_min
     )
-    g_new = problem.batch_grad(batch, x_new)
     pflug_update(state.pflug, g_new, g_old)
     state.x = x_new
     state.k += 1

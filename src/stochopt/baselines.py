@@ -53,7 +53,6 @@ class BaselineIterRecord:
     epoch: int
     m_used: int
     gnorm: float
-    batch_loss: float
     x: np.ndarray
     wall_ms: float = 0.0
 
@@ -100,7 +99,6 @@ def _epoch_loop(problem, params: BaselineParams, seed: int, x0, update):
                     epoch=epoch,
                     m_used=int(batch.size),
                     gnorm=float(np.linalg.norm(g)),
-                    batch_loss=float(problem.batch_loss(batch, x)),
                     x=x.copy(),
                     wall_ms=(time.perf_counter() - t0) * 1e3,
                 )

@@ -190,6 +190,21 @@ def two_loop_apply(memory: LBFGSMemory, g: np.ndarray) -> np.ndarray:
     return -r
 
 
+def _interval_update(lam: float, Lam: float, gamma: float, L: float) -> Tuple[float, float]:
+    """Bounds on the spectrum of A = V H V' + rho s s', V = I - rho s y', for
+    any H whose spectrum lies in [lam, Lam], under s'y >= gamma ||s||^2 and
+    ||y|| <= L ||s||.
+
+    The subtracted term of the upper bound takes lam in its numerator and Lam
+    in its denominator, its smallest value over the interval, so the bound
+    holds for every H in it."""
+    lower = min(1.0 / L, lam / (1.0 + (lam / gamma) * L * L))
+    upper = 1.0 / gamma + max(
+        0.0, (Lam / (gamma * gamma)) * L * L - lam / (1.0 + (Lam / gamma) * L * L)
+    )
+    return lower, upper
+
+
 def pair_update_eigen_bounds(mu: float, gamma: float, L_y: float) -> Tuple[float, float]:
     """Eigenvalue bounds for A = mu V V' + rho s s', V = I - rho s y',
     rho = 1/s'y, under s'y >= gamma ||s||^2 and ||y|| <= L_y ||s||.
@@ -199,10 +214,7 @@ def pair_update_eigen_bounds(mu: float, gamma: float, L_y: float) -> Tuple[float
     """
     if mu <= 0 or gamma <= 0 or L_y <= 0:
         raise ValueError("mu, gamma and L_y must be positive")
-    shrink = mu / (1.0 + (mu / gamma) * L_y * L_y)
-    lower = min(1.0 / L_y, shrink)
-    upper = 1.0 / gamma + max(0.0, (mu / (gamma * gamma)) * L_y * L_y - shrink)
-    return lower, upper
+    return _interval_update(mu, mu, gamma, L_y)
 
 
 def hessian_bounds(memory: LBFGSMemory, L_g_est: float) -> Tuple[float, float]:
@@ -219,15 +231,9 @@ def hessian_bounds(memory: LBFGSMemory, L_g_est: float) -> Tuple[float, float]:
     lam = 1.0 / memory.gamma_tilde
     Lam = 1.0 / memory.gamma_tilde
     for pair in memory.pairs:
-        gamma_h = memory.eta * pair.gamma_tilde
-        L_h = L_g_est + pair.gamma_tilde
-        lam_new = min(1.0 / L_h, lam / (1.0 + (lam / gamma_h) * L_h * L_h))
-        Lam_new = 1.0 / gamma_h + max(
-            0.0,
-            (Lam / (gamma_h * gamma_h)) * L_h * L_h
-            - lam / (1.0 + (Lam / gamma_h) * L_h * L_h),
+        lam, Lam = _interval_update(
+            lam, Lam, memory.eta * pair.gamma_tilde, L_g_est + pair.gamma_tilde
         )
-        lam, Lam = lam_new, Lam_new
     return lam, Lam
 
 

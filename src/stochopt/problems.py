@@ -27,6 +27,12 @@ BLAS, whose gemv would split their sums across threads and change the bits.
 A batch that is the whole index set reads the feature matrix in place
 instead of gathering a copy; the arithmetic is the same, so batch_grad over
 the full index set equals full_grad exactly.
+
+``grad_variance_l1`` gives the l1 norm of the per-sample gradients' sample
+variance, the statistic of the adaptive-sampling norm test.  Dense and
+quadratic problems take the two-pass form over ``per_sample_grads``; CSR
+problems use an O(nnz + n) identity over the batch's stored entries and
+never build the dense m x n block.
 """
 
 from __future__ import annotations
@@ -230,6 +236,42 @@ class FiniteSumProblem:
         if sp.issparse(rows):
             rows = rows.toarray()
         return coef[:, None] * rows + (2.0 * self.lam) * x
+
+    def grad_variance_l1(self, batch, x: np.ndarray, g: np.ndarray) -> float:
+        """||(1/(m-1)) sum_{i in batch} (grad f_i(x) - g)^2||_1, elementwise
+        square, with g the precomputed batch gradient.
+
+        Dense and quadratic problems: two-pass form over per_sample_grads.
+        CSR problems: with w = g - 2 lam x, so that grad f_i - g = c_i u_i - w,
+
+            sum_i ||c_i u_i - w||^2
+                = m ||w||^2 + sum over stored (i, j) of [(c_i u_ij - w_j)^2 - w_j^2],
+
+        in O(nnz + n) memory.  Both forms equal the same sum and differ only
+        by rounding; rounding can push the CSR form of a near-zero variance
+        below zero, so it is clamped at 0.
+        """
+        idx = self._batch_array(batch)
+        m = idx.size
+        if m < 2:
+            raise ValueError("variance estimate needs a batch of at least 2")
+        g = np.asarray(g, dtype=float)
+        if self.kind == "quadratic" or not sp.issparse(self.dataset.features):
+            dev = self.per_sample_grads(idx, x) - g[None, :]
+            return float(((dev * dev).sum(axis=0) / (m - 1)).sum())
+        x = _check_finite(x)
+        rows, v = self._rows(idx)
+        _, coef = self._margins_and_coefs(rows, v, x, losses=False, coefs=True)
+        if not rows.has_canonical_format:
+            # a repeated (i, j) entry would be counted as two coordinates
+            rows = rows.copy()
+            rows.sum_duplicates()
+        w = g - (2.0 * self.lam) * x
+        vals = np.repeat(coef, np.diff(rows.indptr)) * rows.data  # c_i u_ij
+        w_at = w[rows.indices]
+        # (c u - w)^2 - w^2 = c u (c u - 2 w)
+        total = m * float(w @ w) + float(np.sum(vals * (vals - 2.0 * w_at)))
+        return max(0.0, total / (m - 1))
 
     # -- quadratic payloads -------------------------------------------------
 

@@ -83,17 +83,19 @@ def sample_variance_l1(problem, batch, x: np.ndarray, g: np.ndarray) -> float:
     """l1 norm of the elementwise sample variance of the per-sample gradients.
 
     ||(1/(m-1)) sum_{i in batch} (grad f_i(x) - g)^2||_1 with g the
-    precomputed batch gradient.  Two-pass form: deviations from the given
-    mean, squared, then averaged.
+    precomputed batch gradient, from ``problem.grad_variance_l1``.  Dense
+    rows and quadratics use the two-pass form.  CSR rows use the O(nnz)
+    identity, with w = g - 2 lam x,
+
+        m ||w||^2 + sum over stored (i, j) of [(c_i u_ij - w_j)^2 - w_j^2],
+
+    divided by m-1 and clamped at 0.  The CSR result differs from the
+    two-pass form only by rounding.
     """
     idx = np.asarray(batch, dtype=np.int64).ravel()
-    m = idx.size
-    if m < 2:
+    if idx.size < 2:
         raise ValueError("variance estimate needs a batch of at least 2")
-    G = problem.per_sample_grads(idx, x)
-    dev = G - np.asarray(g, dtype=float)[None, :]
-    var = (dev * dev).sum(axis=0) / (m - 1)
-    return float(var.sum())
+    return problem.grad_variance_l1(idx, x, g)
 
 
 def norm_test(var_l1: float, m: int, sigma: float, gnorm_sq: float) -> bool:

@@ -7,7 +7,10 @@ the eigenvalue bounds of the L-BFGS operator are estimated and enforced
 (flushing all but the newest pair if they escape [lam_min, lam_max]), then
 d = -H gtilde and x moves by a scheduled step length.  Curvature pairs are
 formed from the same batch and anchor at the old and new iterate, so the
-variance-reduction correction cancels and y is the raw gradient difference.
+variance-reduction correction cancels: y = g(x_new, xi) - g(x, xi) is
+computed directly as the raw gradient difference.  A step therefore makes
+three batch passes, g(x), g(anchor) and g(x_new), and two when the memory is
+empty (p = 0, the SVRG case).
 """
 
 from __future__ import annotations
@@ -128,7 +131,6 @@ class VarchenIterRecord:
     flushed: bool
     gamma_tilde: float
     gnorm: float  # norm of the variance-reduced gradient
-    batch_loss: float  # on the step batch at the new iterate
     x: np.ndarray
     wall_ms: float = 0.0
 
@@ -144,14 +146,19 @@ class VarchenResult:
     trace: List[VarchenIterRecord] = field(default_factory=list)
 
 
-def svrg_gradient(problem, batch, x: np.ndarray, anchor: AnchorState) -> np.ndarray:
-    """g(x, xi) - g(x_anchor, xi) + full_grad(x_anchor) on the given batch."""
+def _svrg_terms(problem, batch, x: np.ndarray, anchor: AnchorState):
+    """(g(x, xi), g(x, xi) - g(x_anchor, xi) + full_grad(x_anchor))."""
     x = np.asarray(x, dtype=float)
     if x.shape != anchor.x_anchor.shape:
         raise ValueError("iterate/anchor dimension mismatch")
     g = problem.batch_grad(batch, x)
     g_anchor = problem.batch_grad(batch, anchor.x_anchor)
-    return g - g_anchor + anchor.full_grad_anchor
+    return g, g - g_anchor + anchor.full_grad_anchor
+
+
+def svrg_gradient(problem, batch, x: np.ndarray, anchor: AnchorState) -> np.ndarray:
+    """g(x, xi) - g(x_anchor, xi) + full_grad(x_anchor) on the given batch."""
+    return _svrg_terms(problem, batch, x, anchor)[1]
 
 
 def varchen_run(
@@ -189,7 +196,7 @@ def varchen_run(
         while anchor.M < N:
             m_k = min(m_eff, N - anchor.M)
             batch = sampler.next_chunk(m_k)
-            g_tilde = svrg_gradient(problem, batch, x, anchor)
+            g_x, g_tilde = _svrg_terms(problem, batch, x, anchor)
             lam, Lam, flushed = enforce_bounds(memory)
             d = two_loop_apply(memory, g_tilde)
             alpha = step_size(params.schedule, k)
@@ -202,8 +209,7 @@ def varchen_run(
                 )
                 break
             if params.p > 0:
-                g_tilde_new = svrg_gradient(problem, batch, x_new, anchor)
-                push_pair(memory, x_new - x, g_tilde_new - g_tilde)
+                push_pair(memory, x_new - x, problem.batch_grad(batch, x_new) - g_x)
             x = x_new
             anchor.M += m_k
             k += 1
@@ -218,7 +224,6 @@ def varchen_run(
                     flushed=flushed,
                     gamma_tilde=memory.gamma_tilde,
                     gnorm=float(np.linalg.norm(g_tilde)),
-                    batch_loss=float(problem.batch_loss(batch, x)),
                     x=x.copy(),
                     wall_ms=(time.perf_counter() - t0) * 1e3,
                 )

@@ -26,7 +26,8 @@ DEFAULTS = ArasParams()
 
 class _StubProblem:
     """Scripted problem: batch_grad returns preset vectors in call order,
-    batch_loss preset scalars, per_sample_grads preset row blocks."""
+    batch_loss preset scalars, loss_and_grad one of each, and
+    grad_variance_l1 the two-pass variance of preset row blocks."""
 
     def __init__(self, N=16, n=2, grads=None, losses=None, grad_rows=None):
         self.N = N
@@ -41,10 +42,17 @@ class _StubProblem:
     def batch_loss(self, batch, x):
         return float(self._losses.pop(0))
 
+    def loss_and_grad(self, batch, x):
+        return self.batch_loss(batch, x), self.batch_grad(batch, x)
+
     def per_sample_grads(self, batch, x):
         rows = np.asarray(self._grad_rows.pop(0), dtype=float)
         reps = int(np.ceil(len(batch) / rows.shape[0]))
         return np.tile(rows, (reps, 1))[: len(batch)]
+
+    def grad_variance_l1(self, batch, x, g):
+        dev = self.per_sample_grads(batch, x) - np.asarray(g, dtype=float)[None, :]
+        return float(((dev * dev).sum(axis=0) / (len(batch) - 1)).sum())
 
 
 def fresh_state(problem_N=16, m=2, sigma=1.0, burn_in=5, transient=True, n=2, seed=0):
@@ -195,7 +203,7 @@ class TestTransientStep:
         assert state.pflug.S == -2.0
 
     def test_zero_gradient_is_inert(self):
-        prob = _StubProblem(grads=[(0.0, 0.0)])
+        prob = _StubProblem(grads=[(0.0, 0.0)], losses=[0.0])  # loss unread
         state = fresh_state(problem_N=prob.N, m=2, sigma=3.0)
         state.pflug.S = -0.5
         state.pflug.k = 3

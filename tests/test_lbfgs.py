@@ -17,6 +17,7 @@ from stochopt import (
     two_loop_apply,
     update_scaling,
 )
+from stochopt.lbfgs_core import _interval_update
 from oracles import dense_inverse_hessian, dense_pair_update
 
 ETA = 0.25
@@ -316,6 +317,36 @@ class TestPairUpdateEigenBounds:
         eigs = np.linalg.eigvalsh(dense_pair_update(1.0, s, s))
         assert np.all(eigs >= lower - 1e-12) and np.all(eigs <= upper + 1e-12)
         assert eigs.max() == pytest.approx(1.0)  # rho ||s||^2 = 1
+
+
+class TestIntervalUpdate:
+    def test_point_interval_is_the_pair_update(self, rng):
+        for _ in range(200):
+            mu, gamma, L = rng.uniform(1e-3, 1e3, size=3)
+            assert _interval_update(mu, mu, gamma, L) == pair_update_eigen_bounds(mu, gamma, L)
+
+    def test_dense_updates_across_the_interval_contained(self, rng):
+        # hessian_bounds feeds a whole interval [lam, Lam] into one update:
+        # the result must bracket the update of mu*I for every mu in it.
+        n = 5
+        for _ in range(300):
+            s = rng.standard_normal(n)
+            y = rng.standard_normal(n)
+            if float(s @ y) <= 0:
+                y = y - 2.0 * (float(s @ y) / float(s @ s)) * s
+            sTy = float(s @ y)
+            if sTy <= 1e-12:
+                continue
+            gamma = sTy / float(s @ s)
+            L_y = np.linalg.norm(y) / np.linalg.norm(s)
+            lam = float(rng.uniform(0.05, 5.0))
+            Lam = lam * float(rng.uniform(1.0, 50.0))
+            lower, upper = _interval_update(lam, Lam, gamma, L_y)
+            for mu in (lam, np.sqrt(lam * Lam), Lam):
+                eigs = np.linalg.eigvalsh(dense_pair_update(mu, s, y))
+                guard = 1e-10 * max(1.0, float(np.abs(eigs).max()))
+                assert eigs.min() >= lower - guard
+                assert eigs.max() <= upper + guard
 
 
 class TestHessianBounds:

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,10 +91,32 @@ class TestEpochShuffle:
             s.next_chunk(1)
 
 
+def _sparse_features(kind, X):
+    if kind == "csr":
+        return sp.csr_matrix(X)
+    # non-canonical CSR: each row's first coordinate stored twice, halved
+    N, n = X.shape
+    cols = np.tile(np.r_[np.arange(n), 0], N)
+    data = np.hstack([0.5 * X[:, :1], X[:, 1:], 0.5 * X[:, :1]]).ravel()
+    return sp.csr_matrix((data, cols, np.arange(N + 1) * (n + 1)), shape=(N, n))
+
+
+def _variance_scale(prob, batch, x, g):
+    """(m ||w||^2 + sum_i c_i^2 ||u_i||^2) / (m-1) with w = g - 2 lam x: the
+    size of the terms the sparse identity adds up."""
+    m = len(batch)
+    C = prob.per_sample_grads(batch, x) - 2.0 * prob.lam * x  # rows c_i u_i
+    w = g - 2.0 * prob.lam * x
+    return (m * float(w @ w) + float((C * C).sum())) / (m - 1)
+
+
 class TestSampleVariance:
-    def _problem(self, rng, N=6, n=3):
+    def _problem(self, rng, N=6, n=3, kind="dense"):
         X = rng.standard_normal((N, n))
         y = np.where(rng.standard_normal(N) >= 0, 1.0, -1.0)
+        if kind != "dense":
+            X[np.arange(N), np.arange(N) % n] = 0.0  # a zero in every row
+            X = _sparse_features(kind, X)
         return make_logistic(Dataset(features=X, labels=y), lam=0.1)
 
     def test_identical_gradients_zero_variance(self):
@@ -126,6 +150,53 @@ class TestSampleVariance:
         ours = sample_variance_l1(prob, batch, x, g)
         ref = looped_variance_l1(prob.per_sample_grads(batch, x), g)
         assert ours == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["csr", "csr-duplicates"])
+    @pytest.mark.parametrize("batch", [[0, 1, 3, 4, 5], [0, 1, 2, 3, 4, 5], [2, 2, 4, 0]])
+    def test_sparse_matches_two_pass_oracle(self, rng, kind, batch):
+        prob = self._problem(rng, kind=kind)
+        x = rng.standard_normal(prob.n)
+        batch = np.array(batch)
+        g = prob.batch_grad(batch, x)
+        ours = sample_variance_l1(prob, batch, x, g)
+        ref = looped_variance_l1(prob.per_sample_grads(batch, x), g)
+        assert abs(ours - ref) <= 1e-12 * _variance_scale(prob, batch, x, g)
+
+    def test_near_cancellation_csr(self):
+        # eight identical rows and one scaled by 1 + 1e-7: the true variance
+        # is ~1e-14 of the terms the sparse identity cancels
+        gen = np.random.default_rng(7)
+        for _ in range(20):
+            u = np.zeros(40)
+            u[gen.choice(40, 6, replace=False)] = gen.standard_normal(6)
+            X = sp.csr_matrix(np.vstack([u] * 8 + [u * (1.0 + 1e-7)]))
+            prob = make_logistic(Dataset(features=X, labels=np.ones(9)), lam=0.1)
+            x = gen.standard_normal(40)
+            batch = np.arange(9)
+            g = prob.batch_grad(batch, x)
+            ours = sample_variance_l1(prob, batch, x, g)
+            ref = looped_variance_l1(prob.per_sample_grads(batch, x), g)
+            assert ours >= 0.0
+            assert abs(ours - ref) <= 1e-12 * _variance_scale(prob, batch, x, g)
+
+    def test_csr_memory_stays_sparse(self):
+        # the dense m x n block of the per-sample gradients alone is 82 MB
+        N, n, m = 1024, 20_000, 512
+        gen = np.random.default_rng(11)
+        X = sp.random(N, n, density=30 / n, format="csr", random_state=gen)
+        y = np.where(gen.standard_normal(N) >= 0, 1.0, -1.0)
+        prob = make_logistic(Dataset(features=X, labels=y), lam=0.01)
+        x = gen.standard_normal(n)
+        batch = np.sort(gen.choice(N, size=m, replace=False))
+        g = prob.batch_grad(batch, x)
+        tracemalloc.start()
+        try:
+            var = sample_variance_l1(prob, batch, x, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert var > 0.0
+        assert peak < 8 * 2**20
 
     def test_batch_too_small(self, rng):
         prob = self._problem(rng)

@@ -331,8 +331,8 @@ class TestVarchenRun:
                 g_tilde = svrg_gradient(prob, batch, x, anchor)
                 d = two_loop_apply(memory, g_tilde)
                 x_new = x + alpha * d
-                g_tilde_new = svrg_gradient(prob, batch, x_new, anchor)
-                push_pair(memory, x_new - x, g_tilde_new - g_tilde)
+                push_pair(memory, x_new - x,
+                          prob.batch_grad(batch, x_new) - prob.batch_grad(batch, x))
                 x = x_new
                 anchor.M += m_k
                 ref_xs.append(x.copy())
