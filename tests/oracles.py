@@ -3,13 +3,17 @@
 Everything here is deliberately written from the mathematical definitions,
 not by calling back into the package: finite differences for gradients, a
 dense matrix build of the damped L-BFGS operator, a dense build of the
-single-pair update, and a looped two-pass variance.  Tests freeze against
+single-pair update, a looped two-pass variance, and a line-by-line libsvm
+parser.  Tests freeze against
 these, so keep them dumb and obvious.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import scipy.sparse as sp
 
 
 def fd_gradient(fun, x: np.ndarray, h_scale: float = 1e-6) -> np.ndarray:
@@ -72,3 +76,87 @@ def enumerate_batches(N: int, m: int):
     from itertools import combinations
 
     return [np.array(c, dtype=np.int64) for c in combinations(range(N), m)]
+
+
+def load_libsvm_reference(path, n_features=None):
+    """Line-by-line, token-by-token libsvm parser: the reference for
+    harness.load_libsvm's Dataset and error messages.  Checks each line in
+    token order: label, then per pair the colon, the index and value
+    parses, index >= 1, a finite value, and a repeated index."""
+    from stochopt.problems import DENSE_DIM_LIMIT, Dataset
+
+    labels = []
+    rows = []
+    max_col = -1
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            tokens = line.split()
+            try:
+                label = float(tokens[0])
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: bad label {tokens[0]!r}")
+            if not math.isfinite(label):
+                raise ValueError(f"{path}: line {lineno}: non-finite label {tokens[0]!r}")
+            entries = []
+            seen = set()
+            for tok in tokens[1:]:
+                idx_s, sep, val_s = tok.partition(":")
+                if not sep:
+                    raise ValueError(
+                        f"{path}: line {lineno}: expected index:value, got {tok!r}"
+                    )
+                try:
+                    idx = int(idx_s)
+                    val = float(val_s)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {lineno}: bad index:value pair {tok!r}"
+                    )
+                if idx < 1:
+                    raise ValueError(
+                        f"{path}: line {lineno}: index {idx} not 1-based positive"
+                    )
+                if not math.isfinite(val):
+                    raise ValueError(f"{path}: line {lineno}: non-finite value in {tok!r}")
+                col = idx - 1
+                if col in seen:
+                    raise ValueError(
+                        f"{path}: line {lineno}: duplicate feature index {idx}"
+                    )
+                seen.add(col)
+                entries.append((col, val))
+                max_col = max(max_col, col)
+            labels.append(label)
+            rows.append(entries)
+    if not rows:
+        raise ValueError(f"{path}: empty dataset")
+    n = max_col + 1 if n_features is None else n_features
+    if n_features is not None and max_col + 1 > n_features:
+        raise ValueError(
+            f"{path}: feature index {max_col + 1} exceeds declared width {n_features}"
+        )
+    if n < 1:
+        raise ValueError(f"{path}: no features found")
+
+    if n > DENSE_DIM_LIMIT:
+        indptr = [0]
+        indices = []
+        data = []
+        for entries in rows:
+            for col, val in sorted(entries):
+                indices.append(col)
+                data.append(val)
+            indptr.append(len(indices))
+        features = sp.csr_matrix(
+            (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr)),
+            shape=(len(rows), n),
+        )
+    else:
+        features = np.zeros((len(rows), n))
+        for i, entries in enumerate(rows):
+            for col, val in entries:
+                features[i, col] = val
+    return Dataset(features=features, labels=np.array(labels, dtype=float))

@@ -1,0 +1,384 @@
+"""Harness I/O: the block libsvm parser against the line-by-line reference
+in oracles.py, its memory use, output files written as new files, and
+compare's one resolve per dataset source."""
+
+import json
+import os
+import stat
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import stochopt.harness as harness
+from oracles import load_libsvm_reference
+from stochopt.harness import (
+    compare,
+    load_config,
+    load_csv,
+    load_libsvm,
+    run_experiment,
+    save_csv,
+    save_libsvm,
+)
+from stochopt.problems import DENSE_DIM_LIMIT, Dataset
+from test_harness import BASE_SGD, strip_wall, write_config
+
+
+def assert_same_dataset(got: Dataset, want: Dataset) -> None:
+    """Labels, dense/CSR choice and every stored array, bit for bit."""
+    assert got.labels.dtype == want.labels.dtype
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert sp.issparse(got.features) == sp.issparse(want.features)
+    assert got.features.shape == want.features.shape
+    if sp.issparse(want.features):
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got.features, name), getattr(want.features, name)
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+    else:
+        assert got.features.dtype == want.features.dtype
+        assert got.features.tobytes() == want.features.tobytes()
+
+
+def outcome(load, path, n_features):
+    """(dataset, None), or (None, the error): a ValueError's text, or just
+    OverflowError, whose wording is not part of the contract."""
+    try:
+        return load(path, n_features=n_features), None
+    except ValueError as exc:
+        return None, str(exc)
+    except OverflowError:
+        return None, "OverflowError"
+
+
+def assert_matches_reference(path, n_features=None) -> None:
+    want, want_err = outcome(load_libsvm_reference, path, n_features)
+    got, got_err = outcome(load_libsvm, path, n_features)
+    assert got_err == want_err
+    if want is not None:
+        assert_same_dataset(got, want)
+
+
+# -- fuzz against the reference -------------------------------------------------
+
+SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t ", "\x0b", "\xa0"])
+GOOD_LABELS = st.sampled_from(["1", "-1", "+1", "1.0", "-1e0", "1_0"])
+BAD_LABELS = st.sampled_from(["abc", "nan", "inf", "-inf", "1:2", "1e999", ""])
+GOOD_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+    st.sampled_from(["0", "-0.0", "1e-3", "2_5", "7"]),
+)
+BAD_TOKENS = st.sampled_from([
+    "5", "1:2:3", ":4", "3:", "a:1", "1:b", "0:1", "-2:1", "-0:1", "1:nan",
+    "2:inf", "3:-inf", "4:1e999", "1.0:2", "::", "x",
+    "99999999999999999999:1", "-99999999999999999999:1",
+])
+# widths on both sides of the dense/CSR switch
+WIDTHS = st.sampled_from([1, 3, 20, DENSE_DIM_LIMIT, DENSE_DIM_LIMIT + 1, 700])
+
+
+@st.composite
+def libsvm_line(draw, width, dirty):
+    """One line: blank, or a label and tokens; if dirty, sometimes with bad
+    pieces (including two on one line) or a repeated index."""
+    sep = draw(SEPARATORS)
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", " ", "\t", sep]))
+    cols = draw(st.lists(st.integers(1, width), max_size=min(width, 6), unique=True))
+    if not draw(st.booleans()):
+        cols = sorted(cols)
+    tokens = [f"{c}:{draw(GOOD_VALUES)}" for c in cols]
+    label = draw(GOOD_LABELS)
+    fault = draw(st.sampled_from(["none", "none", "none", "token", "tokens", "dup", "label"]))
+    if not dirty or fault == "none":
+        pass
+    elif fault == "label":
+        label = draw(BAD_LABELS)
+    elif fault == "dup" and tokens:
+        tokens.insert(draw(st.integers(0, len(tokens))), f"{cols[0]}:{draw(GOOD_VALUES)}")
+    else:  # one bad token, or two on one line
+        for _ in range(1 if fault == "token" else 2):
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(BAD_TOKENS))
+    head = sep if draw(st.integers(0, 4)) == 0 else ""
+    return head + sep.join([label] + tokens) + draw(st.sampled_from(["", " ", "\t"]))
+
+
+@st.composite
+def libsvm_file(draw):
+    width = draw(WIDTHS)
+    lines = draw(st.lists(libsvm_line(width, draw(st.booleans())), min_size=1, max_size=12))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    text = "".join(line + end for line in lines)
+    if lines and draw(st.booleans()):
+        text = text[: -len(end)]  # no final line break
+    n_features = draw(st.sampled_from([None, None, width, width + 5, 2]))
+    return text, n_features
+
+
+class TestLoadLibsvmMatchesReference:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=libsvm_file(), block=st.sampled_from([1, 2, 3, 5, 4096]))
+    def test_fuzz(self, tmp_path_factory, case, block):
+        text, n_features = case
+        path = tmp_path_factory.getbasetemp() / "fuzz.libsvm"
+        path.unlink(missing_ok=True)  # a truncating rewrite can stall on ext4
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(harness, "_LIBSVM_BLOCK_LINES", block):
+            assert_matches_reference(path, n_features)
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            # two errors on one line: the first in token order wins
+            (["1 1:2", "1 0:1 a"], "line 2: index 0 not 1-based positive"),
+            (["1 1:2", "1 a 0:1"], "line 2: expected index:value, got 'a'"),
+            (["x 0:1"], "line 1: bad label 'x'"),
+            (["1 2:1 2:3 1:nan"], "line 1: duplicate feature index 2"),
+            (["1 1:nan 2:1 2:3"], "line 1: non-finite value in '1:nan'"),
+            (["1 2:1 2:nan"], "line 1: non-finite value in '2:nan'"),
+            (["1 2:1 0:nan"], "line 1: index 0 not 1-based positive"),
+            (["1 -99999999999999999999:1"],
+             "line 1: index -99999999999999999999 not 1-based positive"),
+            # an error or a duplicate on the first line of a later block
+            (["1 1:2", "-1 2:3", "1 3:1", "1 1:1 1:2"], "line 4: duplicate feature index 1"),
+            (["1 1:2", "-1 2:3", "", "1 1:2:3 4"], "line 4: bad index:value pair '1:2:3'"),
+            (["1 1:2", "-1 2:3", "1 3:1", "inf 1:1"], "line 4: non-finite label 'inf'"),
+            # the earlier of two bad lines, in different blocks
+            (["1 1:2", "1 3:1 3:1", "1 1:1", "1 x"], "line 2: duplicate feature index 3"),
+            # a repeated index out of column order, and a later, different error
+            (["1 2:1 1:1 2:5", "1 q"], "line 1: duplicate feature index 2"),
+        ],
+    )
+    @pytest.mark.parametrize("block", [3, 4096])
+    def test_error_names_first_bad_line(self, tmp_path, monkeypatch, lines, message, block):
+        monkeypatch.setattr(harness, "_LIBSVM_BLOCK_LINES", block)
+        path = tmp_path / "bad.libsvm"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_libsvm(path)
+        assert str(exc.value) == f"{path}: {message}"
+        assert_matches_reference(path)
+
+    def test_index_beyond_int64_overflows(self, tmp_path):
+        path = tmp_path / "huge.libsvm"
+        path.write_text("1 1:2\n1 99999999999999999999:1\n")
+        for load in (load_libsvm, load_libsvm_reference):
+            with pytest.raises(OverflowError):
+                load(path)
+
+    @pytest.mark.parametrize("block", [1, 4096])
+    @pytest.mark.parametrize(
+        "text, n_features, message",
+        [
+            # a later bad line is reported before the overflow
+            ("1 99999999999999999999:1\n1 1:2\n1 x\n", None,
+             "line 3: expected index:value, got 'x'"),
+            # so is a declared width the index exceeds
+            ("1 1:2\n1 99999999999999999999:1\n1 3:1\n", 5,
+             "feature index 99999999999999999999 exceeds declared width 5"),
+            ("1 99999999999999999999:1\n1 99999999999999999999:3 1:2 99999999999999999999:4\n", 5,
+             "line 2: duplicate feature index 99999999999999999999"),
+        ],
+    )
+    def test_overflow_waits_for_the_whole_file(self, tmp_path, monkeypatch, block,
+                                               text, n_features, message):
+        monkeypatch.setattr(harness, "_LIBSVM_BLOCK_LINES", block)
+        path = tmp_path / "huge.libsvm"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_libsvm(path, n_features=n_features)
+        assert str(exc.value) == f"{path}: {message}"
+        assert_matches_reference(path, n_features)
+
+    @pytest.mark.parametrize("block", [1, 3, 4096])
+    @pytest.mark.parametrize("width", [5, DENSE_DIM_LIMIT, DENSE_DIM_LIMIT + 1])
+    def test_unsorted_rows_and_blank_lines(self, tmp_path, monkeypatch, block, width):
+        monkeypatch.setattr(harness, "_LIBSVM_BLOCK_LINES", block)
+        path = tmp_path / "d.libsvm"
+        path.write_text(
+            f"\n1 {width}:0.5 1:-2.0 3:0\n\n \t\n-1\n-1 2:1e-300\t1:-0.0\n1 3:7 2:1\n"
+        )
+        assert_matches_reference(path)
+        assert_matches_reference(path, n_features=width + 2)
+        ds = load_libsvm(path)
+        assert ds.N == 4 and ds.n == width
+
+    def test_nonfinite_label_or_value_is_a_runtime_error(self, tmp_path, capsys):
+        (tmp_path / "bad.libsvm").write_text("1 1:2.0\n-1 2:nan\n")
+        text = """\
+            [problem]
+            kind = logistic
+            dataset = bad.libsvm
+
+            [run]
+            algorithm = sgd
+            """
+        cfg = write_config(tmp_path, text)
+        assert harness.main(["run", "--config", cfg]) == 2
+        assert "line 2: non-finite value in '2:nan'" in capsys.readouterr().err
+
+
+def write_text_csr(path, rows=10000, width=3000, nnz=30, seed=0):
+    """Sorted-column libsvm text with ~nnz entries per row (6-digit values)."""
+    gen = np.random.default_rng(seed)
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(rows):
+            cols = np.unique(gen.integers(1, width + 1, size=nnz))
+            vals = np.round(gen.standard_normal(cols.size), 6)
+            pairs = " ".join(f"{c}:{v!r}" for c, v in zip(cols.tolist(), vals.tolist()))
+            fh.write(f"{1 if i % 2 else -1} {pairs}\n")
+
+
+class TestLoadLibsvmMemory:
+    # the line-by-line reference peaks at ~46 MiB on this file (a tuple per
+    # entry), the block parser at ~11 MiB (the result arrays and one
+    # block's token strings)
+    PEAK_CAP_BYTES = 20 * 2**20
+
+    def test_peak_python_memory(self, tmp_path):
+        path = tmp_path / "wide.libsvm"
+        write_text_csr(path)
+        tracemalloc.start()
+        try:
+            ds = load_libsvm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sp.issparse(ds.features) and ds.N == 10000
+        assert ds.features.nnz > 10000 * 29
+        assert peak < self.PEAK_CAP_BYTES, f"peak {peak / 2**20:.1f} MB"
+
+
+# -- output files ---------------------------------------------------------------
+
+
+class TestOutputsAreNewFiles:
+    def run(self, tmp_path):
+        out = run_experiment(load_config(write_config(tmp_path, BASE_SGD)))
+        return Path(out), Path(out + ".manifest.json")
+
+    def test_rerun_over_longer_outputs_leaves_no_stale_bytes(self, tmp_path):
+        csv_path, manifest = self.run(tmp_path)
+        first_csv, first_manifest = strip_wall(csv_path), manifest.read_bytes()
+        csv_path.write_text("9" * 50000)
+        manifest.write_text("{" + " " * 50000)
+        self.run(tmp_path)
+        assert strip_wall(csv_path) == first_csv
+        assert manifest.read_bytes() == first_manifest
+
+    def test_symlinked_output_keeps_its_link(self, tmp_path):
+        target = tmp_path / "elsewhere" / "metrics.csv"
+        target.parent.mkdir()
+        target.write_text("stale\n" * 1000)
+        (tmp_path / "run.csv").symlink_to(target)
+        csv_path, _ = self.run(tmp_path)
+        assert csv_path.is_symlink() and csv_path.resolve() == target.resolve()
+        assert target.read_text().startswith("epoch,iteration,")
+        assert "stale" not in target.read_text()
+
+    def test_old_file_is_replaced_not_truncated(self, tmp_path):
+        # a hard link to last run's output keeps that output's bytes
+        csv_path, _ = self.run(tmp_path)
+        old = csv_path.read_text()
+        keep = tmp_path / "kept.csv"
+        os.link(csv_path, keep)
+        self.run(tmp_path)
+        assert keep.read_text() == old
+        assert csv_path.stat().st_ino != keep.stat().st_ino
+
+    def test_save_over_existing_file_round_trips(self, tmp_path):
+        feats = np.array([[1.5, 0.0, -2.25], [0.0, 0.0, 0.125]])
+        ds = Dataset(features=feats, labels=np.array([1.0, -1.0]))
+        lib, csv_file = tmp_path / "d.libsvm", tmp_path / "d.csv"
+        lib.write_text("1 1:3.0\n" * 500)
+        csv_file.write_text("1.0,2.0,3.0,4.0\n" * 500)
+        save_libsvm(lib, ds)
+        save_csv(csv_file, ds)
+        for back in (load_libsvm(lib), load_csv(csv_file)):
+            np.testing.assert_array_equal(back.features, feats)
+            np.testing.assert_array_equal(back.labels, ds.labels)
+
+    DS = Dataset(features=np.array([[1.5, -2.25]]), labels=np.array([1.0]))
+
+    def test_fifo_is_written_not_replaced(self, tmp_path):
+        want = tmp_path / "want.csv"
+        save_csv(want, self.DS)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        # a nonblocking reader lets the writer's open return at once
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            save_csv(fifo, self.DS)
+            got = os.read(fd, 1 << 16)
+        finally:
+            os.close(fd)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert got == want.read_bytes()
+
+    def test_device_is_never_unlinked(self, tmp_path, monkeypatch):
+        unlinked = []
+        monkeypatch.setattr(os, "unlink", unlinked.append)
+        link = tmp_path / "null.csv"
+        link.symlink_to(os.devnull)
+        for path in (os.devnull, link):
+            save_csv(path, self.DS)
+        assert unlinked == []
+        assert link.is_symlink() and stat.S_ISCHR(os.stat(link).st_mode)
+
+    def test_file_that_cannot_be_unlinked_is_truncated(self, tmp_path, monkeypatch):
+        # as in a directory without write permission
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        want = tmp_path / "want.csv"
+        save_csv(want, self.DS)
+        out = tmp_path / "out.csv"
+        out.write_text("9" * 50000)
+        monkeypatch.setattr(os, "unlink", refuse)
+        save_csv(out, self.DS)
+        assert out.read_bytes() == want.read_bytes()
+
+
+# -- compare --------------------------------------------------------------------
+
+
+class TestCompareResolvesOnce:
+    def configs(self, tmp_path, algos=("sgd", "svrg", "sgd-momentum")):
+        paths = []
+        for algo in algos:
+            text = (BASE_SGD.replace("algorithm = sgd", f"algorithm = {algo}")
+                    .replace("out = run.csv", f"out = {algo}.csv")
+                    .replace("[sgd]", f"[{algo}]"))
+            paths.append(write_config(tmp_path, text, name=f"{algo}.ini"))
+        return paths
+
+    def test_one_resolve_per_source(self, tmp_path, monkeypatch):
+        calls = []
+        real = harness._resolve_datasets
+        monkeypatch.setattr(harness, "_resolve_datasets",
+                            lambda cfg: calls.append(cfg.algorithm) or real(cfg))
+        summaries = compare(self.configs(tmp_path))
+        assert len(calls) == 1
+        assert len({s["problem"] for s in summaries}) == 1
+
+    def test_outputs_match_separate_runs(self, tmp_path):
+        shared = tmp_path / "shared"
+        alone = tmp_path / "alone"
+        shared.mkdir()
+        alone.mkdir()
+        summaries = compare(self.configs(shared))
+        for s, cfg in zip(summaries, self.configs(alone)):
+            out = run_experiment(load_config(cfg))
+            assert strip_wall(s["csv"]) == strip_wall(out)
+            m1 = json.loads(Path(s["csv"] + ".manifest.json").read_text())
+            m2 = json.loads(Path(out + ".manifest.json").read_text())
+            m1["config"]["run"].pop("out")
+            m2["config"]["run"].pop("out")
+            assert m1 == m2
