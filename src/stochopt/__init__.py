@@ -10,6 +10,7 @@ Public surface:
 - lbfgs_core: damped L-BFGS memory with eigenvalue-bound control
 - varchen: VARCHEN (variance-reduced stochastic damped L-BFGS)
 - baselines: SGD, SGD with momentum, SVRG
+- record: StepRecord, the per-step trace entry of every optimizer
 - harness: configs, dataset IO, metrics CSV, CLI
 """
 
@@ -27,7 +28,6 @@ from .aras import (
 )
 from .baselines import (
     BaselineParams,
-    BaselineResult,
     sgd_momentum_run,
     sgd_run,
     svrg_run,
@@ -69,6 +69,7 @@ from .problems import (
     make_quadratic,
     make_sigmoid_svm,
 )
+from .record import StepRecord
 from .regularization import (
     ArigResult,
     RegParams,

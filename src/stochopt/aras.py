@@ -21,6 +21,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from .record import StepRecord
 from .sampling import (
     SamplerState,
     adaptive_batch_size,
@@ -32,7 +33,6 @@ __all__ = [
     "PflugState",
     "ArasParams",
     "ArasState",
-    "ArasIterRecord",
     "ArasResult",
     "pflug_update",
     "pflug_triggered",
@@ -127,23 +127,6 @@ class ArasState:
 
 
 @dataclass(frozen=True)
-class ArasIterRecord:
-    k: int
-    epoch: int
-    phase: str  # "transient" | "stationary"
-    sigma: float  # sigma used for the step
-    sigma_after: float
-    m: int  # nominal batch size after the step
-    m_used: int  # samples actually consumed by the step
-    S: float
-    gnorm: float
-    rho: Optional[float]
-    triggered_now: bool
-    x: np.ndarray
-    wall_ms: float = 0.0
-
-
-@dataclass(frozen=True)
 class ArasResult:
     x: np.ndarray
     iterations: int
@@ -152,10 +135,10 @@ class ArasResult:
     sigma_trigger: Optional[float]
     sigma_final: float
     m_final: int
-    trace: List[ArasIterRecord] = field(default_factory=list)
+    trace: List[StepRecord] = field(default_factory=list)
 
 
-def transient_step(state: ArasState, problem, params: ArasParams, epoch: int = 0) -> ArasIterRecord:
+def transient_step(state: ArasState, problem, params: ArasParams, epoch: int = 0) -> StepRecord:
     """One always-accepted step with ratio-driven sigma and Pflug update."""
     if not state.transient:
         raise RuntimeError("transient_step called in stationary phase")
@@ -167,10 +150,11 @@ def transient_step(state: ArasState, problem, params: ArasParams, epoch: int = 0
     if gnorm_sq == 0.0:
         # degenerate batch: leave iterate, sigma and the diagnostic alone
         state.k += 1
-        return ArasIterRecord(
-            k=state.k, epoch=epoch, phase="transient", sigma=sigma_pre,
-            sigma_after=state.sigma, m=state.m, m_used=batch.size, S=state.pflug.S,
-            gnorm=0.0, rho=None, triggered_now=False, x=state.x.copy(),
+        return StepRecord(
+            k=state.k, epoch=epoch, m_used=batch.size, samples=batch.size,
+            x=state.x.copy(), phase="transient", sigma=sigma_pre,
+            sigma_after=state.sigma, m=state.m, S=state.pflug.S,
+            gnorm=0.0, rho=None, triggered_now=False,
         )
 
     s = -g_old / sigma_pre
@@ -192,15 +176,15 @@ def transient_step(state: ArasState, problem, params: ArasParams, epoch: int = 0
         state.sigma_trigger = state.sigma
         triggered_now = True
 
-    return ArasIterRecord(
-        k=state.k, epoch=epoch, phase="transient", sigma=sigma_pre,
-        sigma_after=state.sigma, m=state.m, m_used=batch.size, S=state.pflug.S,
+    return StepRecord(
+        k=state.k, epoch=epoch, m_used=batch.size, samples=batch.size,
+        x=state.x.copy(), phase="transient", sigma=sigma_pre,
+        sigma_after=state.sigma, m=state.m, S=state.pflug.S,
         gnorm=float(np.sqrt(gnorm_sq)), rho=rho_bar, triggered_now=triggered_now,
-        x=state.x.copy(),
     )
 
 
-def stationary_step(state: ArasState, problem, params: ArasParams, epoch: int = 0) -> ArasIterRecord:
+def stationary_step(state: ArasState, problem, params: ArasParams, epoch: int = 0) -> StepRecord:
     """One step with norm-test batch resizing and linear sigma growth."""
     if state.transient:
         raise RuntimeError("stationary_step called in transient phase")
@@ -228,11 +212,11 @@ def stationary_step(state: ArasState, problem, params: ArasParams, epoch: int = 
     state.t += 1
     state.k += 1
 
-    return ArasIterRecord(
-        k=state.k, epoch=epoch, phase="stationary", sigma=sigma_pre,
-        sigma_after=state.sigma, m=state.m, m_used=batch.size, S=state.pflug.S,
+    return StepRecord(
+        k=state.k, epoch=epoch, m_used=batch.size, samples=batch.size,
+        x=state.x.copy(), phase="stationary", sigma=sigma_pre,
+        sigma_after=state.sigma, m=state.m, S=state.pflug.S,
         gnorm=float(np.sqrt(gnorm_sq)), rho=None, triggered_now=False,
-        x=state.x.copy(),
     )
 
 
@@ -257,7 +241,7 @@ def aras_run(
         sampler=sampler,
     )
 
-    trace: List[ArasIterRecord] = []
+    trace: List[StepRecord] = []
     t0 = time.perf_counter()
     for epoch in range(params.n_epochs):
         consumed = 0

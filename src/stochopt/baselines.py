@@ -4,25 +4,26 @@ All three walk without-replacement chunks of a per-epoch shuffle, so runs
 with the same seed visit the same batches.  SVRG is the identity-H special
 case of the variance-reduced quasi-Newton driver (zero-capacity memory and a
 constant step), which keeps the two implementations identical by
-construction.
+construction.  All three return a VarchenResult; a non-finite iterate ends
+the run with aborted=True and an abort_reason naming the epoch and
+iteration, as in VARCHEN.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
+from .record import StepRecord
 from .sampling import SamplerState
 from .varchen import StepSchedule, VarchenParams, VarchenResult, varchen_run
 
 __all__ = [
     "BaselineParams",
-    "BaselineIterRecord",
-    "BaselineResult",
     "sgd_run",
     "sgd_momentum_run",
     "svrg_run",
@@ -47,26 +48,6 @@ class BaselineParams:
             raise ValueError("n_epochs must be positive")
 
 
-@dataclass(frozen=True)
-class BaselineIterRecord:
-    k: int
-    epoch: int
-    m_used: int
-    gnorm: float
-    x: np.ndarray
-    wall_ms: float = 0.0
-
-
-@dataclass(frozen=True)
-class BaselineResult:
-    x: np.ndarray
-    iterations: int
-    aborted: bool
-    final_loss: float
-    epoch_losses: List[float] = field(default_factory=list)
-    trace: List[BaselineIterRecord] = field(default_factory=list)
-
-
 def _epoch_loop(problem, params: BaselineParams, seed: int, x0, update):
     """Shared epoch/chunk scaffolding; `update(x, g) -> x_new` is the rule."""
     N = problem.N
@@ -74,10 +55,11 @@ def _epoch_loop(problem, params: BaselineParams, seed: int, x0, update):
     sampler = SamplerState(N=N, m=m_eff, m_max=m_eff, seed=seed)
     x = (np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float)).copy()
 
-    trace: List[BaselineIterRecord] = []
+    trace: List[StepRecord] = []
     epoch_losses: List[float] = []
     k = 0
     aborted = False
+    abort_reason = None
     t0 = time.perf_counter()
     for epoch in range(params.n_epochs):
         epoch_losses.append(problem.full_loss(x))
@@ -90,15 +72,16 @@ def _epoch_loop(problem, params: BaselineParams, seed: int, x0, update):
             x = update(x, g)
             if not np.all(np.isfinite(x)):
                 aborted = True
+                abort_reason = f"non-finite iterate at epoch {epoch}, iteration {k}"
                 break
             consumed += m_k
             k += 1
             trace.append(
-                BaselineIterRecord(
+                StepRecord(
                     k=k,
                     epoch=epoch,
                     m_used=int(batch.size),
-                    gnorm=float(np.linalg.norm(g)),
+                    samples=int(batch.size),
                     x=x.copy(),
                     wall_ms=(time.perf_counter() - t0) * 1e3,
                 )
@@ -107,10 +90,11 @@ def _epoch_loop(problem, params: BaselineParams, seed: int, x0, update):
             break
 
     final_loss = math.inf if aborted else float(problem.full_loss(x))
-    return BaselineResult(
+    return VarchenResult(
         x=x,
         iterations=k,
         aborted=aborted,
+        abort_reason=abort_reason,
         final_loss=final_loss,
         epoch_losses=epoch_losses,
         trace=trace,
@@ -119,7 +103,7 @@ def _epoch_loop(problem, params: BaselineParams, seed: int, x0, update):
 
 def sgd_run(
     problem, params: BaselineParams, seed: int = 0, x0: Optional[np.ndarray] = None
-) -> BaselineResult:
+) -> VarchenResult:
     """x <- x - alpha * batch gradient."""
 
     def update(x, g):
@@ -130,7 +114,7 @@ def sgd_run(
 
 def sgd_momentum_run(
     problem, params: BaselineParams, seed: int = 0, x0: Optional[np.ndarray] = None
-) -> BaselineResult:
+) -> VarchenResult:
     """Heavy ball: v <- momentum*v - alpha*g; x <- x + v."""
     v = np.zeros(problem.n)
 

@@ -8,6 +8,13 @@ for metrics an algorithm does not produce) plus a JSON manifest holding the
 resolved config, the seed, and a content hash of the dataset.  Everything a
 run writes is byte-identical across reruns except the wall_ms column.
 
+Every optimizer traces its steps as StepRecords (see record.py), so the
+report (_trace_to_metrics) reads each row's columns and sample charge from
+the record, with no reference to the algorithm.  It runs after the
+algorithm entry returns: the full-pass loss, gradient norm and accuracy of
+the selected rows are evaluation, kept out of the optimizer's time and
+oracle counts.
+
 Every output file is replaced by a new file rather than truncated in place
 (see _open_fresh): on ext4, truncating the previous run's not-yet-flushed
 output blocks the open while the kernel writes it out.  libsvm input is
@@ -141,10 +148,11 @@ def _open_fresh(path, newline: Optional[str] = None):
     return open(path, "w", encoding="utf-8", newline=newline)
 
 
-# Lines per load_libsvm parse block.  One block's token strings are the
-# parser's transient memory and a block's fixed cost is a few numpy calls,
-# so blocks stay small: on a 10000-row CSR file with ~25 entries a row,
-# 512-line blocks parse faster than 2048-line ones, at about half the peak.
+# Lines per load_libsvm parse block and per save_libsvm format block.  One
+# block's token strings are the transient memory and a block's fixed cost is
+# a few numpy calls, so blocks stay small: on a 10000-row CSR file with ~25
+# entries a row, 512-line blocks parse faster than 2048-line ones, at about
+# half the peak.
 _LIBSVM_BLOCK_LINES = 512
 
 # A token with two or more colons (a token never spans whitespace).
@@ -280,33 +288,34 @@ def _first_libsvm_error(path, lines: List[str], first_lineno: int) -> str:
 
 
 def save_libsvm(path, dataset: Dataset) -> None:
-    """Write 1-based `label idx:val` lines; zeros are dropped, values keep
-    full precision (repr round-trip)."""
+    """Write 1-based `label idx:val` lines with columns ascending; a dense
+    set drops its zeros, a CSR set writes every stored entry.  Values keep
+    full precision (repr round-trip).  Lines are formatted a block at a time
+    from Python numbers (tolist), with no per-row numpy call."""
     feats = dataset.features
-    sparse = sp.issparse(feats)
-    if sparse:
-        feats = feats.tocsr()
+    if sp.issparse(feats):
+        feats = feats.tocsr().sorted_indices()
+    labels = dataset.labels.tolist()
     with _open_fresh(path) as fh:
-        for i in range(dataset.N):
-            parts = [repr(float(dataset.labels[i]))]
-            if sparse:
-                start, stop = feats.indptr[i], feats.indptr[i + 1]
-                cols = feats.indices[start:stop]
-                vals = feats.data[start:stop]
-                order = np.argsort(cols)
-                cols, vals = cols[order], vals[order]
+        for lo in range(0, dataset.N, _LIBSVM_BLOCK_LINES):
+            block = feats[lo:lo + _LIBSVM_BLOCK_LINES]
+            if sp.issparse(block):
+                counts, cols, vals = np.diff(block.indptr), block.indices, block.data
             else:
-                row = feats[i]
-                cols = np.nonzero(row)[0]
-                vals = row[cols]
-            for col, val in zip(cols, vals):
-                parts.append(f"{col + 1}:{repr(float(val))}")
-            fh.write(" ".join(parts) + "\n")
+                rows, cols = np.nonzero(block)
+                vals = block[rows, cols]
+                counts = np.bincount(rows, minlength=block.shape[0])
+            pairs = map("{}:{!r}".format, (cols + 1).tolist(), vals.astype(float).tolist())
+            fh.write("".join(
+                " ".join([repr(label), *islice(pairs, count)]) + "\n"
+                for label, count in zip(labels[lo:lo + _LIBSVM_BLOCK_LINES], counts.tolist())
+            ))
 
 
 def load_csv(path, label_column: int = 0, header: bool = False) -> Dataset:
-    """Dense numeric CSV; one column holds the label.  Bad cells raise with
-    row and column numbers (1-based, counting the header if present)."""
+    """Dense numeric CSV; one column holds the label.  Bad cells, including
+    nan and inf, raise ValueError with row and column numbers (1-based,
+    counting the header if present)."""
     labels: List[float] = []
     rows: List[List[float]] = []
     width = None
@@ -332,11 +341,16 @@ def load_csv(path, label_column: int = 0, header: bool = False) -> Dataset:
             values = []
             for colno, cell in enumerate(raw, start=1):
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ValueError(
                         f"{path}: row {rowno}, column {colno}: non-numeric {cell!r}"
                     )
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}: row {rowno}, column {colno}: non-finite {cell!r}"
+                    )
+                values.append(value)
             lc = label_column % width
             labels.append(values[lc])
             rows.append(values[:lc] + values[lc + 1 :])
@@ -770,50 +784,39 @@ def _problem_fingerprint(config: ExperimentConfig, dataset_hash: str) -> str:
 def _trace_to_metrics(
     config: ExperimentConfig, problem, test: Optional[Dataset], result
 ) -> List[MetricsRecord]:
-    """Downsample a rich trace at the configured cadence, computing the
-    N-cost metrics (full loss, full gradient norm, test accuracy) only at
-    the selected rows."""
+    """Downsample a trace of StepRecords at the configured cadence (0: the
+    last step of each epoch), computing the N-cost metrics (full loss, full
+    gradient norm, test accuracy) only at the selected rows."""
     trace = result.trace
     cadence = config.cadence
-    algo = config.algorithm
     N = problem.N
     rows: List[MetricsRecord] = []
     cum_samples = 0
-    prev_epoch = None
     for i, rec in enumerate(trace):
-        epoch = rec.k if algo == "arig" else rec.epoch
-        if algo in ("varchen", "svrg") and epoch != prev_epoch:
-            cum_samples += N  # anchor full-gradient pass
-            prev_epoch = epoch
-        cum_samples += N if algo == "arig" else rec.m_used
-
+        cum_samples += rec.samples
         last = i == len(trace) - 1
         if cadence > 0:
             selected = last or rec.k % cadence == 0
         else:
-            nxt = trace[i + 1] if not last else None
-            selected = last or (
-                algo != "arig" and nxt is not None and nxt.epoch != rec.epoch
-            ) or algo == "arig"
+            selected = last or trace[i + 1].epoch != rec.epoch
         if not selected:
             continue
 
         loss, grad = problem.loss_and_grad(np.arange(N), rec.x)
-        gnorm = float(np.linalg.norm(grad))
         rows.append(
             MetricsRecord(
-                epoch=epoch,
+                epoch=rec.epoch,
                 iteration=rec.k,
                 samples=cum_samples,
                 wall_ms=rec.wall_ms,
                 loss=loss,
-                grad_norm=gnorm,
-                batch_size=N if algo == "arig" else rec.m_used,
-                sigma=rec.sigma if algo in ("arig", "aras") else None,
-                lambda_lo=rec.lam if algo == "varchen" else None,
-                lambda_hi=rec.Lam if algo == "varchen" else None,
-                phase=rec.phase if algo == "aras" else None,
-                flush=rec.flushed if algo == "varchen" else None,
+                grad_norm=float(np.linalg.norm(grad)),
+                batch_size=rec.m_used,
+                sigma=rec.sigma,
+                lambda_lo=rec.lam,
+                lambda_hi=rec.Lam,
+                phase=rec.phase,
+                flush=rec.flushed,
                 test_accuracy=_accuracy(test, rec.x) if test is not None else None,
             )
         )

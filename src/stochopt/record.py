@@ -1,0 +1,45 @@
+"""The per-step record every optimizer appends to its trace.
+
+Each algorithm fills the step counter k, its epoch, the samples the step's
+batch used (m_used), the samples it is charged in the metrics report
+(samples: m_used, plus N on the first step of an anchored VARCHEN/SVRG
+epoch, whose full-gradient pass belongs to that step) and the iterate x
+after the step.  ARIG takes full-batch steps, so its epoch is k and both
+counts are N.  Every other field is None for an algorithm that has no value
+for it, and the report copies its columns straight from the record.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+__all__ = ["StepRecord"]
+
+
+@dataclass(frozen=True)
+class StepRecord:
+    k: int
+    epoch: int
+    m_used: int
+    samples: int
+    x: np.ndarray
+    wall_ms: float = 0.0
+    # report columns
+    sigma: Optional[float] = None  # ARIG/ARAS: regularization used by the step
+    lam: Optional[float] = None  # VARCHEN/SVRG: eigenvalue bounds of H
+    Lam: Optional[float] = None
+    flushed: Optional[bool] = None  # VARCHEN/SVRG: memory flushed before the step
+    phase: Optional[str] = None  # ARAS: "transient" | "stationary"
+    # diagnostics
+    gnorm: Optional[float] = None  # ARIG/ARAS: norm of the step's gradient
+    rho: Optional[float] = None  # ARIG/ARAS: decrease ratio
+    accepted: Optional[bool] = None  # ARIG
+    f_val: Optional[float] = None  # ARIG: f at the iterate the step started from
+    sigma_after: Optional[float] = None  # ARAS
+    m: Optional[int] = None  # ARAS: nominal batch size after the step
+    S: Optional[float] = None  # ARAS: Pflug running sum
+    triggered_now: Optional[bool] = None  # ARAS: this step ended the transient phase
+    gamma_tilde: Optional[float] = None  # VARCHEN/SVRG: L-BFGS scaling after the step

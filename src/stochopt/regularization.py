@@ -23,10 +23,11 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from .record import StepRecord
+
 __all__ = [
     "RegParams",
     "RegState",
-    "ArigIterRecord",
     "ArigResult",
     "model_decrease",
     "rho_ratio",
@@ -97,19 +98,6 @@ class RegState:
 
 
 @dataclass(frozen=True)
-class ArigIterRecord:
-    k: int
-    sigma: float
-    gnorm: float
-    rho: Optional[float]
-    accepted: Optional[bool]
-    omega_g: float
-    f_val: Optional[float]
-    x: np.ndarray
-    wall_ms: float = 0.0
-
-
-@dataclass(frozen=True)
 class ArigResult:
     x: np.ndarray
     terminated: bool
@@ -118,7 +106,7 @@ class ArigResult:
     n_reject: int
     sigma_final: float
     sigma_max_observed: float
-    trace: List[ArigIterRecord] = field(default_factory=list)
+    trace: List[StepRecord] = field(default_factory=list)
 
 
 def model_decrease(sigma: float, gnorm_sq: float) -> float:
@@ -183,7 +171,6 @@ def complexity_budget(
 class StepOutcome:
     status: str  # "terminated" | "accepted" | "rejected"
     gnorm: float
-    omega_g: float
     rho: Optional[float] = None
     f_old: Optional[float] = None
 
@@ -205,7 +192,7 @@ def arig_step(
         g = np.asarray(g, dtype=float)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= params.eps / (1.0 + omega):
-            return StepOutcome(status="terminated", gnorm=gnorm, omega_g=omega)
+            return StepOutcome(status="terminated", gnorm=gnorm)
     else:
         g = state.pending_g
         omega = state.pending_omega
@@ -257,7 +244,7 @@ def arig_step(
     state.exact_f = (state.x, f_kept) if omega_kept == 0.0 else None
     state.sigma = update_sigma(sigma, rho, params)
     state.k += 1
-    return StepOutcome(status=status, gnorm=gnorm, omega_g=omega, rho=rho, f_old=f_old)
+    return StepOutcome(status=status, gnorm=gnorm, rho=rho, f_old=f_old)
 
 
 def arig_run(
@@ -292,7 +279,7 @@ def arig_run(
 
     x0 = np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float)
     state = RegState(x=x0.copy(), sigma=params.sigma0)
-    trace: List[ArigIterRecord] = []
+    trace: List[StepRecord] = []
     terminated = False
     sigma_max_obs = state.sigma
     t0 = time.perf_counter()
@@ -305,16 +292,18 @@ def arig_run(
             break
         sigma_max_obs = max(sigma_max_obs, sigma_used, state.sigma)
         trace.append(
-            ArigIterRecord(
+            StepRecord(
                 k=state.k,
+                epoch=state.k,
+                m_used=problem.N,
+                samples=problem.N,
+                x=state.x.copy(),
+                wall_ms=(time.perf_counter() - t0) * 1e3,
                 sigma=sigma_used,
                 gnorm=out.gnorm,
                 rho=out.rho,
                 accepted=(out.status == "accepted"),
-                omega_g=out.omega_g,
                 f_val=out.f_old,
-                x=state.x.copy(),
-                wall_ms=(time.perf_counter() - t0) * 1e3,
             )
         )
 

@@ -23,13 +23,13 @@ from typing import List, Optional
 import numpy as np
 
 from .lbfgs_core import LBFGSMemory, enforce_bounds, push_pair, two_loop_apply
+from .record import StepRecord
 from .sampling import SamplerState
 
 __all__ = [
     "StepSchedule",
     "VarchenParams",
     "AnchorState",
-    "VarchenIterRecord",
     "VarchenResult",
     "step_size",
     "harmonic_schedule_from_L",
@@ -121,29 +121,16 @@ class AnchorState:
 
 
 @dataclass(frozen=True)
-class VarchenIterRecord:
-    k: int
-    epoch: int
-    m_used: int
-    alpha: float
-    lam: float
-    Lam: float
-    flushed: bool
-    gamma_tilde: float
-    gnorm: float  # norm of the variance-reduced gradient
-    x: np.ndarray
-    wall_ms: float = 0.0
-
-
-@dataclass(frozen=True)
 class VarchenResult:
+    """Outcome of VARCHEN and of the baselines (SGD, momentum, SVRG)."""
+
     x: np.ndarray
     iterations: int
     aborted: bool
     abort_reason: Optional[str]
     final_loss: float
     epoch_losses: List[float] = field(default_factory=list)
-    trace: List[VarchenIterRecord] = field(default_factory=list)
+    trace: List[StepRecord] = field(default_factory=list)
 
 
 def _svrg_terms(problem, batch, x: np.ndarray, anchor: AnchorState):
@@ -181,7 +168,7 @@ def varchen_run(
     )
     x = (np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float)).copy()
 
-    trace: List[VarchenIterRecord] = []
+    trace: List[StepRecord] = []
     epoch_losses: List[float] = []
     k = 0
     aborted = False
@@ -211,23 +198,22 @@ def varchen_run(
             if params.p > 0:
                 push_pair(memory, x_new - x, problem.batch_grad(batch, x_new) - g_x)
             x = x_new
-            anchor.M += m_k
             k += 1
             trace.append(
-                VarchenIterRecord(
+                StepRecord(
                     k=k,
                     epoch=epoch,
                     m_used=int(batch.size),
-                    alpha=alpha,
+                    samples=int(batch.size) + (N if anchor.M == 0 else 0),
+                    x=x.copy(),
+                    wall_ms=(time.perf_counter() - t0) * 1e3,
                     lam=lam,
                     Lam=Lam,
                     flushed=flushed,
                     gamma_tilde=memory.gamma_tilde,
-                    gnorm=float(np.linalg.norm(g_tilde)),
-                    x=x.copy(),
-                    wall_ms=(time.perf_counter() - t0) * 1e3,
                 )
             )
+            anchor.M += m_k
         if aborted:
             break
 

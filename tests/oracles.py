@@ -3,9 +3,9 @@
 Everything here is deliberately written from the mathematical definitions,
 not by calling back into the package: finite differences for gradients, a
 dense matrix build of the damped L-BFGS operator, a dense build of the
-single-pair update, a looped two-pass variance, and a line-by-line libsvm
-parser.  Tests freeze against
-these, so keep them dumb and obvious.
+single-pair update, a looped two-pass variance, a line-by-line libsvm
+parser, and the metrics report's column rules spelled out per algorithm.
+Tests freeze against these, so keep them dumb and obvious.
 """
 
 from __future__ import annotations
@@ -160,3 +160,48 @@ def load_libsvm_reference(path, n_features=None):
             for col, val in entries:
                 features[i, col] = val
     return Dataset(features=features, labels=np.array(labels, dtype=float))
+
+
+def report_columns_reference(algorithm, trace, N, cadence):
+    """The metrics report's rows for a trace, by per-algorithm rules: a tuple
+    (epoch, iteration, samples, batch_size, sigma, lambda_lo, lambda_hi,
+    phase, flush) for each selected step.
+
+    ARIG steps are full-batch: epoch = k, N samples each, every step a row
+    at cadence 0.  The other methods keep the last step of each epoch at
+    cadence 0 and charge each step its batch; VARCHEN and SVRG also charge
+    the N-sample anchor pass at each epoch's first step.  sigma is ARIG's
+    and ARAS's, phase ARAS's, and the eigenvalue bounds and flush flag
+    VARCHEN's and SVRG's (SVRG's H = I has bounds [1, 1] and never flushes).
+    """
+    rows = []
+    cum = 0
+    prev_epoch = None
+    for i, rec in enumerate(trace):
+        epoch = rec.k if algorithm == "arig" else rec.epoch
+        if algorithm in ("varchen", "svrg") and epoch != prev_epoch:
+            cum += N
+            prev_epoch = epoch
+        cum += N if algorithm == "arig" else rec.m_used
+        last = i == len(trace) - 1
+        if cadence > 0:
+            selected = last or rec.k % cadence == 0
+        elif algorithm == "arig":
+            selected = True
+        else:
+            selected = last or trace[i + 1].epoch != rec.epoch
+        if not selected:
+            continue
+        bounds = algorithm in ("varchen", "svrg")
+        rows.append((
+            epoch,
+            rec.k,
+            cum,
+            N if algorithm == "arig" else rec.m_used,
+            rec.sigma if algorithm in ("arig", "aras") else None,
+            rec.lam if bounds else None,
+            rec.Lam if bounds else None,
+            rec.phase if algorithm == "aras" else None,
+            rec.flushed if bounds else None,
+        ))
+    return rows

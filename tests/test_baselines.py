@@ -79,6 +79,8 @@ class TestSgd:
             res = sgd_run(prob, params, seed=0, x0=np.ones(prob.n))
         assert res.aborted
         assert res.final_loss == float("inf")
+        # epoch 0's one step lands near 1e200; the next one overflows
+        assert res.abort_reason == "non-finite iterate at epoch 1, iteration 1"
 
     def test_deterministic_given_seed(self, rng):
         prob = noisy_problem(rng)

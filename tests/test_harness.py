@@ -11,6 +11,8 @@ import pytest
 import scipy.optimize
 import scipy.sparse as sp
 
+import stochopt.harness as harness
+from oracles import report_columns_reference
 from stochopt.harness import (
     ConfigError,
     METRICS_COLUMNS,
@@ -139,6 +141,39 @@ class TestLibsvmIO:
         np.testing.assert_array_equal(back.features.toarray(), feats.toarray())
         np.testing.assert_array_equal(back.labels, ds.labels)
 
+    def test_save_dense_text(self, tmp_path):
+        feats = np.array([
+            [0.1, 0.0, -2.5, 1e-300],
+            [0.0, -0.0, 0.0, 0.0],
+            [3.0, 1.0 / 3.0, 0.0, -7e22],
+        ])
+        ds = Dataset(features=feats, labels=np.array([1.0, -1.0, 1.0]))
+        path = tmp_path / "d.libsvm"
+        save_libsvm(path, ds)
+        assert path.read_bytes() == (
+            b"1.0 1:0.1 3:-2.5 4:1e-300\n"
+            b"-1.0\n"
+            b"1.0 1:3.0 2:0.3333333333333333 4:-7e+22\n"
+        )
+
+    def test_save_csr_text_sorts_unsorted_rows(self, tmp_path):
+        # row 0 stores its columns out of order and an explicit zero; row 1
+        # is empty; the matrix is not touched by the write
+        data = np.array([2.5, -1.0, 0.0, 0.125, 4.0])
+        indices = np.array([599, 0, 7, 300, 5])
+        indptr = np.array([0, 3, 3, 5])
+        feats = sp.csr_matrix((data, indices, indptr), shape=(3, 600))
+        assert not feats.has_sorted_indices
+        ds = Dataset(features=feats, labels=np.array([-1.0, 1.0, 1.0]))
+        path = tmp_path / "s.libsvm"
+        save_libsvm(path, ds)
+        assert path.read_bytes() == (
+            b"-1.0 1:-1.0 8:0.0 600:2.5\n"
+            b"1.0\n"
+            b"1.0 6:4.0 301:0.125\n"
+        )
+        np.testing.assert_array_equal(ds.features.indices, [599, 0, 7, 300, 5])
+
     def test_one_based_indexing(self, tmp_path):
         path = tmp_path / "d.libsvm"
         path.write_text("1 2:5.0\n-1 1:3.0\n")
@@ -215,6 +250,27 @@ class TestCsvIO:
         path.write_text("1.0,2.0\n-1.0,oops\n")
         with pytest.raises(ValueError, match=r"row 2, column 2"):
             load_csv(path)
+
+    def test_nan_feature_cell_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1.0,2.0,3.0\n-1.0,nan,4.0\n")
+        with pytest.raises(ValueError, match=r"row 2, column 2: non-finite 'nan'"):
+            load_csv(path)
+
+    def test_inf_label_cell_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1.0,2.0\n-inf,3.0\n")
+        with pytest.raises(ValueError, match=r"row 2, column 1: non-finite '-inf'"):
+            load_csv(path, label_column=0)
+
+    def test_non_finite_row_number_counts_header(self, tmp_path):
+        # the header's cells are names, never parsed as numbers
+        path = tmp_path / "d.csv"
+        path.write_text("label,nan\n1.0,2.0\n-1.0,inf\n")
+        with pytest.raises(ValueError, match=r"row 3, column 2: non-finite 'inf'"):
+            load_csv(path, header=True)
+        path.write_text("label,nan\n1.0,2.0\n")
+        np.testing.assert_array_equal(load_csv(path, header=True).features, [[2.0]])
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -590,6 +646,60 @@ class TestRunExperiment:
             run_experiment(cfg)
 
 
+REPORT_ALGO_SECTIONS = {
+    "arig": "eps = 1e-8\n    max_iters = 10",
+    "aras": "m0 = 4\n    m_max = 16\n    burn_in = 3\n    n_epochs = 3",
+    "varchen": "p = 3\n    m = 12\n    n_epochs = 3\n    step_c = 0.05",
+    "sgd": "alpha = 0.1\n    m = 12\n    n_epochs = 3",
+    "sgd-momentum": "alpha = 0.1\n    momentum = 0.5\n    m = 12\n    n_epochs = 3",
+    "svrg": "alpha = 0.1\n    m = 12\n    n_epochs = 3",
+}
+
+
+class TestReport:
+    """The metrics CSV against the per-algorithm column rules in
+    oracles.report_columns_reference, applied to the run's own trace."""
+
+    @pytest.mark.parametrize("cadence", [0, 1, 3])
+    @pytest.mark.parametrize("algorithm", sorted(REPORT_ALGO_SECTIONS))
+    def test_columns_follow_per_algorithm_rules(self, tmp_path, monkeypatch,
+                                                algorithm, cadence):
+        text = f"""\
+    [problem]
+    kind = logistic
+    lam = 0.1
+
+    [synthetic]
+    n_samples = 40
+    n_features = 4
+    noise = 0.5
+    seed = 2
+
+    [run]
+    algorithm = {algorithm}
+    seed = 1
+    out = r.csv
+    cadence = {cadence}
+
+    [{algorithm}]
+    {REPORT_ALGO_SECTIONS[algorithm]}
+    """
+        results = []
+        report = harness._trace_to_metrics
+
+        def capture(config, problem, test, result):
+            results.append(result)
+            return report(config, problem, test, result)
+
+        monkeypatch.setattr(harness, "_trace_to_metrics", capture)
+        rows = read_metrics_csv(run_experiment(load_config(write_config(tmp_path, text))))
+        (result,) = results
+        assert len(result.trace) > 3
+        got = [(r.epoch, r.iteration, r.samples, r.batch_size, r.sigma,
+                r.lambda_lo, r.lambda_hi, r.phase, r.flush) for r in rows]
+        assert got == report_columns_reference(algorithm, result.trace, 40, cadence)
+
+
 class TestCompare:
     def two_configs(self, tmp_path):
         svrg = (
@@ -677,6 +787,20 @@ class TestCli:
         cfg = write_config(tmp_path, text)
         assert main(["run", "--config", cfg]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_csv_dataset_exit_code(self, tmp_path, capsys):
+        (tmp_path / "bad.csv").write_text("1.0,2.0\n-1.0,nan\n")
+        text = """\
+            [problem]
+            kind = logistic
+            dataset = bad.csv
+
+            [run]
+            algorithm = sgd
+            """
+        cfg = write_config(tmp_path, text)
+        assert main(["run", "--config", cfg]) == 2
+        assert "row 2, column 2: non-finite" in capsys.readouterr().err
 
     def test_compare_cli(self, tmp_path, capsys):
         svrg = (
