@@ -9,12 +9,13 @@ minimizer, those inner products turn negative on average and S drifts below
 zero.  When S < 0 after a burn-in, the run flips — exactly once — into the
 stationary phase, where the batch size adapts so the sampled gradient passes
 a norm test against sigma, and sigma grows linearly (so the step 1/sigma
-decays harmonically).
+decays harmonically).  A stationary step makes one gathered pass that gives
+both the batch gradient and the norm-test variance, plus a re-draw at the
+new batch size when the norm test fails.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -124,6 +125,7 @@ class ArasState:
     transient: bool = True
     trigger_k: Optional[int] = None
     sigma_trigger: Optional[float] = None
+    t0: float = field(default_factory=time.perf_counter)  # clock origin of wall_ms
 
 
 @dataclass(frozen=True)
@@ -138,6 +140,18 @@ class ArasResult:
     trace: List[StepRecord] = field(default_factory=list)
 
 
+def _record(state: ArasState, epoch: int, m_used: int, phase: str, sigma_pre: float,
+            gnorm: float, rho: Optional[float] = None,
+            triggered_now: bool = False) -> StepRecord:
+    """The step's record, read from the state after the step."""
+    return StepRecord(
+        k=state.k, epoch=epoch, m_used=m_used, samples=m_used, x=state.x.copy(),
+        wall_ms=(time.perf_counter() - state.t0) * 1e3, phase=phase,
+        sigma=sigma_pre, sigma_after=state.sigma, m=state.m, S=state.pflug.S,
+        gnorm=gnorm, rho=rho, triggered_now=triggered_now,
+    )
+
+
 def transient_step(state: ArasState, problem, params: ArasParams, epoch: int = 0) -> StepRecord:
     """One always-accepted step with ratio-driven sigma and Pflug update."""
     if not state.transient:
@@ -150,12 +164,7 @@ def transient_step(state: ArasState, problem, params: ArasParams, epoch: int = 0
     if gnorm_sq == 0.0:
         # degenerate batch: leave iterate, sigma and the diagnostic alone
         state.k += 1
-        return StepRecord(
-            k=state.k, epoch=epoch, m_used=batch.size, samples=batch.size,
-            x=state.x.copy(), phase="transient", sigma=sigma_pre,
-            sigma_after=state.sigma, m=state.m, S=state.pflug.S,
-            gnorm=0.0, rho=None, triggered_now=False,
-        )
+        return _record(state, epoch, batch.size, "transient", sigma_pre, 0.0)
 
     s = -g_old / sigma_pre
     x_new = state.x + s
@@ -176,12 +185,8 @@ def transient_step(state: ArasState, problem, params: ArasParams, epoch: int = 0
         state.sigma_trigger = state.sigma
         triggered_now = True
 
-    return StepRecord(
-        k=state.k, epoch=epoch, m_used=batch.size, samples=batch.size,
-        x=state.x.copy(), phase="transient", sigma=sigma_pre,
-        sigma_after=state.sigma, m=state.m, S=state.pflug.S,
-        gnorm=float(np.sqrt(gnorm_sq)), rho=rho_bar, triggered_now=triggered_now,
-    )
+    return _record(state, epoch, batch.size, "transient", sigma_pre,
+                   float(np.sqrt(gnorm_sq)), rho_bar, triggered_now)
 
 
 def stationary_step(state: ArasState, problem, params: ArasParams, epoch: int = 0) -> StepRecord:
@@ -195,11 +200,14 @@ def stationary_step(state: ArasState, problem, params: ArasParams, epoch: int = 
     # variance needs at least two samples, so draws are floored at 2
     draw = min(max(2, state.m), N)
     batch = state.sampler.draw_batch(draw)
-    g = problem.batch_grad(batch, state.x)
+    if batch.size >= 2:
+        # one gathered pass gives the batch gradient and its variance
+        g, var_l1 = sample_variance_l1(problem, batch, state.x)
+    else:  # N == 1: no variance, no norm test
+        g, var_l1 = problem.batch_grad(batch, state.x), None
     gnorm_sq = float(g @ g)
 
-    if gnorm_sq > 0.0 and batch.size >= 2:
-        var_l1 = sample_variance_l1(problem, batch, state.x, g)
+    if var_l1 is not None and gnorm_sq > 0.0:
         if not norm_test(var_l1, batch.size, sigma_pre, gnorm_sq):
             m_new = adaptive_batch_size(sigma_pre, var_l1, gnorm_sq, m_cap)
             state.m = m_new
@@ -212,12 +220,8 @@ def stationary_step(state: ArasState, problem, params: ArasParams, epoch: int = 
     state.t += 1
     state.k += 1
 
-    return StepRecord(
-        k=state.k, epoch=epoch, m_used=batch.size, samples=batch.size,
-        x=state.x.copy(), phase="stationary", sigma=sigma_pre,
-        sigma_after=state.sigma, m=state.m, S=state.pflug.S,
-        gnorm=float(np.sqrt(gnorm_sq)), rho=None, triggered_now=False,
-    )
+    return _record(state, epoch, batch.size, "stationary", sigma_pre,
+                   float(np.sqrt(gnorm_sq)))
 
 
 def aras_run(
@@ -242,7 +246,6 @@ def aras_run(
     )
 
     trace: List[StepRecord] = []
-    t0 = time.perf_counter()
     for epoch in range(params.n_epochs):
         consumed = 0
         while consumed < N:
@@ -251,9 +254,7 @@ def aras_run(
             else:
                 rec = stationary_step(state, problem, params, epoch=epoch)
             consumed += rec.m_used
-            trace.append(
-                dataclasses.replace(rec, wall_ms=(time.perf_counter() - t0) * 1e3)
-            )
+            trace.append(rec)
 
     return ArasResult(
         x=state.x,

@@ -28,11 +28,13 @@ A batch that is the whole index set reads the feature matrix in place
 instead of gathering a copy; the arithmetic is the same, so batch_grad over
 the full index set equals full_grad exactly.
 
-``grad_variance_l1`` gives the l1 norm of the per-sample gradients' sample
-variance, the statistic of the adaptive-sampling norm test.  Dense and
-quadratic problems take the two-pass form over ``per_sample_grads``; CSR
-problems use an O(nnz + n) identity over the batch's stored entries and
-never build the dense m x n block.
+``grad_variance_l1`` returns the batch gradient, bitwise ``batch_grad``,
+together with the l1 norm of the per-sample gradients' sample variance, the
+statistic of the adaptive-sampling norm test.  For the two losses both come
+from one gathered batch and one margin pass.  Dense and quadratic problems
+take the two-pass form over the per-sample gradients; CSR problems use an
+O(nnz + n) identity over the batch's stored entries and never build the
+dense m x n block.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ class _QuadData:
 
 def _check_finite(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite point x")
     return x
 
@@ -141,10 +143,11 @@ class FiniteSumProblem:
         idx = np.asarray(batch, dtype=np.int64).ravel()
         if idx.size == 0:
             raise ValueError("empty batch")
-        if idx.min() < 0 or idx.max() >= self.N:
-            raise IndexError("sample index out of range")
         # ascending order keeps every reduction deterministic
-        return np.sort(idx)
+        idx = np.sort(idx)
+        if idx[0] < 0 or idx[-1] >= self.N:
+            raise IndexError("sample index out of range")
+        return idx
 
     def _rows(self, idx: np.ndarray):
         """Feature rows and labels of a sorted, validated batch.
@@ -183,14 +186,18 @@ class FiniteSumProblem:
         if loss:
             f = float(np.mean(losses) + self.lam * (x @ x))
         if grad:
-            # sequential ascending-row sum of coef_i * row_i; a dense BLAS
-            # gemv would split it across threads and change its bits
-            if sp.issparse(rows):
-                base = np.asarray(rows.T @ coef).ravel()
-            else:
-                base = np.einsum("i,ij->j", coef, rows)
-            g = base / idx.size + (2.0 * self.lam) * x
+            g = self._mean_grad(rows, coef, x)
         return f, g
+
+    def _mean_grad(self, rows, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """(1/m) sum_i coef_i * row_i + 2 lam x over the batch's m rows."""
+        # sequential ascending-row sum; a dense BLAS gemv would split it
+        # across threads and change its bits
+        if sp.issparse(rows):
+            base = np.asarray(rows.T @ coef).ravel()
+        else:
+            base = np.einsum("i,ij->j", coef, rows)
+        return base / coef.size + (2.0 * self.lam) * x
 
     # -- operations --------------------------------------------------------
 
@@ -237,12 +244,18 @@ class FiniteSumProblem:
             rows = rows.toarray()
         return coef[:, None] * rows + (2.0 * self.lam) * x
 
-    def grad_variance_l1(self, batch, x: np.ndarray, g: np.ndarray) -> float:
-        """||(1/(m-1)) sum_{i in batch} (grad f_i(x) - g)^2||_1, elementwise
-        square, with g the precomputed batch gradient.
+    def grad_variance_l1(self, batch, x: np.ndarray):
+        """(g, var_l1): g is batch_grad(batch, x), bitwise, and
 
-        Dense and quadratic problems: two-pass form over per_sample_grads.
-        CSR problems: with w = g - 2 lam x, so that grad f_i - g = c_i u_i - w,
+            var_l1 = ||(1/(m-1)) sum_{i in batch} (grad f_i(x) - g)^2||_1,
+
+        elementwise square, the norm-test statistic.  For the two losses
+        both are reduced from the per-sample coefficients of one gathered
+        margin pass.
+
+        Dense and quadratic problems: two-pass form over the per-sample
+        gradients.  CSR problems: with w = g - 2 lam x, so that
+        grad f_i - g = c_i u_i - w,
 
             sum_i ||c_i u_i - w||^2
                 = m ||w||^2 + sum over stored (i, j) of [(c_i u_ij - w_j)^2 - w_j^2],
@@ -255,23 +268,28 @@ class FiniteSumProblem:
         m = idx.size
         if m < 2:
             raise ValueError("variance estimate needs a batch of at least 2")
-        g = np.asarray(g, dtype=float)
-        if self.kind == "quadratic" or not sp.issparse(self.dataset.features):
-            dev = self.per_sample_grads(idx, x) - g[None, :]
-            return float(((dev * dev).sum(axis=0) / (m - 1)).sum())
         x = _check_finite(x)
-        rows, v = self._rows(idx)
-        _, coef = self._margins_and_coefs(rows, v, x, losses=False, coefs=True)
-        if not rows.has_canonical_format:
-            # a repeated (i, j) entry would be counted as two coordinates
-            rows = rows.copy()
-            rows.sum_duplicates()
-        w = g - (2.0 * self.lam) * x
-        vals = np.repeat(coef, np.diff(rows.indptr)) * rows.data  # c_i u_ij
-        w_at = w[rows.indices]
-        # (c u - w)^2 - w^2 = c u (c u - 2 w)
-        total = m * float(w @ w) + float(np.sum(vals * (vals - 2.0 * w_at)))
-        return max(0.0, total / (m - 1))
+        if self.kind == "quadratic":
+            g = self._quad_batch_grad(idx, x)
+            G = self._quad_per_sample_grads(idx, x)
+        else:
+            rows, v = self._rows(idx)
+            _, coef = self._margins_and_coefs(rows, v, x, losses=False, coefs=True)
+            g = self._mean_grad(rows, coef, x)
+            if sp.issparse(rows):
+                if not rows.has_canonical_format:
+                    # a repeated (i, j) entry would be counted as two coordinates
+                    rows = rows.copy()
+                    rows.sum_duplicates()
+                w = g - (2.0 * self.lam) * x
+                vals = np.repeat(coef, np.diff(rows.indptr)) * rows.data  # c_i u_ij
+                w_at = w[rows.indices]
+                # (c u - w)^2 - w^2 = c u (c u - 2 w)
+                total = m * float(w @ w) + float(np.sum(vals * (vals - 2.0 * w_at)))
+                return g, max(0.0, total / (m - 1))
+            G = coef[:, None] * rows + (2.0 * self.lam) * x
+        dev = G - g[None, :]
+        return g, float(((dev * dev).sum(axis=0) / (m - 1)).sum())
 
     # -- quadratic payloads -------------------------------------------------
 

@@ -1,6 +1,10 @@
 """Mini-batch drawing, gradient sample variance, the norm test, and the
 adaptive batch-size rule.
 
+``sample_variance_l1`` returns the batch gradient together with the
+norm-test variance from one pass over the batch: an ARAS stationary step
+makes that one pass, plus a re-draw at the new size when the test fails.
+
 Two sampling modes are provided by :class:`SamplerState`:
 
 * ``draw_batch`` -- a fresh without-replacement draw each call (used by the
@@ -79,13 +83,15 @@ class SamplerState:
         return self._perm.size - self._cursor
 
 
-def sample_variance_l1(problem, batch, x: np.ndarray, g: np.ndarray) -> float:
-    """l1 norm of the elementwise sample variance of the per-sample gradients.
+def sample_variance_l1(problem, batch, x: np.ndarray):
+    """(g, var_l1): the batch gradient and the l1 norm of the elementwise
+    sample variance of the per-sample gradients,
 
-    ||(1/(m-1)) sum_{i in batch} (grad f_i(x) - g)^2||_1 with g the
-    precomputed batch gradient, from ``problem.grad_variance_l1``.  Dense
-    rows and quadratics use the two-pass form.  CSR rows use the O(nnz)
-    identity, with w = g - 2 lam x,
+        var_l1 = ||(1/(m-1)) sum_{i in batch} (grad f_i(x) - g)^2||_1,
+
+    both from one gathered pass of ``problem.grad_variance_l1``; g is bitwise
+    ``problem.batch_grad(batch, x)``.  Dense rows and quadratics use the
+    two-pass form.  CSR rows use the O(nnz) identity, with w = g - 2 lam x,
 
         m ||w||^2 + sum over stored (i, j) of [(c_i u_ij - w_j)^2 - w_j^2],
 
@@ -95,7 +101,7 @@ def sample_variance_l1(problem, batch, x: np.ndarray, g: np.ndarray) -> float:
     idx = np.asarray(batch, dtype=np.int64).ravel()
     if idx.size < 2:
         raise ValueError("variance estimate needs a batch of at least 2")
-    return problem.grad_variance_l1(idx, x, g)
+    return problem.grad_variance_l1(idx, x)
 
 
 def norm_test(var_l1: float, m: int, sigma: float, gnorm_sq: float) -> bool:

@@ -3,9 +3,10 @@
 Everything here is deliberately written from the mathematical definitions,
 not by calling back into the package: finite differences for gradients, a
 dense matrix build of the damped L-BFGS operator, a dense build of the
-single-pair update, a looped two-pass variance, a line-by-line libsvm
-parser, and the metrics report's column rules spelled out per algorithm.
-Tests freeze against these, so keep them dumb and obvious.
+single-pair update, a looped two-pass variance, the norm-test variance as
+two separate passes (gradient, then variance) compute it, a line-by-line
+libsvm parser, and the metrics report's column rules spelled out per
+algorithm.  Tests freeze against these, so keep them dumb and obvious.
 """
 
 from __future__ import annotations
@@ -69,6 +70,44 @@ def looped_variance_l1(per_sample_grads: np.ndarray, g: np.ndarray) -> float:
             acc += d * d
         total += acc / (m - 1)
     return total
+
+
+def two_pass_variance_l1(per_sample_grads: np.ndarray, g: np.ndarray) -> float:
+    """Two-pass sample variance summed over coordinates, as numpy reduces
+    it: squared deviations summed down the rows, divided by m-1, summed
+    across.  This is the dense norm-test statistic, bit for bit."""
+    G = np.asarray(per_sample_grads, dtype=float)
+    dev = G - np.asarray(g, dtype=float)[None, :]
+    return float(((dev * dev).sum(axis=0) / (G.shape[0] - 1)).sum())
+
+
+def csr_variance_l1_reference(features, labels, kind: str, lam: float, batch,
+                              x: np.ndarray, g: np.ndarray) -> float:
+    """Norm-test variance of a CSR batch at its batch gradient g, by the
+    identity (w = g - 2 lam x, c_i = d loss_i / d z at z_i = v_i u_i'x)
+
+        sum_i ||c_i u_i - w||^2 = m ||w||^2 + sum over stored (i, j) of c_i u_ij (c_i u_ij - 2 w_j),
+
+    divided by m-1 and clamped at 0.  Duplicate stored (i, j) entries are
+    summed first (after the margins), and every step runs in the same order
+    as in the library, so the two agree bit for bit; test_sampling checks
+    the identity itself against looped_variance_l1."""
+    idx = np.sort(np.asarray(batch, dtype=np.int64))
+    m = idx.size
+    rows = sp.csr_matrix(features)[idx]
+    v = np.asarray(labels, dtype=float)[idx]
+    z = v * np.asarray(rows @ x).ravel()
+    if kind == "sigmoid-svm":  # d/dz (1 - tanh z) = -(1 - tanh^2 z)
+        t = np.tanh(z)
+        coef = -v * (1.0 - t * t)
+    else:  # logistic: d/dz log(1 + exp(-z)) = -1 / (1 + exp(z))
+        coef = -v / (1.0 + np.exp(z))
+    rows = rows.copy()
+    rows.sum_duplicates()
+    w = g - (2.0 * lam) * x
+    vals = np.repeat(coef, np.diff(rows.indptr)) * rows.data
+    total = m * float(w @ w) + float(np.sum(vals * (vals - 2.0 * w[rows.indices])))
+    return max(0.0, total / (m - 1))
 
 
 def enumerate_batches(N: int, m: int):

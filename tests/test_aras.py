@@ -27,7 +27,8 @@ DEFAULTS = ArasParams()
 class _StubProblem:
     """Scripted problem: batch_grad returns preset vectors in call order,
     batch_loss preset scalars, loss_and_grad one of each, and
-    grad_variance_l1 the two-pass variance of preset row blocks."""
+    grad_variance_l1 the next preset vector g with the two-pass variance of
+    the next preset row block around it."""
 
     def __init__(self, N=16, n=2, grads=None, losses=None, grad_rows=None):
         self.N = N
@@ -50,9 +51,10 @@ class _StubProblem:
         reps = int(np.ceil(len(batch) / rows.shape[0]))
         return np.tile(rows, (reps, 1))[: len(batch)]
 
-    def grad_variance_l1(self, batch, x, g):
-        dev = self.per_sample_grads(batch, x) - np.asarray(g, dtype=float)[None, :]
-        return float(((dev * dev).sum(axis=0) / (len(batch) - 1)).sum())
+    def grad_variance_l1(self, batch, x):
+        g = self.batch_grad(batch, x)
+        dev = self.per_sample_grads(batch, x) - g[None, :]
+        return g, float(((dev * dev).sum(axis=0) / (len(batch) - 1)).sum())
 
 
 def fresh_state(problem_N=16, m=2, sigma=1.0, burn_in=5, transient=True, n=2, seed=0):
@@ -272,9 +274,22 @@ class TestStationaryStep:
         state = fresh_state(problem_N=prob.N, m=4, sigma=2.0, transient=False)
         rec = stationary_step(state, prob, DEFAULTS)
         assert state.m == 4 and rec.m_used == 4
+        # the step is taken along the fused call's gradient
+        np.testing.assert_array_equal(state.x, [-1.0, 0.0])
+
+    def test_single_sample_population_takes_plain_gradient(self):
+        # N == 1: a one-row batch has no variance; the stub has no row block
+        # to give one, so a variance call would fail
+        prob = _StubProblem(N=1, grads=[(2.0, 0.0)])
+        state = fresh_state(problem_N=1, m=1, sigma=2.0, transient=False)
+        rec = stationary_step(state, prob, DEFAULTS)
+        assert rec.m_used == 1 and state.m == 1
+        np.testing.assert_array_equal(state.x, [-1.0, 0.0])
 
     def test_zero_gradient_still_grows_sigma(self):
-        prob = _StubProblem(grads=[(0.0, 0.0)])
+        # a nonzero variance would fail the norm test: only the zero
+        # gradient keeps the step from resizing
+        prob = _StubProblem(grads=[(0.0, 0.0)], grad_rows=[[(1.0, 0.0), (-1.0, 0.0)]])
         state = fresh_state(problem_N=prob.N, m=4, sigma=1.5, transient=False)
         x_before = state.x.copy()
         rec = stationary_step(state, prob, DEFAULTS)

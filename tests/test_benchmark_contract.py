@@ -1,8 +1,11 @@
 """The names benchmarks/probe.py patches on stochopt, and what it reads from
 a run, stay in place: install and uninstall leave the package as it was,
-and an entry the probe records holds a trace of StepRecords with iterates."""
+an entry the probe records holds a trace of StepRecords with iterates, the
+ARAS spans and row counts follow the stationary step's one fused pass, and
+the probe can read the rows of every problem method it counts."""
 
 import importlib.util
+import inspect
 import sys
 import textwrap
 from pathlib import Path
@@ -113,3 +116,77 @@ def test_run_under_probe_records_step_records(probe_module, tmp_path):
     metrics = probe.layer_metrics(rows[-1].samples)
     assert metrics["harness.trace_bytes"] == 8 * 3 * 8
     assert metrics["baselines.svrg_run.steps"] == 8
+
+
+def test_aras_under_probe_one_variance_call_per_stationary_step(probe_module, tmp_path):
+    config = tmp_path / "aras.ini"
+    config.write_text(textwrap.dedent("""\
+        [problem]
+        kind = logistic
+        lam = 0.01
+
+        [synthetic]
+        n_samples = 40
+        n_features = 4
+        seed = 0
+
+        [run]
+        algorithm = aras
+        seed = 3
+        out = aras.csv
+
+        [aras]
+        sigma0 = 2.0
+        m0 = 4
+        m_max = 8
+        burn_in = 1
+        n_epochs = 6
+        """))
+    probe = probe_module.Probe(trace=True).install()
+    try:
+        stochopt.harness.run_experiment(stochopt.harness.load_config(config))
+    finally:
+        probe.uninstall()
+
+    (entry,) = probe.entries
+    trace = entry.result.trace
+    transient = sum(rec.m_used for rec in trace if rec.phase == "transient")
+    stationary = [rec for rec in trace if rec.phase == "stationary"]
+    assert entry.result.triggered and stationary
+    metrics = probe.layer_metrics(0)
+    assert metrics["aras.stationary_step.calls"] == len(stationary)
+    assert metrics["sampling.sample_variance_l1.calls"] == len(stationary)
+    # some norm tests failed, so some stationary batches were re-drawn
+    assert 0 < metrics["problems.batch_grad.calls"] < len(stationary)
+    # each row is counted once, as a gradient row: two fused loss-and-gradient
+    # passes per transient step, one fused gradient-and-variance pass per
+    # stationary step, and the re-drawn batch after a failed norm test
+    assert probe.loss_evals == 2 * transient
+    assert probe.grad_evals == (2 * transient + sum(rec.m_used for rec in stationary)
+                                + metrics["sampling.discarded_rows"])
+
+
+def test_probe_reads_the_rows_of_every_counted_problem_method(probe_module):
+    """Every public FiniteSumProblem method the probe counts (its name holds
+    'grad' or 'loss') must let the probe read the rows of a call."""
+    from stochopt import Dataset, make_logistic
+
+    gen = np.random.default_rng(0)
+    prob = make_logistic(Dataset(features=gen.standard_normal((5, 2)),
+                                 labels=np.array([1.0, -1.0, 1.0, 1.0, -1.0])), lam=0.1)
+    values = {"batch": [0, 2, 3], "i": 1, "x": np.zeros(2)}
+    counted = [name for name, fn in vars(FiniteSumProblem).items()
+               if not name.startswith("_") and callable(fn)
+               and ("grad" in name or "loss" in name)]
+    assert "grad_variance_l1" in counted and "batch_grad" in counted
+    for name in counted:
+        fn = vars(FiniteSumProblem)[name]
+        params = list(inspect.signature(fn).parameters)[1:]
+        assert set(params) <= set(values), (name, params)
+        args = [values[p] for p in params]
+        rows = probe_module._selector(name, fn)(prob, args, {})
+        if name.startswith("full_"):
+            assert rows is None, name
+        else:
+            expected = values["batch"] if "batch" in params else [values["i"]]
+            assert list(rows) == expected, name

@@ -2,10 +2,12 @@
 batch passes its update reads, and nothing else."""
 
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stochopt.aras
 from stochopt import (
     ArasParams,
     BaselineParams,
@@ -19,10 +21,14 @@ from stochopt import (
     svrg_run,
     varchen_run,
 )
+from stochopt.harness import gen_synthetic, load_config
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 class CountingProblem:
-    """Delegates to a real problem and counts the calls made on it by name.
+    """Delegates to a real problem and counts the calls made on it by name,
+    and the sample rows they read (N for a full pass, else the batch size).
 
     Calls the wrapped problem makes on itself (full_grad -> batch_grad) are
     not counted: only what the algorithm asks for."""
@@ -30,6 +36,7 @@ class CountingProblem:
     def __init__(self, inner):
         self._inner = inner
         self.calls = Counter()
+        self.rows = Counter()
 
     def __getattr__(self, name):
         attr = getattr(self._inner, name)
@@ -38,6 +45,7 @@ class CountingProblem:
 
         def counted(*args, **kwargs):
             self.calls[name] += 1
+            self.rows[name] += self._inner.N if name.startswith("full_") else np.size(args[0])
             return attr(*args, **kwargs)
 
         return counted
@@ -107,3 +115,51 @@ class TestArasCalls:
         calls = _batch_calls(prob)
         assert calls["grad_variance_l1"] == stationary
         assert "per_sample_grads" not in calls and "batch_loss" not in calls
+
+    def test_stationary_step_is_one_fused_pass_plus_redraw_on_resize(self, monkeypatch):
+        prob = _problem()
+        failed = []
+        steps = []
+        real_norm_test = stochopt.aras.norm_test
+        real_step = stochopt.aras.stationary_step
+
+        def norm_test(*args):
+            passed = real_norm_test(*args)
+            failed.append(not passed)
+            return passed
+
+        def stationary_step(*args, **kwargs):
+            before = Counter(prob.calls)
+            failed.clear()
+            rec = real_step(*args, **kwargs)
+            steps.append((dict(prob.calls - before), failed[:]))
+            return rec
+
+        monkeypatch.setattr(stochopt.aras, "norm_test", norm_test)
+        monkeypatch.setattr(stochopt.aras, "stationary_step", stationary_step)
+        params = ArasParams(sigma0=2.0, m0=4, m_max=8, burn_in=1, n_epochs=6)
+        res = aras_run(prob, params, seed=3)
+        assert len(steps) == sum(rec.phase == "stationary" for rec in res.trace)
+        resized = 0
+        for calls, norm_tests in steps:
+            assert len(norm_tests) == 1
+            if norm_tests[0]:
+                resized += 1
+                assert calls == {"grad_variance_l1": 1, "batch_grad": 1}
+            else:
+                assert calls == {"grad_variance_l1": 1}
+        # both branches ran
+        assert 0 < resized < len(steps)
+
+
+class TestArasCountedRows:
+    def test_logistic_aras_config_gradient_rows(self):
+        """Per-sample gradient rows the example ARAS run evaluates."""
+        config = load_config(CONFIG_DIR / "logistic_aras.ini")
+        assert config.kind == "logistic"
+        prob = CountingProblem(make_logistic(gen_synthetic(config.synthetic), config.lam))
+        res = aras_run(prob, config.algo_params, seed=config.seed)
+        assert res.triggered
+        grad_rows = sum(v for k, v in prob.rows.items() if "grad" in k)
+        # 59,037 when the variance took its own pass over each stationary batch
+        assert grad_rows <= 41_000, dict(prob.rows)

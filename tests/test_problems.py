@@ -193,6 +193,29 @@ class TestBatchOps:
         with pytest.raises(ValueError):
             prob.batch_grad(np.array([], dtype=int), np.zeros(prob.n))
 
+    def test_entry_checks_types_messages_and_order(self, rng):
+        prob = make_logistic(_random_dataset(rng), lam=0.0)
+        x, bad_x = np.zeros(prob.n), np.full(prob.n, np.inf)
+        N = prob.N
+        with pytest.raises(ValueError, match="^empty batch$"):
+            prob.batch_grad([], x)
+        # unsorted batches whose bad index is neither first nor last
+        for batch in ([2, N, 0], [3, -1, 4], [1, N + 7, -2, 0]):
+            with pytest.raises(IndexError, match="^sample index out of range$"):
+                prob.batch_grad(batch, x)
+            with pytest.raises(IndexError, match="^sample index out of range$"):
+                prob.grad_variance_l1(batch, x)
+        # the point is checked before the batch
+        with pytest.raises(ValueError, match="^non-finite point x$"):
+            prob.batch_grad([N], bad_x)
+        # the variance checks its batch, then its size, then the point
+        with pytest.raises(ValueError, match="^empty batch$"):
+            prob.grad_variance_l1([], bad_x)
+        with pytest.raises(ValueError, match="at least 2"):
+            prob.grad_variance_l1([0], bad_x)
+        with pytest.raises(ValueError, match="^non-finite point x$"):
+            prob.grad_variance_l1([0, 1], bad_x)
+
     def test_per_sample_grads_rows(self, rng):
         for prob in _all_problems(rng):
             x = rng.standard_normal(prob.n)

@@ -12,11 +12,14 @@ from stochopt import (
     SamplerState,
     adaptive_batch_size,
     make_logistic,
+    make_noisy_quadratic,
+    make_quadratic,
+    make_sigmoid_svm,
     norm_test,
     sample_variance_l1,
 )
 
-from oracles import looped_variance_l1
+from oracles import csr_variance_l1_reference, looped_variance_l1, two_pass_variance_l1
 
 
 class TestDrawBatch:
@@ -127,7 +130,9 @@ class TestSampleVariance:
         x = np.array([0.3, -0.2])
         batch = np.array([0, 1])
         g = prob.batch_grad(batch, x)
-        assert sample_variance_l1(prob, batch, x, g) == 0.0
+        g_fused, var = sample_variance_l1(prob, batch, x)
+        np.testing.assert_array_equal(g_fused, g)
+        assert var == 0.0
 
     def test_hand_example_two_points(self):
         # gradients (0) and (2) in 1-D, mean (1): variance (1+1)/(2-1) = 2.
@@ -140,14 +145,17 @@ class TestSampleVariance:
         batch = np.array([0, 1])
         g = prob.batch_grad(batch, x)
         np.testing.assert_array_equal(g, np.array([1.0]))
-        assert sample_variance_l1(prob, batch, x, g) == 2.0
+        g_fused, var = sample_variance_l1(prob, batch, x)
+        np.testing.assert_array_equal(g_fused, g)
+        assert var == 2.0
 
     def test_matches_two_pass_oracle(self, rng):
         prob = self._problem(rng)
         x = rng.standard_normal(prob.n)
         batch = np.array([0, 1, 3, 4, 5])
         g = prob.batch_grad(batch, x)
-        ours = sample_variance_l1(prob, batch, x, g)
+        g_fused, ours = sample_variance_l1(prob, batch, x)
+        np.testing.assert_array_equal(g_fused, g)
         ref = looped_variance_l1(prob.per_sample_grads(batch, x), g)
         assert ours == pytest.approx(ref, rel=1e-12)
 
@@ -158,7 +166,8 @@ class TestSampleVariance:
         x = rng.standard_normal(prob.n)
         batch = np.array(batch)
         g = prob.batch_grad(batch, x)
-        ours = sample_variance_l1(prob, batch, x, g)
+        g_fused, ours = sample_variance_l1(prob, batch, x)
+        np.testing.assert_array_equal(g_fused, g)
         ref = looped_variance_l1(prob.per_sample_grads(batch, x), g)
         assert abs(ours - ref) <= 1e-12 * _variance_scale(prob, batch, x, g)
 
@@ -174,7 +183,8 @@ class TestSampleVariance:
             x = gen.standard_normal(40)
             batch = np.arange(9)
             g = prob.batch_grad(batch, x)
-            ours = sample_variance_l1(prob, batch, x, g)
+            g_fused, ours = sample_variance_l1(prob, batch, x)
+            np.testing.assert_array_equal(g_fused, g)
             ref = looped_variance_l1(prob.per_sample_grads(batch, x), g)
             assert ours >= 0.0
             assert abs(ours - ref) <= 1e-12 * _variance_scale(prob, batch, x, g)
@@ -188,10 +198,9 @@ class TestSampleVariance:
         prob = make_logistic(Dataset(features=X, labels=y), lam=0.01)
         x = gen.standard_normal(n)
         batch = np.sort(gen.choice(N, size=m, replace=False))
-        g = prob.batch_grad(batch, x)
         tracemalloc.start()
         try:
-            var = sample_variance_l1(prob, batch, x, g)
+            _, var = sample_variance_l1(prob, batch, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -201,7 +210,60 @@ class TestSampleVariance:
     def test_batch_too_small(self, rng):
         prob = self._problem(rng)
         with pytest.raises(ValueError):
-            sample_variance_l1(prob, np.array([0]), np.zeros(prob.n), np.zeros(prob.n))
+            sample_variance_l1(prob, np.array([0]), np.zeros(prob.n))
+
+
+def _fused_problems(gen, N=9, n=4):
+    """Dense, CSR and non-canonical CSR logistic and sigmoid-SVM problems,
+    a rank-one quadratic and a shared-Hessian quadratic, all with N rows."""
+    X = gen.standard_normal((N, n))
+    X[np.arange(N), np.arange(N) % n] = 0.0
+    y = np.where(gen.standard_normal(N) >= 0, 1.0, -1.0)
+    probs = []
+    for kind in ("dense", "csr", "csr-duplicates"):
+        feats = X if kind == "dense" else _sparse_features(kind, X)
+        for make in (make_logistic, make_sigmoid_svm):
+            probs.append(make(Dataset(features=feats, labels=y), lam=0.1))
+    M = gen.standard_normal((N, N))
+    probs.append(make_quadratic(M @ M.T + 0.5 * np.eye(N), gen.standard_normal(N)))
+    probs.append(make_noisy_quadratic(np.eye(n) + 0.1, gen.standard_normal((N, n))))
+    return probs
+
+
+class TestFusedGradVariance:
+    """grad_variance_l1 returns batch_grad's bits and the variance that the
+    separate two-pass (dense, quadratic) or sparse-identity (CSR) reference
+    computes at that gradient, bit for bit."""
+
+    @staticmethod
+    def _reference(prob, batch, x, g):
+        ds = prob.dataset
+        if ds is not None and sp.issparse(ds.features):
+            return csr_variance_l1_reference(
+                ds.features, ds.labels, prob.kind, prob.lam, batch, x, g)
+        return two_pass_variance_l1(prob.per_sample_grads(batch, x), g)
+
+    def test_bitwise_equal_to_separate_passes(self):
+        gen = np.random.default_rng(3)
+        for prob in _fused_problems(gen):
+            N = prob.N
+            repeated = np.arange(N)
+            repeated[-1] = 2
+            batches = [gen.choice(N, size=int(gen.integers(2, N)), replace=False)
+                       for _ in range(4)]
+            batches += [np.arange(N), gen.permutation(N), repeated, np.array([5, 1, 5])]
+            for batch in batches:
+                x = gen.standard_normal(prob.n)
+                g, var = prob.grad_variance_l1(batch, x)
+                assert np.array_equal(g, prob.batch_grad(batch, x))
+                assert var == self._reference(prob, batch, x, g), (prob.kind, batch)
+                g_s, var_s = sample_variance_l1(prob, batch, x)
+                assert np.array_equal(g_s, g) and var_s == var
+
+    def test_problem_rejects_single_row_batch(self):
+        prob = _fused_problems(np.random.default_rng(0))[0]
+        with pytest.raises(ValueError, match="at least 2"):
+            prob.grad_variance_l1([3], np.zeros(prob.n))
 
 
 class TestNormTest:
