@@ -17,10 +17,15 @@ oracle counts.
 
 Every output file is replaced by a new file rather than truncated in place
 (see _open_fresh): on ext4, truncating the previous run's not-yet-flushed
-output blocks the open while the kernel writes it out.  libsvm input is
-parsed in blocks with C-level string work and array checks (see
-load_libsvm).  compare resolves each distinct dataset source once and hands
-the datasets to its runs.
+output blocks the open while the kernel writes it out.  libsvm and CSV
+input are parsed in blocks with C-level string work and array checks (see
+load_libsvm, load_csv).  compare resolves each distinct dataset source once
+and hands the datasets to its runs.
+
+Generation and hashing add at most one bounded block to the dataset:
+generation scales the features in place and the hash reads the arrays' own
+buffers.  load_csv keeps numbers only as float64 arrays and peaks near
+twice its result.
 
 CLI verbs: run, compare, gen-data, validate-config.  Exit codes: 0 success,
 1 config error, 2 runtime error.
@@ -50,7 +55,13 @@ import scipy.sparse as sp
 
 from .aras import ArasParams, aras_run
 from .baselines import BaselineParams, sgd_momentum_run, sgd_run, svrg_run
-from .problems import DENSE_DIM_LIMIT, Dataset, make_logistic, make_sigmoid_svm
+from .problems import (
+    DENSE_DIM_LIMIT,
+    Dataset,
+    block_rows,
+    make_logistic,
+    make_sigmoid_svm,
+)
 from .regularization import RegParams, arig_run
 from .varchen import StepSchedule, VarchenParams, varchen_run
 
@@ -102,13 +113,16 @@ class SyntheticSpec:
 def gen_synthetic(spec: SyntheticSpec) -> Dataset:
     """Gaussian features with per-column scaling spanning condition number
     kappa, labeled by a planted linear classifier (through tanh for the
-    sigmoid-svm model) plus optional Gaussian label noise."""
+    sigmoid-svm model) plus optional Gaussian label noise.
+
+    The columns are scaled in place, so the feature matrix is the only
+    N x n array ever allocated."""
     gen = np.random.Generator(np.random.Philox(spec.seed))
     X = gen.standard_normal((spec.N, spec.n))
     if spec.n > 1 and spec.kappa > 1:
         # column variances span [1/kappa, 1] so cov(X) has condition ~ kappa
         exponents = np.linspace(0.0, 1.0, spec.n)
-        X = X * (spec.kappa ** (-0.5 * exponents))[None, :]
+        X *= spec.kappa ** (-0.5 * exponents)
     w_star = gen.standard_normal(spec.n)
     margins = X @ w_star
     if spec.label_model == "sigmoid-svm-planted":
@@ -312,67 +326,122 @@ def save_libsvm(path, dataset: Dataset) -> None:
             ))
 
 
+# Records per load_csv parse block.  One block's cell strings are the
+# transient memory of the parse (about 2 MB for 100-column rows); numbers
+# are kept as float64 arrays only.
+_CSV_BLOCK_ROWS = 256
+
+
 def load_csv(path, label_column: int = 0, header: bool = False) -> Dataset:
     """Dense numeric CSV; one column holds the label.  Bad cells, including
     nan and inf, raise ValueError with row and column numbers (1-based,
-    counting the header if present)."""
-    labels: List[float] = []
-    rows: List[List[float]] = []
+    counting the header and blank rows).
+
+    csv.reader splits the cells and the file is parsed in blocks of
+    _CSV_BLOCK_ROWS records, each with `float` mapped over the block's
+    cells into one float64 array and checked for width and finiteness; the
+    features and labels are those blocks' arrays, joined once at the end,
+    so the parse peaks near twice the returned arrays plus one block.  A
+    block that fails a check is scanned again cell by cell, so the error
+    names the first bad row or cell in file order.  A csv.Error (such as a
+    field over the csv module's size limit) is raised once the records
+    before it have been checked."""
+    label_parts: List[np.ndarray] = []
+    feature_parts: List[np.ndarray] = []
     width = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        for rowno, raw in enumerate(reader, start=1):
-            if header and rowno == 1:
-                continue
-            if not raw:
-                continue
-            if width is None:
-                width = len(raw)
-                if width < 2:
-                    raise ValueError(f"{path}: row {rowno}: need >= 2 columns")
-                if not -width <= label_column < width:
-                    raise ValueError(
-                        f"{path}: label column {label_column} outside row width {width}"
-                    )
-            if len(raw) != width:
-                raise ValueError(
-                    f"{path}: row {rowno}: expected {width} columns, got {len(raw)}"
-                )
-            values = []
-            for colno, cell in enumerate(raw, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {rowno}, column {colno}: non-numeric {cell!r}"
-                    )
-                if not math.isfinite(value):
-                    raise ValueError(
-                        f"{path}: row {rowno}, column {colno}: non-finite {cell!r}"
-                    )
-                values.append(value)
-            lc = label_column % width
-            labels.append(values[lc])
-            rows.append(values[:lc] + values[lc + 1 :])
-    if not rows:
+        rowno = 1
+        if header:
+            next(reader, None)  # the header's cells are names, never parsed
+            rowno = 2
+        while True:
+            records: List[List[str]] = []
+            pending = None
+            try:
+                for raw in islice(reader, _CSV_BLOCK_ROWS):
+                    records.append(raw)
+            except csv.Error as exc:
+                pending = exc
+            block = [(no, raw) for no, raw in enumerate(records, start=rowno) if raw]
+            rowno += len(records)
+            if block:
+                if width is None:
+                    first_no, first = block[0]
+                    width = len(first)
+                    if width < 2:
+                        raise ValueError(f"{path}: row {first_no}: need >= 2 columns")
+                    if not -width <= label_column < width:
+                        raise ValueError(
+                            f"{path}: label column {label_column} outside row width {width}"
+                        )
+                values = _parse_csv_block(path, block, width)
+                lc = label_column % width
+                # copies, so the block's own array is freed
+                label_parts.append(values[:, lc].copy())
+                feature_parts.append(np.delete(values, lc, axis=1))
+            if pending is not None:
+                raise pending
+            if not records:
+                break
+    if not label_parts:
         raise ValueError(f"{path}: empty dataset")
-    return Dataset(features=np.array(rows), labels=np.array(labels))
+    return Dataset(features=np.concatenate(feature_parts),
+                   labels=np.concatenate(label_parts))
+
+
+def _parse_csv_block(path, block: List[Tuple[int, List[str]]], width: int) -> np.ndarray:
+    """(row number, cells) records, none empty -> (rows, width) float64
+    values; raises at the block's first bad row or cell in file order."""
+    if all(len(raw) == width for _, raw in block):
+        cells = list(chain.from_iterable(raw for _, raw in block))
+        try:
+            values = np.fromiter(map(float, cells), float, len(cells))
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return values.reshape(len(block), width)
+    # some row or cell is bad: find the first, as a cell-by-cell parse would
+    rows = []
+    for rowno, raw in block:
+        if len(raw) != width:
+            raise ValueError(
+                f"{path}: row {rowno}: expected {width} columns, got {len(raw)}"
+            )
+        values = []
+        for colno, cell in enumerate(raw, start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: row {rowno}, column {colno}: non-numeric {cell!r}"
+                )
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path}: row {rowno}, column {colno}: non-finite {cell!r}"
+                )
+            values.append(value)
+        rows.append(values)
+    return np.array(rows)
 
 
 def save_csv(path, dataset: Dataset, header: bool = False) -> None:
-    """Dense CSV with the label in column 0, full-precision values."""
+    """Dense CSV with the label in column 0, full-precision values (repr
+    round-trip).  A CSR set is densified one block of rows at a time, so
+    writing never holds a dense copy of the whole set."""
     feats = dataset.features
-    if sp.issparse(feats):
-        feats = feats.toarray()
+    step = block_rows(8 * dataset.n)
     with _open_fresh(path, newline="") as fh:
         writer = csv.writer(fh)
         if header:
             writer.writerow(["label"] + [f"f{j}" for j in range(dataset.n)])
-        for i in range(dataset.N):
-            writer.writerow(
-                [repr(float(dataset.labels[i]))]
-                + [repr(float(v)) for v in feats[i]]
-            )
+        for lo in range(0, dataset.N, step):
+            block = feats[lo:lo + step]
+            if sp.issparse(block):
+                block = block.toarray()
+            for label, row in zip(dataset.labels[lo:lo + step].tolist(), block):
+                writer.writerow([repr(label), *map(repr, row.tolist())])
 
 
 # -- metrics ------------------------------------------------------------------
@@ -718,20 +787,30 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _dataset_hash(dataset: Dataset) -> str:
+    """sha256 over a tag, the shape, the feature arrays and the labels.
+
+    A CSR set hashes its data bytes as stored and its indices and indptr as
+    int64; a dense set hashes its C-order float64 values.  hashlib reads
+    the arrays' own buffers, and an index array of another integer type is
+    converted to int64 one block at a time, so hashing adds no copy of the
+    dataset; sha256 is a stream, so the digest is that of the concatenated
+    bytes."""
     h = hashlib.sha256()
     feats = dataset.features
     if sp.issparse(feats):
         feats = feats.tocsr()
         h.update(b"csr")
-        h.update(np.array(feats.shape, dtype=np.int64).tobytes())
-        h.update(feats.data.tobytes())
-        h.update(np.asarray(feats.indices, dtype=np.int64).tobytes())
-        h.update(np.asarray(feats.indptr, dtype=np.int64).tobytes())
+        h.update(np.array(feats.shape, dtype=np.int64))
+        h.update(np.ascontiguousarray(feats.data))
+        step = block_rows(8)
+        for index in (feats.indices, feats.indptr):
+            for lo in range(0, index.size, step):
+                h.update(np.ascontiguousarray(index[lo:lo + step], dtype=np.int64))
     else:
         h.update(b"dense")
-        h.update(np.array(feats.shape, dtype=np.int64).tobytes())
-        h.update(np.ascontiguousarray(feats, dtype=float).tobytes())
-    h.update(np.ascontiguousarray(dataset.labels, dtype=float).tobytes())
+        h.update(np.array(feats.shape, dtype=np.int64))
+        h.update(np.ascontiguousarray(feats, dtype=float))
+    h.update(np.ascontiguousarray(dataset.labels, dtype=float))
     return h.hexdigest()
 
 

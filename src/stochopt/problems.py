@@ -32,9 +32,9 @@ the full index set equals full_grad exactly.
 together with the l1 norm of the per-sample gradients' sample variance, the
 statistic of the adaptive-sampling norm test.  For the two losses both come
 from one gathered batch and one margin pass.  Dense and quadratic problems
-take the two-pass form over the per-sample gradients; CSR problems use an
-O(nnz + n) identity over the batch's stored entries and never build the
-dense m x n block.
+take the two-pass form over the per-sample gradients, in one m x n buffer
+besides the gathered rows; CSR problems use an O(nnz + n) identity over the
+batch's stored entries and never build the dense m x n block.
 """
 
 from __future__ import annotations
@@ -56,6 +56,16 @@ __all__ = [
 
 # Rows with dimension above this stay sparse; smaller problems are densified.
 DENSE_DIM_LIMIT = 512
+
+# Scratch bytes of one block in a pass over the whole dataset (the row norms
+# here; hashing and CSV writing in harness.py).  A pass holds one block at a
+# time, so its transient memory stays this size, not a copy of the dataset.
+BLOCK_BYTES = 1 << 20
+
+
+def block_rows(row_bytes: int) -> int:
+    """Rows per block when a row takes `row_bytes` bytes (at least one)."""
+    return max(1, BLOCK_BYTES // max(1, row_bytes))
 
 
 @dataclass(frozen=True)
@@ -95,9 +105,50 @@ class Dataset:
         return self.features.shape[1]
 
     def max_row_sq_norm(self) -> float:
-        if sp.issparse(self.features):
-            return float(self.features.multiply(self.features).sum(axis=1).max())
-        return float((self.features ** 2).sum(axis=1).max())
+        """max_i ||u_i||^2, reduced one row block at a time.
+
+        Each row's sum runs over the same values in the same order as the
+        whole-matrix expression, so the value does not depend on the block
+        size.  Dense blocks sum (row ** 2).  CSR rows sum what
+        multiply(features).sum(axis=1) sums: canonical float64 CSR squares
+        its stored data (see _csr_row_sq_sums); other CSR, such as a matrix
+        with a repeated (i, j) entry, takes that product block by block."""
+        feats = self.features
+        sparse = sp.issparse(feats)
+        direct = sparse and feats.dtype == np.float64 and feats.has_canonical_format
+        if not sparse:
+            step = block_rows(8 * self.n)
+        else:
+            # bytes per stored entry: the square, its flag, running count and
+            # kept copy; or the block's slice and multiply's 2x-sized output
+            step = block_rows((32 if direct else 48) * (feats.nnz // self.N + 1))
+        maxima = []
+        for lo in range(0, self.N, step):
+            if direct:
+                sums = _csr_row_sq_sums(feats, lo, lo + step)
+            else:
+                blk = feats[lo:lo + step]
+                sums = (blk.multiply(blk) if sparse else blk ** 2).sum(axis=1)
+            maxima.append(sums.max())
+        # np.max keeps a NaN row norm, as the whole-matrix max does
+        return float(np.max(maxima))
+
+
+def _csr_row_sq_sums(feats, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of multiply(feats).sum(axis=1) for a canonical CSR matrix,
+    without building the product: the product keeps each nonzero square of
+    a stored value in column order, and scipy's row sum reduces each
+    nonempty row with np.add.reduceat, so this does the same."""
+    ptr = feats.indptr[lo:hi + 1]
+    sq = feats.data[ptr[0]:ptr[-1]] ** 2
+    kept = sq != 0
+    # row boundaries among the kept squares
+    bounds = np.concatenate(([0], np.cumsum(kept)))[ptr - ptr[0]]
+    sums = np.zeros(ptr.size - 1)
+    rows = np.flatnonzero(np.diff(bounds))
+    if rows.size:
+        sums[rows] = np.add.reduceat(sq[kept], bounds[rows])
+    return sums
 
 
 @dataclass(frozen=True)
@@ -287,9 +338,13 @@ class FiniteSumProblem:
                 # (c u - w)^2 - w^2 = c u (c u - 2 w)
                 total = m * float(w @ w) + float(np.sum(vals * (vals - 2.0 * w_at)))
                 return g, max(0.0, total / (m - 1))
-            G = coef[:, None] * rows + (2.0 * self.lam) * x
-        dev = G - g[None, :]
-        return g, float(((dev * dev).sum(axis=0) / (m - 1)).sum())
+            G = coef[:, None] * rows
+            G += (2.0 * self.lam) * x
+        # G is this call's own buffer: the deviations and their squares
+        # overwrite it, so the gathered rows and G are the only m x n blocks
+        G -= g
+        G *= G
+        return g, float((G.sum(axis=0) / (m - 1)).sum())
 
     # -- quadratic payloads -------------------------------------------------
 

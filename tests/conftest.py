@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,3 +25,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn, *args, **kwargs) -> (fn's result, the peak bytes of Python
+    and numpy memory allocated while fn ran, tracemalloc's count)."""
+
+    def peak(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            out = fn(*args, **kwargs)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

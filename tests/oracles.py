@@ -5,12 +5,14 @@ not by calling back into the package: finite differences for gradients, a
 dense matrix build of the damped L-BFGS operator, a dense build of the
 single-pair update, a looped two-pass variance, the norm-test variance as
 two separate passes (gradient, then variance) compute it, a line-by-line
-libsvm parser, and the metrics report's column rules spelled out per
+libsvm parser, a cell-by-cell CSV parser, the largest squared row norm over
+the whole matrix, and the metrics report's column rules spelled out per
 algorithm.  Tests freeze against these, so keep them dumb and obvious.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -199,6 +201,65 @@ def load_libsvm_reference(path, n_features=None):
             for col, val in entries:
                 features[i, col] = val
     return Dataset(features=features, labels=np.array(labels, dtype=float))
+
+
+def load_csv_reference(path, label_column=0, header=False):
+    """Row-by-row, cell-by-cell CSV parser: the reference for
+    harness.load_csv's Dataset and error messages.  Row numbers count every
+    csv record, the header and blank rows included; a row's width is
+    checked before its cells, and cells in column order."""
+    from stochopt.problems import Dataset
+
+    labels = []
+    rows = []
+    width = None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for rowno, raw in enumerate(reader, start=1):
+            if header and rowno == 1:
+                continue
+            if not raw:
+                continue
+            if width is None:
+                width = len(raw)
+                if width < 2:
+                    raise ValueError(f"{path}: row {rowno}: need >= 2 columns")
+                if not -width <= label_column < width:
+                    raise ValueError(
+                        f"{path}: label column {label_column} outside row width {width}"
+                    )
+            if len(raw) != width:
+                raise ValueError(
+                    f"{path}: row {rowno}: expected {width} columns, got {len(raw)}"
+                )
+            values = []
+            for colno, cell in enumerate(raw, start=1):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {rowno}, column {colno}: non-numeric {cell!r}"
+                    )
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}: row {rowno}, column {colno}: non-finite {cell!r}"
+                    )
+                values.append(value)
+            lc = label_column % width
+            labels.append(values[lc])
+            rows.append(values[:lc] + values[lc + 1 :])
+    if not rows:
+        raise ValueError(f"{path}: empty dataset")
+    return Dataset(features=np.array(rows), labels=np.array(labels))
+
+
+def max_row_sq_norm_reference(features) -> float:
+    """max_i ||u_i||^2 from one whole-matrix expression: dense squares
+    summed along each row; CSR multiply(features).sum(axis=1), which sums
+    a repeated (i, j) entry before squaring it."""
+    if sp.issparse(features):
+        return float(features.multiply(features).sum(axis=1).max())
+    return float((features ** 2).sum(axis=1).max())
 
 
 def report_columns_reference(algorithm, trace, N, cadence):

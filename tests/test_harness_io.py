@@ -1,11 +1,12 @@
-"""Harness I/O: the block libsvm parser against the line-by-line reference
-in oracles.py, its memory use, output files written as new files, and
-compare's one resolve per dataset source."""
+"""Harness I/O: the block libsvm and CSV parsers against the line-by-line
+and cell-by-cell references in oracles.py, the parsers' memory use, the
+dataset hash pinned to literal digests, output files written as new files,
+and compare's one resolve per dataset source."""
 
+import csv
 import json
 import os
 import stat
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stochopt.harness as harness
-from oracles import load_libsvm_reference
+import stochopt.problems as problems
+from oracles import load_csv_reference, load_libsvm_reference
 from stochopt.harness import (
     compare,
     load_config,
@@ -225,6 +227,135 @@ class TestLoadLibsvmMatchesReference:
         assert "line 2: non-finite value in '2:nan'" in capsys.readouterr().err
 
 
+# -- load_csv against the cell-by-cell reference ---------------------------------
+
+CSV_GOOD = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+    st.sampled_from(["0", "-0.0", "+1", " 2.5", "3 ", " -4e-3\t", "1_0", "1e308",
+                     '"7.5"', '" 8"']),
+)
+CSV_BAD = st.sampled_from([
+    "nan", "NaN", "-nan", "+nan", "inf", "-inf", "Infinity", "-infinity", "+INF",
+    "1e999", "-1e999", "abc", "", " ", "1__0", "_1", "0x10", "1,5", "1.5.2",
+    '"1,5"', '"2\n3"', '"x""y"',
+])
+
+
+def csv_cell(draw, dirty):
+    cell = draw(CSV_BAD if dirty and draw(st.integers(0, 5)) == 0 else CSV_GOOD)
+    if "," in cell and not cell.startswith('"'):
+        cell = f'"{cell}"'  # one cell, so a width fault is only drawn on purpose
+    return cell
+
+
+@st.composite
+def csv_file(draw):
+    """(text, label_column, header): rows of one width, and, if dirty, bad
+    cells, short or long rows, and blank or whitespace-only lines."""
+    width = draw(st.integers(1, 5))
+    dirty = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        fault = draw(st.sampled_from(["none"] * 6 + ["blank", "short", "long", "space"]))
+        if fault == "blank" or (dirty and fault == "space"):
+            lines.append("" if fault == "blank" else " ")
+            continue
+        w = width
+        if dirty and fault in ("short", "long"):
+            w = max(1, width + (1 if fault == "long" else -1))
+        lines.append(",".join(csv_cell(draw, dirty) for _ in range(w)))
+    header = draw(st.booleans())
+    if header:
+        lines.insert(0, ",".join(draw(st.sampled_from(["label", "f", "nan", ""]))
+                                 for _ in range(width)))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = "".join(line + end for line in lines)
+    if lines and draw(st.booleans()):
+        text = text[: -len(end)]  # no final line break
+    label_column = draw(st.integers(-width - 1, width))
+    return text, label_column, header
+
+
+def csv_outcome(load, path, label_column, header):
+    try:
+        return load(path, label_column=label_column, header=header), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def assert_csv_matches_reference(path, label_column=0, header=False) -> None:
+    want, want_err = csv_outcome(load_csv_reference, path, label_column, header)
+    got, got_err = csv_outcome(load_csv, path, label_column, header)
+    assert got_err == want_err
+    if want is not None:
+        assert_same_dataset(got, want)
+
+
+class TestLoadCsvMatchesReference:
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=csv_file(), block=st.sampled_from([1, 2, 3, 5, 4096]))
+    def test_fuzz(self, tmp_path_factory, case, block):
+        text, label_column, header = case
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        path.unlink(missing_ok=True)  # a truncating rewrite can stall on ext4
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(harness, "_CSV_BLOCK_ROWS", block):
+            assert_csv_matches_reference(path, label_column, header)
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            # the first row of a later block
+            (["1,2", "-1,3", "1,4", "1,x"], "row 4, column 2: non-numeric 'x'"),
+            (["1,2", "-1,3", "1,4", "1,nan"], "row 4, column 2: non-finite 'nan'"),
+            (["1,2", "-1,3", "1,4", "1,2,3"], "row 4: expected 2 columns, got 3"),
+            # blank rows count, and the earlier of two bad rows in different blocks
+            (["1,2", "", "1,inf", "-1,3", "x,1"], "row 3, column 2: non-finite 'inf'"),
+            # a width fault before a bad cell later on the same row
+            (["1,2", "1,4", "x,2,3"], "row 3: expected 2 columns, got 3"),
+            # the first bad cell in column order
+            (["1,2,3", "1,Infinity,y"], "row 2, column 2: non-finite 'Infinity'"),
+            # a quoted cell holding a line break is one record
+            (["1,2", '-1,"3\n4"', "1,q"], "row 2, column 2: non-numeric '3\\n4'"),
+        ],
+    )
+    @pytest.mark.parametrize("block", [3, 4096])
+    def test_error_names_first_bad_row(self, tmp_path, monkeypatch, lines, message, block):
+        monkeypatch.setattr(harness, "_CSV_BLOCK_ROWS", block)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: {message}"
+        assert_csv_matches_reference(path)
+
+    @pytest.mark.parametrize("block", [1, 4096])
+    def test_csv_error_waits_for_earlier_rows(self, tmp_path, monkeypatch, block):
+        # a field over the csv module's size limit raises csv.Error, but
+        # only once the rows before it are checked
+        monkeypatch.setattr(harness, "_CSV_BLOCK_ROWS", block)
+        path = tmp_path / "big.csv"
+        huge = "1" * (csv.field_size_limit() + 1)
+        path.write_text(f"1,2\n1,x\n1,{huge}\n")
+        with pytest.raises(ValueError, match=r"row 2, column 2: non-numeric 'x'"):
+            load_csv(path)
+        path.write_text(f"1,2\n1,3\n1,{huge}\n")
+        for load in (load_csv, load_csv_reference):
+            with pytest.raises(csv.Error):
+                load(path)
+
+    @pytest.mark.parametrize("block", [1, 2, 4096])
+    @pytest.mark.parametrize("label_column", [0, 1, -1, -3])
+    def test_label_column_and_header(self, tmp_path, monkeypatch, block, label_column):
+        monkeypatch.setattr(harness, "_CSV_BLOCK_ROWS", block)
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,c\n\n1, 2.5 ,-1\n-1,1_0,\"3\"\n\n1,-0.0,1e-300\n")
+        assert_csv_matches_reference(path, label_column, header=True)
+        ds = load_csv(path, label_column=label_column, header=True)
+        assert ds.N == 3 and ds.n == 2
+
+
 def write_text_csr(path, rows=10000, width=3000, nnz=30, seed=0):
     """Sorted-column libsvm text with ~nnz entries per row (6-digit values)."""
     gen = np.random.default_rng(seed)
@@ -242,18 +373,52 @@ class TestLoadLibsvmMemory:
     # block's token strings)
     PEAK_CAP_BYTES = 20 * 2**20
 
-    def test_peak_python_memory(self, tmp_path):
+    def test_peak_python_memory(self, tmp_path, traced_peak):
         path = tmp_path / "wide.libsvm"
         write_text_csr(path)
-        tracemalloc.start()
-        try:
-            ds = load_libsvm(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        ds, peak = traced_peak(load_libsvm, path)
         assert sp.issparse(ds.features) and ds.N == 10000
         assert ds.features.nnz > 10000 * 29
         assert peak < self.PEAK_CAP_BYTES, f"peak {peak / 2**20:.1f} MB"
+
+
+# -- dataset hash -----------------------------------------------------------------
+
+
+def csr_dataset(indptr, index_dtype=np.int32):
+    feats = sp.csr_matrix(
+        (np.array([0.5, -1.5, 2.0, 4.25]), np.array([0, 3, 1, 2]), np.array(indptr)),
+        shape=(3, 600),
+    )
+    # the constructor picks int32 for small indices; set the type asked for
+    feats.indices = feats.indices.astype(index_dtype)
+    feats.indptr = feats.indptr.astype(index_dtype)
+    return Dataset(features=feats, labels=np.array([1.0, -1.0, -1.0]))
+
+
+class TestDatasetHashPinned:
+    """Digests computed by the whole-array hash (tobytes of each array), so
+    that the manifests' dataset_sha256 cannot change under a rewrite; CSR
+    index arrays hash as int64 whatever their stored type."""
+
+    CSR = "32236f075f0501d17f36848c1f8c75ab5155d19c173954172b3cc55a0c19027c"
+
+    @pytest.mark.parametrize("block_bytes", [8, 24, 1 << 20])
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (lambda: Dataset(features=np.array([[1.25, -2.0], [0.5, 3.75], [0.0, -1.125]]),
+                             labels=np.array([1.0, -1.0, 1.0])),
+             "e025e1a3de1d2b0a7b9742b9e9feb67add9b276e00eb205477b1601b61bab910"),
+            (lambda: csr_dataset([0, 2, 3, 4], np.int32), CSR),
+            (lambda: csr_dataset([0, 2, 3, 4], np.int64), CSR),
+            (lambda: csr_dataset([0, 2, 2, 4]),  # an empty middle row
+             "40ec6bfc0f1d39086ce0f5d358f5cfa46ec0925f5631d641e93c0d54e65bf8d8"),
+        ],
+    )
+    def test_literal_digest(self, monkeypatch, make, digest, block_bytes):
+        monkeypatch.setattr(problems, "BLOCK_BYTES", block_bytes)
+        assert harness._dataset_hash(make()) == digest
 
 
 # -- output files ---------------------------------------------------------------

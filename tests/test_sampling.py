@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,7 +188,7 @@ class TestSampleVariance:
             assert ours >= 0.0
             assert abs(ours - ref) <= 1e-12 * _variance_scale(prob, batch, x, g)
 
-    def test_csr_memory_stays_sparse(self):
+    def test_csr_memory_stays_sparse(self, traced_peak):
         # the dense m x n block of the per-sample gradients alone is 82 MB
         N, n, m = 1024, 20_000, 512
         gen = np.random.default_rng(11)
@@ -198,12 +197,7 @@ class TestSampleVariance:
         prob = make_logistic(Dataset(features=X, labels=y), lam=0.01)
         x = gen.standard_normal(n)
         batch = np.sort(gen.choice(N, size=m, replace=False))
-        tracemalloc.start()
-        try:
-            _, var = sample_variance_l1(prob, batch, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (_, var), peak = traced_peak(sample_variance_l1, prob, batch, x)
         assert var > 0.0
         assert peak < 8 * 2**20
 
@@ -259,6 +253,21 @@ class TestFusedGradVariance:
                 assert var == self._reference(prob, batch, x, g), (prob.kind, batch)
                 g_s, var_s = sample_variance_l1(prob, batch, x)
                 assert np.array_equal(g_s, g) and var_s == var
+
+    def test_dense_memory_is_the_gathered_block_and_one_buffer(self, traced_peak):
+        # the per-sample gradients, their deviations and the squares share
+        # one m x n buffer besides the gathered rows
+        N, n, m = 4096, 500, 2048
+        gen = np.random.default_rng(4)
+        ds = Dataset(features=gen.standard_normal((N, n)),
+                     labels=np.where(gen.standard_normal(N) >= 0, 1.0, -1.0))
+        prob = make_logistic(ds, lam=0.01)
+        batch = np.sort(gen.choice(N, size=m, replace=False))
+        x = gen.standard_normal(n)
+        (g, var), peak = traced_peak(prob.grad_variance_l1, batch, x)
+        assert var == self._reference(prob, batch, x, g)
+        block = m * n * 8
+        assert peak <= 2 * block + 2**18, f"peak {peak / block:.2f} blocks"
 
     def test_problem_rejects_single_row_batch(self):
         prob = _fused_problems(np.random.default_rng(0))[0]
