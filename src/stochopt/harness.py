@@ -25,7 +25,7 @@ and hands the datasets to its runs.
 Generation and hashing add at most one bounded block to the dataset:
 generation scales the features in place and the hash reads the arrays' own
 buffers.  load_csv keeps numbers only as float64 arrays and peaks near
-twice its result.
+twice its result; load_libsvm peaks under twice a CSR result.
 
 CLI verbs: run, compare, gen-data, validate-config.  Exit codes: 0 success,
 1 config error, 2 runtime error.
@@ -168,6 +168,7 @@ def _open_fresh(path, newline: Optional[str] = None):
 # entries a row, 512-line blocks parse faster than 2048-line ones, at about
 # half the peak.
 _LIBSVM_BLOCK_LINES = 512
+_INT32_MAX = np.iinfo(np.int32).max
 
 # A token with two or more colons (a token never spans whitespace).
 _MULTI_COLON = re.compile(r":[^\s:]*:")
@@ -187,8 +188,12 @@ def load_libsvm(path, n_features: Optional[int] = None) -> Dataset:
     An index beyond int64 raises OverflowError, but only once the rest of
     the file and the declared width have been checked, so a later bad line
     or a too-small n_features is reported first, as by a whole-file parse.
+    Parsed blocks hold an entry in 12 bytes (an int32 column where it fits
+    and a float64 value) until it is copied into the result, so a CSR
+    result peaks under twice its size plus one block's token strings.
     """
-    parts = []
+    label_parts, count_parts, col_parts, val_parts = [], [], [], []
+    max_col = -1
     huge = 0  # largest index that overflowed int64, 0 if none did
     lineno = 1
     with open(path, "r", encoding="utf-8") as fh:
@@ -197,16 +202,23 @@ def load_libsvm(path, n_features: Optional[int] = None) -> Dataset:
             if not lines:
                 break
             try:
-                parts.append(_parse_libsvm_block(path, lines, lineno))
+                labels, counts, cols, vals = _parse_libsvm_block(path, lines, lineno)
             except _IndexOverflow as exc:
                 huge = max(huge, exc.args[0])
+            else:
+                top = int(cols.max(initial=-1))
+                max_col = max(max_col, top)
+                label_parts.append(labels)
+                count_parts.append(counts)
+                # int32 columns, where they fit, keep the blocks at 12 bytes
+                # an entry, the size of the CSR they become
+                col_parts.append(cols.astype(np.int32) if top <= _INT32_MAX else cols)
+                val_parts.append(vals)
             lineno += len(lines)
-    labels, counts, cols, vals = (
-        map(np.concatenate, zip(*parts)) if parts else (np.empty(0),) * 4
-    )
-    if labels.size == 0 and not huge:
+    N = sum(part.size for part in label_parts)
+    if N == 0 and not huge:
         raise ValueError(f"{path}: empty dataset")
-    max_col = max(int(cols.max()) if cols.size else -1, huge - 1)
+    max_col = max(max_col, huge - 1)
     n = max_col + 1 if n_features is None else n_features
     if n_features is not None and max_col + 1 > n_features:
         raise ValueError(
@@ -217,14 +229,30 @@ def load_libsvm(path, n_features: Optional[int] = None) -> Dataset:
     if huge:
         raise OverflowError(f"{path}: feature index {huge} does not fit in int64")
 
-    N = labels.size
+    # a block is dropped once it is joined (CSR) or scattered (dense), so
+    # the blocks and the result share the peak only one field at a time
+    labels = np.concatenate(label_parts)
+    counts = np.concatenate(count_parts)
     if n > DENSE_DIM_LIMIT:
-        indptr = np.zeros(N + 1, dtype=np.int64)
+        # the index type scipy keeps: int32 unless a size needs int64
+        nnz = int(counts.sum())
+        index = np.int32 if max(N, n, nnz) <= _INT32_MAX else np.int64
+        vals = np.concatenate(val_parts)
+        val_parts.clear()
+        cols = np.concatenate(col_parts, dtype=index)
+        col_parts.clear()
+        indptr = np.zeros(N + 1, dtype=index)
         np.cumsum(counts, out=indptr[1:])
         features = sp.csr_matrix((vals, cols, indptr), shape=(N, n))
     else:
         features = np.zeros((N, n))
-        features[np.repeat(np.arange(N), counts), cols] = vals
+        hi = N
+        while count_parts:
+            block_counts = count_parts.pop()
+            lo = hi - block_counts.size
+            rows = np.repeat(np.arange(lo, hi), block_counts)
+            features[rows, col_parts.pop()] = val_parts.pop()
+            hi = lo
     return Dataset(features=features, labels=labels)
 
 
@@ -403,13 +431,11 @@ def _parse_csv_block(path, block: List[Tuple[int, List[str]]], width: int) -> np
             if np.isfinite(values).all():
                 return values.reshape(len(block), width)
     # some row or cell is bad: find the first, as a cell-by-cell parse would
-    rows = []
     for rowno, raw in block:
         if len(raw) != width:
             raise ValueError(
                 f"{path}: row {rowno}: expected {width} columns, got {len(raw)}"
             )
-        values = []
         for colno, cell in enumerate(raw, start=1):
             try:
                 value = float(cell)
@@ -421,9 +447,7 @@ def _parse_csv_block(path, block: List[Tuple[int, List[str]]], width: int) -> np
                 raise ValueError(
                     f"{path}: row {rowno}, column {colno}: non-finite {cell!r}"
                 )
-            values.append(value)
-        rows.append(values)
-    return np.array(rows)
+    raise AssertionError("the rescan found no fault the fast parse rejected")
 
 
 def save_csv(path, dataset: Dataset, header: bool = False) -> None:

@@ -109,46 +109,29 @@ class Dataset:
 
         Each row's sum runs over the same values in the same order as the
         whole-matrix expression, so the value does not depend on the block
-        size.  Dense blocks sum (row ** 2).  CSR rows sum what
-        multiply(features).sum(axis=1) sums: canonical float64 CSR squares
-        its stored data (see _csr_row_sq_sums); other CSR, such as a matrix
-        with a repeated (i, j) entry, takes that product block by block."""
+        size.  Dense blocks sum (row ** 2); CSR blocks take
+        multiply(block).sum(axis=1), which sums a repeated (i, j) entry
+        before squaring it and drops zero products.  multiply() orders a
+        row's products by whether its whole operand is in canonical form, so
+        CSR that is not canonical is one block: a canonical block of it
+        could sum a row in another order."""
         feats = self.features
         sparse = sp.issparse(feats)
-        direct = sparse and feats.dtype == np.float64 and feats.has_canonical_format
         if not sparse:
             step = block_rows(8 * self.n)
+        elif feats.has_canonical_format:
+            # a block's slice (value and index, 16 bytes at most) and
+            # multiply's output, sized for twice the block's entries
+            step = block_rows(48 * (feats.nnz // self.N + 1))
         else:
-            # bytes per stored entry: the square, its flag, running count and
-            # kept copy; or the block's slice and multiply's 2x-sized output
-            step = block_rows((32 if direct else 48) * (feats.nnz // self.N + 1))
+            step = self.N
         maxima = []
         for lo in range(0, self.N, step):
-            if direct:
-                sums = _csr_row_sq_sums(feats, lo, lo + step)
-            else:
-                blk = feats[lo:lo + step]
-                sums = (blk.multiply(blk) if sparse else blk ** 2).sum(axis=1)
+            blk = feats[lo:lo + step] if step < self.N else feats
+            sums = (blk.multiply(blk) if sparse else blk ** 2).sum(axis=1)
             maxima.append(sums.max())
         # np.max keeps a NaN row norm, as the whole-matrix max does
         return float(np.max(maxima))
-
-
-def _csr_row_sq_sums(feats, lo: int, hi: int) -> np.ndarray:
-    """Rows lo:hi of multiply(feats).sum(axis=1) for a canonical CSR matrix,
-    without building the product: the product keeps each nonzero square of
-    a stored value in column order, and scipy's row sum reduces each
-    nonempty row with np.add.reduceat, so this does the same."""
-    ptr = feats.indptr[lo:hi + 1]
-    sq = feats.data[ptr[0]:ptr[-1]] ** 2
-    kept = sq != 0
-    # row boundaries among the kept squares
-    bounds = np.concatenate(([0], np.cumsum(kept)))[ptr - ptr[0]]
-    sums = np.zeros(ptr.size - 1)
-    rows = np.flatnonzero(np.diff(bounds))
-    if rows.size:
-        sums[rows] = np.add.reduceat(sq[kept], bounds[rows])
-    return sums
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
-"""Set-up memory: data generation, loading, hashing, the problem build's row
-norms and CSV writing each hold at most one copy of the dataset plus one
-bounded block (problems.BLOCK_BYTES for the passes over a built dataset),
-measured with tracemalloc; and the row norms do not depend on the block."""
+"""Set-up memory: data generation, hashing, the problem build's row norms and
+CSV writing each hold at most one copy of the dataset plus one bounded
+block (problems.BLOCK_BYTES for the passes over a built dataset), and the
+loaders about twice their result, measured with tracemalloc; and the row
+norms do not depend on the block."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,16 @@ import scipy.sparse as sp
 import stochopt.harness as harness
 import stochopt.problems as problems
 from oracles import max_row_sq_norm_reference
-from stochopt.harness import SyntheticSpec, gen_synthetic, load_csv, save_csv
+from stochopt.harness import (
+    SyntheticSpec,
+    gen_synthetic,
+    load_csv,
+    load_libsvm,
+    save_csv,
+    save_libsvm,
+)
 from stochopt.problems import BLOCK_BYTES, Dataset, make_logistic, make_sigmoid_svm
+from test_harness_io import write_text_csr
 
 # room for the few N- or n-length vectors a stage keeps besides its block
 SLACK = 1 << 18
@@ -71,16 +80,27 @@ class TestDatasetHashReadsBuffers:
 
 
 class TestRowNorms:
-    @pytest.mark.parametrize("make", [
-        dense_dataset,
-        csr_dataset,
-        lambda: csr_dataset(canonical=False),
-    ])
+    @pytest.mark.parametrize("make", [dense_dataset, csr_dataset])
     def test_adds_at_most_one_block(self, traced_peak, make):
         ds = make()
         L, peak = traced_peak(ds.max_row_sq_norm)
         assert L == max_row_sq_norm_reference(ds.features)
         assert peak <= BLOCK_BYTES + SLACK, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_canonical_rows_of_noncanonical_csr(self, monkeypatch):
+        # multiply() sums row 0's squares in another order when its operand
+        # is canonical, as a one-row block of this matrix would be
+        feats = sp.csr_matrix(
+            (np.array([1.0, 1e-8, 1e-8, 0.1, 0.1]), np.array([0, 1, 2, 0, 0]),
+             np.array([0, 3, 5])),
+            shape=(2, 3),
+        )
+        row = feats[0:1]
+        assert row.has_canonical_format and not feats.has_canonical_format
+        assert max_row_sq_norm_reference(row) != max_row_sq_norm_reference(feats)
+        monkeypatch.setattr(problems, "BLOCK_BYTES", 1)
+        ds = Dataset(features=feats, labels=np.ones(2))
+        assert ds.max_row_sq_norm() == max_row_sq_norm_reference(feats)
 
     @staticmethod
     def csr_variants(gen, N, n):
@@ -128,6 +148,33 @@ class TestLoadCsvMemory:
         assert ds.N == 5000 and ds.n == 100
         # a list of Python floats per cell peaks near 5x the result
         assert peak <= 2 * nbytes(ds) + BLOCK_BYTES, f"peak {peak / nbytes(ds):.2f}x"
+
+
+class TestLoadLibsvmPeak:
+    """Blocks keep an entry as an int32 column and a float64 value, 12
+    bytes, and each is dropped once copied into the result.  Short blocks
+    keep one block's token strings small beside the result."""
+
+    @pytest.fixture(autouse=True)
+    def short_blocks(self, monkeypatch):
+        monkeypatch.setattr(harness, "_LIBSVM_BLOCK_LINES", 64)
+
+    def test_csr_peak_at_most_twice_the_result_plus_a_block(self, tmp_path, traced_peak):
+        path = tmp_path / "wide.libsvm"
+        write_text_csr(path, rows=5000)
+        ds, peak = traced_peak(load_libsvm, path)
+        assert sp.issparse(ds.features)
+        # concatenated int64 blocks and scipy's int32 copy peaked near 3x
+        assert peak <= 2 * nbytes(ds) + BLOCK_BYTES, f"peak {peak / nbytes(ds):.2f}x"
+
+    def test_dense_peak_at_most_the_blocks_and_the_result(self, tmp_path, traced_peak):
+        path = tmp_path / "narrow.libsvm"
+        save_libsvm(path, dense_dataset(N=5000, n=100))
+        ds, peak = traced_peak(load_libsvm, path)
+        assert not sp.issparse(ds.features) and ds.features.shape == (5000, 100)
+        # blocks of 12-byte entries besides the 8-byte dense cells; the
+        # concatenated blocks and one whole-set scatter peaked near 6x
+        assert peak <= 2.5 * nbytes(ds) + BLOCK_BYTES, f"peak {peak / nbytes(ds):.2f}x"
 
 
 class TestSaveCsvStreamsCsr:
