@@ -5,8 +5,10 @@ block, regularizer), a [run] section (algorithm, seed, output, cadence), and
 an optional per-algorithm section overriding that algorithm's defaults.  A
 run writes one CSV of MetricsRecord rows (fixed column order, empty cells
 for metrics an algorithm does not produce) plus a JSON manifest holding the
-resolved config, the seed, and a content hash of the dataset.  Everything a
-run writes is byte-identical across reruns except the wall_ms column.
+resolved config, the seed, a content hash of the dataset and the numeric
+environment the bits can depend on (numpy, BLAS, SIMD level, BLAS threads).
+Everything a run writes is byte-identical across reruns on one machine
+except the wall_ms column.
 
 Every optimizer traces its steps as StepRecords (see record.py), so the
 report (_trace_to_metrics) reads each row's columns and sample charge from
@@ -884,6 +886,24 @@ def _problem_fingerprint(config: ExperimentConfig, dataset_hash: str) -> str:
     return h.hexdigest()[:12]
 
 
+def _numeric_env() -> Dict:
+    """What the bits of a run's floating-point results can depend on: numpy's
+    version, its BLAS, the SIMD extensions numpy found on this machine (the
+    logistic loss's vectorized exp/log1p follow them), and the BLAS thread
+    variables as set, or None."""
+    info = np.show_config(mode="dicts")
+    blas = info["Build Dependencies"]["blas"]
+    env = {
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "simd_found": list(info["SIMD Extensions"]["found"]),
+    }
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = os.environ.get(var)
+    return env
+
+
 def _trace_to_metrics(
     config: ExperimentConfig, problem, test: Optional[Dataset], result
 ) -> List[MetricsRecord]:
@@ -970,6 +990,7 @@ def _run(config: ExperimentConfig,
         "dataset_sha256": ds_hash,
         "problem_fingerprint": _problem_fingerprint(config, ds_hash),
         "aborted": bool(getattr(result, "aborted", False)),
+        "numeric_env": _numeric_env(),
     }
     with _open_fresh(str(out_path) + ".manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=True)

@@ -16,17 +16,26 @@ Three loss kinds are supported:
   split into rank-one summands (:func:`make_quadratic`) or a shared Hessian
   with per-sample linear terms (:func:`make_noisy_quadratic`).
 
-Every batch is sorted before use, so its reductions run in ascending index
-order.  Losses are averaged with numpy's pairwise summation; the gradient
-sum over rows, sum_i c_i u_i, is a sequential ascending-row accumulation
-(``einsum`` for dense rows, the CSR transpose product for sparse ones).
-Results do not depend on the BLAS thread count: the only BLAS call is the
-margin product rows @ x, where a thread split hands out whole rows and each
-margin stays one dot product, while the reductions over rows stay out of
-BLAS, whose gemv would split their sums across threads and change the bits.
-A batch that is the whole index set reads the feature matrix in place
-instead of gathering a copy; the arithmetic is the same, so batch_grad over
-the full index set equals full_grad exactly.
+Every batch is used in ascending index order, so its reductions run in that
+order; the whole index set in order, as every full pass hands it over, is
+recognised by one scan and not sorted.  Losses are averaged with numpy's
+pairwise summation; the gradient sum over rows, sum_i c_i u_i, is a
+sequential ascending-row accumulation (``einsum`` for dense rows, the CSR
+transpose product for sparse ones).  Results do not depend on the BLAS
+thread count: the only BLAS call is the margin product rows @ x, where a
+thread split hands out whole rows and each margin stays one dot product,
+while the reductions over rows stay out of BLAS, whose gemv would split
+their sums across threads and change the bits.  A batch that is the whole
+index set reads the feature matrix in place instead of gathering a copy;
+the arithmetic is the same, so batch_grad over the full index set equals
+full_grad exactly.
+
+The logistic loss uses numpy's vectorized ``exp`` and ``log1p`` in the
+stable form max(-z, 0) + log1p(exp(-|z|)), and stays within 2 ulp of
+``np.logaddexp(0, -z)`` per sample.  Its bits do not depend on the BLAS
+thread count, but they can depend on the SIMD level numpy dispatches to on
+the machine, which the harness records in each run's manifest
+(``numeric_env``).
 
 ``grad_variance_l1`` returns the batch gradient, bitwise ``batch_grad``,
 together with the l1 norm of the per-sample gradients' sample variance, the
@@ -173,23 +182,28 @@ class FiniteSumProblem:
 
     # -- internal helpers -------------------------------------------------
 
-    def _batch_array(self, batch) -> np.ndarray:
+    def _batch_array(self, batch):
+        """(idx, whole): the batch's indices, validated and in ascending
+        order (which keeps every reduction deterministic), and whether they
+        are the whole index set.  A size-N batch that is strictly ascending
+        and in range is the whole set in order, as full passes hand it over,
+        and takes no sort; any other batch is sorted, then checked."""
         idx = np.asarray(batch, dtype=np.int64).ravel()
         if idx.size == 0:
             raise ValueError("empty batch")
-        # ascending order keeps every reduction deterministic
-        idx = np.sort(idx)
+        whole = idx.size == self.N and bool(np.all(idx[1:] > idx[:-1]))
+        if not whole:
+            idx = np.sort(idx)
+            whole = idx.size == self.N and bool(np.all(idx[1:] > idx[:-1]))
         if idx[0] < 0 or idx[-1] >= self.N:
             raise IndexError("sample index out of range")
-        return idx
+        return idx, whole
 
-    def _rows(self, idx: np.ndarray):
-        """Feature rows and labels of a sorted, validated batch.
-
-        The whole index set (size N, no repeats) reads the dataset in place;
-        any other batch gathers one copy."""
+    def _rows(self, idx: np.ndarray, whole: bool):
+        """Feature rows and labels of a validated batch: the whole index set
+        reads the dataset in place; any other batch gathers one copy."""
         ds = self.dataset
-        if idx.size == self.N and not np.any(idx[1:] == idx[:-1]):
+        if whole:
             return ds.features, ds.labels
         return ds.features[idx], ds.labels[idx]
 
@@ -202,19 +216,22 @@ class FiniteSumProblem:
             t = np.tanh(z)
             return (1.0 - t if losses else None,
                     -v * (1.0 - t * t) if coefs else None)
-        # logistic: log(1+exp(-z)) computed stably; coef = -v * sigmoid(-z)
-        return (np.logaddexp(0.0, -z) if losses else None,
+        # logistic: log(1 + exp(-z)) = max(-z, 0) + log1p(exp(-|z|)), stable
+        # for either sign, in numpy's vectorized exp/log1p: within 2 ulp of
+        # np.logaddexp(0, -z), which calls scalar libm per element; the last
+        # bits can follow numpy's SIMD level.  coef = -v * sigmoid(-z)
+        return (np.log1p(np.exp(-np.abs(z))) - np.minimum(z, 0.0) if losses else None,
                 -v / (1.0 + np.exp(z)) if coefs else None)
 
     def _pass(self, batch, x: np.ndarray, loss: bool, grad: bool):
         """(mean loss, mean gradient) over the batch from one margin pass;
         a value not asked for is None."""
         x = _check_finite(x)
-        idx = self._batch_array(batch)
+        idx, whole = self._batch_array(batch)
         if self.kind == "quadratic":
             return (float(np.mean(self._quad_losses(idx, x))) if loss else None,
                     self._quad_batch_grad(idx, x) if grad else None)
-        rows, v = self._rows(idx)
+        rows, v = self._rows(idx, whole)
         losses, coef = self._margins_and_coefs(rows, v, x, losses=loss, coefs=grad)
         f = g = None
         if loss:
@@ -269,10 +286,10 @@ class FiniteSumProblem:
     def per_sample_grads(self, batch, x: np.ndarray) -> np.ndarray:
         """Dense (m, n) matrix of grad f_i(x) for i in the sorted batch."""
         x = _check_finite(x)
-        idx = self._batch_array(batch)
+        idx, whole = self._batch_array(batch)
         if self.kind == "quadratic":
             return self._quad_per_sample_grads(idx, x)
-        rows, v = self._rows(idx)
+        rows, v = self._rows(idx, whole)
         _, coef = self._margins_and_coefs(rows, v, x, losses=False, coefs=True)
         if sp.issparse(rows):
             rows = rows.toarray()
@@ -298,7 +315,7 @@ class FiniteSumProblem:
         by rounding; rounding can push the CSR form of a near-zero variance
         below zero, so it is clamped at 0.
         """
-        idx = self._batch_array(batch)
+        idx, whole = self._batch_array(batch)
         m = idx.size
         if m < 2:
             raise ValueError("variance estimate needs a batch of at least 2")
@@ -307,7 +324,7 @@ class FiniteSumProblem:
             g = self._quad_batch_grad(idx, x)
             G = self._quad_per_sample_grads(idx, x)
         else:
-            rows, v = self._rows(idx)
+            rows, v = self._rows(idx, whole)
             _, coef = self._margins_and_coefs(rows, v, x, losses=False, coefs=True)
             g = self._mean_grad(rows, coef, x)
             if sp.issparse(rows):

@@ -6,8 +6,9 @@ dense matrix build of the damped L-BFGS operator, a dense build of the
 single-pair update, a looped two-pass variance, the norm-test variance as
 two separate passes (gradient, then variance) compute it, a line-by-line
 libsvm parser, a cell-by-cell CSV parser, the largest squared row norm over
-the whole matrix, and the metrics report's column rules spelled out per
-algorithm.  Tests freeze against these, so keep them dumb and obvious.
+the whole matrix, the metrics report's column rules spelled out per
+algorithm, the logistic loss as np.logaddexp computes it, and a float64
+ulp distance.  Tests freeze against these, so keep them dumb and obvious.
 """
 
 from __future__ import annotations
@@ -110,6 +111,31 @@ def csr_variance_l1_reference(features, labels, kind: str, lam: float, batch,
     vals = np.repeat(coef, np.diff(rows.indptr)) * rows.data
     total = m * float(w @ w) + float(np.sum(vals * (vals - 2.0 * w[rows.indices])))
     return max(0.0, total / (m - 1))
+
+
+def logistic_losses_reference(z) -> np.ndarray:
+    """Per-sample logistic loss log(1 + exp(-z)) as np.logaddexp(0, -z),
+    which calls the scalar libm log1p/exp once per element."""
+    with np.errstate(invalid="ignore"):
+        return np.logaddexp(0.0, -np.asarray(z, dtype=float))
+
+
+def ulp_distance(a, b) -> np.ndarray:
+    """Elementwise count of float64 values from a to b (uint64); +0 and -0
+    are 0 apart.  Meaningless where either side is NaN.
+
+    A double's bits, read as an int64, grow with the value for positives
+    and shrink for negatives; INT64_MIN - bits turns the negatives around,
+    so every double maps to a point on one integer line."""
+
+    def line(v):
+        bits = np.asarray(v, dtype=np.float64).view(np.int64)
+        return np.where(bits < 0, np.iinfo(np.int64).min - bits, bits)
+
+    ka, kb = line(a), line(b)
+    # the unsigned difference of the larger minus the smaller cannot wrap
+    hi, lo = np.maximum(ka, kb).astype(np.uint64), np.minimum(ka, kb).astype(np.uint64)
+    return hi - lo
 
 
 def enumerate_batches(N: int, m: int):

@@ -505,6 +505,27 @@ class TestRunExperiment:
         assert manifest["aborted"] is False
         assert manifest["config"]["run"]["algorithm"] == "sgd"
 
+    def test_manifest_records_numeric_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = run_experiment(load_config(write_config(tmp_path, BASE_SGD)))
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        # the keys written before numeric_env existed stay as they were
+        assert set(manifest) == {"config", "seed", "dataset_sha256",
+                                 "problem_fingerprint", "aborted", "numeric_env"}
+        info = np.show_config(mode="dicts")
+        blas = info["Build Dependencies"]["blas"]
+        assert manifest["numeric_env"] == {
+            "numpy": np.__version__,
+            "blas": blas["name"],
+            "blas_version": blas["version"],
+            "simd_found": info["SIMD Extensions"]["found"],
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "3",
+            "MKL_NUM_THREADS": None,
+        }
+
     def test_rerun_is_byte_identical_except_wall_ms(self, tmp_path):
         c1 = write_config(tmp_path, BASE_SGD, name="a.ini")
         c2 = write_config(
@@ -840,3 +861,45 @@ class TestCli:
             """
         cfg = write_config(tmp_path, text)
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+
+
+def _load_diff_outputs():
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "diff_outputs.py"
+    spec = importlib.util.spec_from_file_location("diff_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestDiffOutputs:
+    def test_reports_ulps_and_non_numeric_cells(self, tmp_path, capsys):
+        diff = _load_diff_outputs()
+        cfg = write_config(tmp_path, BASE_SGD)
+        a, b = tmp_path / "a", tmp_path / "b"
+        for d in (a, b):
+            assert main(["run", "--config", cfg, "--out", str(d / "run.csv")]) == 0
+        # identical runs: wall_ms and the output path differ, nothing else
+        assert diff.main([str(a), str(b)]) == 0
+
+        # one loss cell one ulp up: a numeric difference within --ulps 1
+        with open(b / "run.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index("loss")
+        rows[2][col] = repr(float(np.nextafter(float(rows[2][col]), np.inf)))
+        with open(b / "run.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert diff.main([str(a), str(b)]) == 1
+        assert "run.csv  loss  1 cells  max 1 ulp" in capsys.readouterr().out
+        assert diff.main([str(a), str(b), "--ulps", "1"]) == 0
+
+        # a manifest key present on one side only is non-numeric
+        manifest = json.loads((b / "run.csv.manifest.json").read_text())
+        manifest["numeric_env"] = {"numpy": "0"}
+        (b / "run.csv.manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert diff.main([str(a), str(b), "--ulps", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "run.csv.manifest.json  numeric_env.numpy  1 cells  non-numeric" in out

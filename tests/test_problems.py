@@ -18,7 +18,13 @@ from stochopt import (
     make_sigmoid_svm,
 )
 
-from oracles import enumerate_batches, fd_gradient
+import stochopt.problems as problems
+from oracles import (
+    enumerate_batches,
+    fd_gradient,
+    logistic_losses_reference,
+    ulp_distance,
+)
 
 
 def _random_dataset(rng, N=7, n=4):
@@ -224,6 +230,113 @@ class TestBatchOps:
             assert G.shape == (2, prob.n)
             np.testing.assert_allclose(G[0], prob.eval_grad_i(0, x), atol=1e-12)
             np.testing.assert_allclose(G[1], prob.eval_grad_i(2, x), atol=1e-12)
+
+
+# margins that probe the logistic loss's branches, underflow and overflow:
+# signed zeros, subnormals, where exp(-|z|) falls below eps (36/37), where
+# it turns subnormal (709/710) and zero (745/746), huge and infinite margins
+SPECIAL_MARGINS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 36.0, -36.0,
+                   37.0, -37.0, 709.0, -709.0, 710.0, -710.0, 745.0, -745.0,
+                   746.0, -746.0, 1e308, -1e308, np.inf, -np.inf, np.nan]
+
+
+class TestLogisticLossKernel:
+    """The vectorized logistic loss against np.logaddexp(0, -z).  The
+    tolerances follow from float64 alone: numpy's SIMD exp/log1p are not
+    correctly rounded, and each may add about one ulp to the loss, so a
+    per-sample loss stays within 2 ulp; a mean of positive terms each within
+    2 ulp, pairwise summed, stays within 4 eps of the reference mean."""
+
+    @staticmethod
+    def _margins():
+        gen = np.random.default_rng(8)
+        scales = (1e-2, 1e-1, 1.0, 10.0, 100.0, 300.0)
+        return np.concatenate([s * gen.standard_normal(2000) for s in scales]
+                              + [np.array(SPECIAL_MARGINS)])
+
+    def test_per_sample_losses_within_2_ulp(self):
+        z = self._margins()
+        # one feature equal to the margin, label +1 and x = 1: z = v * u'x
+        ds = Dataset(features=z[:, None], labels=np.ones(z.size))
+        with np.errstate(over="ignore", invalid="ignore"):  # L's row norms
+            prob = make_logistic(ds, lam=0.0)
+        losses, _ = prob._margins_and_coefs(ds.features, ds.labels, np.ones(1),
+                                            losses=True, coefs=False)
+        ref = logistic_losses_reference(z)
+        nan, inf = np.isnan(ref), np.isinf(ref)
+        assert np.array_equal(np.isnan(losses), nan)
+        assert np.array_equal(losses[inf], ref[inf])
+        finite = ~(nan | inf)
+        assert np.isfinite(losses[finite]).all()
+        assert int(ulp_distance(losses[finite], ref[finite]).max()) <= 2
+        # a single sample takes the same kernel
+        for i in np.flatnonzero(finite)[::97]:
+            d = ulp_distance(prob.eval_loss_i(int(i), np.ones(1)), ref[i])
+            assert int(d) <= 2, z[i]
+
+    def test_full_loss_within_4_eps_of_reference_mean(self, rng):
+        X = rng.standard_normal((3000, 20))
+        y = np.where(rng.standard_normal(3000) >= 0, 1.0, -1.0)
+        lam = 0.01
+        for feats in (X, sp.csr_matrix(X)):
+            prob = make_logistic(Dataset(features=feats, labels=y), lam=lam)
+            for scale in (1e-3, 1.0, 30.0):
+                x = scale * rng.standard_normal(20)
+                z = y * np.asarray(feats @ x).ravel()
+                ref = float(np.mean(logistic_losses_reference(z)) + lam * (x @ x))
+                f = prob.full_loss(x)
+                assert abs(f - ref) <= 4 * np.finfo(float).eps * abs(ref), (scale, f, ref)
+
+
+class _SortCountingNumpy:
+    """numpy for stochopt.problems, with its np.sort calls counted."""
+
+    def __init__(self):
+        self.sorts = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sort(self, *args, **kwargs):
+        self.sorts += 1
+        return np.sort(*args, **kwargs)
+
+
+class TestWholeSetTakesNoSort:
+    def test_ordered_whole_set_is_not_sorted(self, rng, monkeypatch):
+        counting = _SortCountingNumpy()
+        monkeypatch.setattr(problems, "np", counting)
+        ds = _random_dataset(rng, N=40, n=5)
+        csr = Dataset(features=sp.csr_matrix(ds.features), labels=ds.labels)
+        for data in (ds, csr):
+            for make in (make_logistic, make_sigmoid_svm):
+                prob = make(data, 0.05)
+                N, x = prob.N, rng.standard_normal(prob.n)
+
+                def sorts(fn, *args):
+                    before = counting.sorts
+                    out = fn(*args)
+                    return counting.sorts - before, out
+
+                n_sorts, f = sorts(prob.full_loss, x)
+                assert n_sorts == 0
+                n_sorts, g = sorts(prob.full_grad, x)
+                assert n_sorts == 0
+                n_sorts, (f2, g2) = sorts(prob.loss_and_grad, np.arange(N), x)
+                assert n_sorts == 0 and f2 == f and np.array_equal(g2, g)
+                n_sorts, (gv, _) = sorts(prob.grad_variance_l1, np.arange(N), x)
+                assert n_sorts == 0 and np.array_equal(gv, g)
+
+                # any other size-N batch is sorted once, with the sorted bits
+                n_sorts, (fr, gr) = sorts(prob.loss_and_grad, np.arange(N)[::-1], x)
+                assert n_sorts == 1 and fr == f and np.array_equal(gr, g)
+                dup = np.arange(N)[::-1].copy()
+                dup[0] = 3
+                n_sorts, (fd, gd) = sorts(prob.loss_and_grad, dup, x)
+                assert n_sorts == 1
+                fs, gs = prob.loss_and_grad(np.sort(dup), x)
+                assert fd == fs and np.array_equal(gd, gs)
+                assert not np.array_equal(gd, g)
 
 
 _THREAD_PROBE = """
