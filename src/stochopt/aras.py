@@ -136,7 +136,6 @@ class ArasResult:
     trigger_k: Optional[int]
     sigma_trigger: Optional[float]
     sigma_final: float
-    m_final: int
     trace: List[StepRecord] = field(default_factory=list)
 
 
@@ -263,6 +262,5 @@ def aras_run(
         trigger_k=state.trigger_k,
         sigma_trigger=state.sigma_trigger,
         sigma_final=state.sigma,
-        m_final=state.m,
         trace=trace,
     )

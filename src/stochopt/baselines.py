@@ -1,26 +1,23 @@
 """Reference optimizers: SGD, SGD with momentum, and SVRG.
 
-All three walk without-replacement chunks of a per-epoch shuffle, so runs
-with the same seed visit the same batches.  SVRG is the identity-H special
-case of the variance-reduced quasi-Newton driver (zero-capacity memory and a
-constant step), which keeps the two implementations identical by
-construction.  All three return a VarchenResult; a non-finite iterate ends
-the run with aborted=True and an abort_reason naming the epoch and
-iteration, as in VARCHEN.
+All three run VARCHEN's epoch loop (varchen._epoch_loop), so runs with the
+same seed visit the same without-replacement chunks, and all three abort as
+VARCHEN does: a non-finite iterate ends the run with aborted=True, an
+abort_reason naming the epoch and iteration, and x the last finite iterate.
+SGD and momentum supply their update rule on the chunk's batch gradient.
+SVRG is the identity-H special case of the variance-reduced quasi-Newton
+driver (zero-capacity memory and a constant step), which keeps the two
+implementations identical by construction.
 """
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from .record import StepRecord
-from .sampling import SamplerState
-from .varchen import StepSchedule, VarchenParams, VarchenResult, varchen_run
+from .varchen import StepSchedule, VarchenParams, VarchenResult, _epoch_loop, varchen_run
 
 __all__ = [
     "BaselineParams",
@@ -48,68 +45,15 @@ class BaselineParams:
             raise ValueError("n_epochs must be positive")
 
 
-def _epoch_loop(problem, params: BaselineParams, seed: int, x0, update):
-    """Shared epoch/chunk scaffolding; `update(x, g) -> x_new` is the rule."""
-    N = problem.N
-    m_eff = min(params.m, N)
-    sampler = SamplerState(N=N, m=m_eff, m_max=m_eff, seed=seed)
-    x = (np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float)).copy()
-
-    trace: List[StepRecord] = []
-    epoch_losses: List[float] = []
-    k = 0
-    aborted = False
-    abort_reason = None
-    t0 = time.perf_counter()
-    for epoch in range(params.n_epochs):
-        epoch_losses.append(problem.full_loss(x))
-        sampler.start_epoch()
-        consumed = 0
-        while consumed < N:
-            m_k = min(m_eff, N - consumed)
-            batch = sampler.next_chunk(m_k)
-            g = problem.batch_grad(batch, x)
-            x = update(x, g)
-            if not np.all(np.isfinite(x)):
-                aborted = True
-                abort_reason = f"non-finite iterate at epoch {epoch}, iteration {k}"
-                break
-            consumed += m_k
-            k += 1
-            trace.append(
-                StepRecord(
-                    k=k,
-                    epoch=epoch,
-                    m_used=int(batch.size),
-                    samples=int(batch.size),
-                    x=x.copy(),
-                    wall_ms=(time.perf_counter() - t0) * 1e3,
-                )
-            )
-        if aborted:
-            break
-
-    final_loss = math.inf if aborted else float(problem.full_loss(x))
-    return VarchenResult(
-        x=x,
-        iterations=k,
-        aborted=aborted,
-        abort_reason=abort_reason,
-        final_loss=final_loss,
-        epoch_losses=epoch_losses,
-        trace=trace,
-    )
-
-
 def sgd_run(
     problem, params: BaselineParams, seed: int = 0, x0: Optional[np.ndarray] = None
 ) -> VarchenResult:
     """x <- x - alpha * batch gradient."""
 
-    def update(x, g):
-        return x - params.alpha * g
+    def step(x, batch, k, first):
+        return x - params.alpha * problem.batch_grad(batch, x), lambda: {"samples": batch.size}
 
-    return _epoch_loop(problem, params, seed, x0, update)
+    return _epoch_loop(problem, params.m, params.n_epochs, seed, x0, step)
 
 
 def sgd_momentum_run(
@@ -118,12 +62,12 @@ def sgd_momentum_run(
     """Heavy ball: v <- momentum*v - alpha*g; x <- x + v."""
     v = np.zeros(problem.n)
 
-    def update(x, g):
+    def step(x, batch, k, first):
         nonlocal v
-        v = params.momentum * v - params.alpha * g
-        return x + v
+        v = params.momentum * v - params.alpha * problem.batch_grad(batch, x)
+        return x + v, lambda: {"samples": batch.size}
 
-    return _epoch_loop(problem, params, seed, x0, update)
+    return _epoch_loop(problem, params.m, params.n_epochs, seed, x0, step)
 
 
 def svrg_run(

@@ -22,7 +22,8 @@ Every output file is replaced by a new file rather than truncated in place
 output blocks the open while the kernel writes it out.  libsvm and CSV
 input are parsed in blocks with C-level string work and array checks (see
 load_libsvm, load_csv).  compare resolves each distinct dataset source once
-and hands the datasets to its runs.
+and hands the datasets to its runs, which run one after another, so each
+run's wall_ms is its own optimizer time.
 
 Generation and hashing add at most one bounded block to the dataset:
 generation scales the features in place and the hash reads the arrays' own
@@ -46,7 +47,6 @@ import os
 import re
 import stat
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
@@ -1027,13 +1027,7 @@ def compare(config_paths: Sequence[str]) -> List[Dict]:
     if len(outs) != len(configs):
         raise ConfigError(["compare configs share an output path; outputs must be distinct"])
 
-    try:
-        threads = int(os.environ.get("STOCHOPT_THREADS", "2"))
-    except ValueError:
-        raise ConfigError(["STOCHOPT_THREADS must be an integer"])
-    threads = max(1, min(threads, len(configs)))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        csv_paths = list(pool.map(_run, configs, resolved))
+    csv_paths = [_run(cfg, res) for cfg, res in zip(configs, resolved)]
 
     summaries: List[Dict] = []
     for cfg, fp, csv_path in zip(configs, fingerprints, csv_paths):

@@ -47,10 +47,8 @@ _CURV_RTOL = 1e-9
 @dataclass(frozen=True)
 class CurvaturePair:
     s: np.ndarray
-    y: np.ndarray  # raw gradient difference
-    y_hat: np.ndarray  # damped
+    y_hat: np.ndarray  # damped gradient difference
     rho_hat: float  # 1 / (s' y_hat)
-    theta: float
     gamma_tilde: float  # scaling frozen at push time (B0 = gamma_tilde I then)
     lg: float  # ||y|| / ||s|| at push time
 
@@ -152,7 +150,7 @@ def push_pair(memory: LBFGSMemory, s: np.ndarray, y: np.ndarray) -> bool:
         return False
 
     memory.gamma_tilde = update_scaling(s, y, memory.gamma_under, memory.gamma_over)
-    y_hat, theta = damped_y(y, s, memory.gamma_tilde, memory.eta)
+    y_hat, _ = damped_y(y, s, memory.gamma_tilde, memory.eta)
     curv = float(s @ y_hat)
     floor = memory.eta * memory.gamma_tilde * s_sq
     if curv <= 0.0 or curv < floor - _CURV_RTOL * abs(floor):
@@ -162,10 +160,8 @@ def push_pair(memory: LBFGSMemory, s: np.ndarray, y: np.ndarray) -> bool:
     memory.pairs.append(
         CurvaturePair(
             s=s,
-            y=y,
             y_hat=np.asarray(y_hat, dtype=float),
             rho_hat=1.0 / curv,
-            theta=theta,
             gamma_tilde=memory.gamma_tilde,
             lg=estimate_Lg(s, y),
         )

@@ -10,7 +10,13 @@ formed from the same batch and anchor at the old and new iterate, so the
 variance-reduction correction cancels: y = g(x_new, xi) - g(x, xi) is
 computed directly as the raw gradient difference.  A step therefore makes
 three batch passes, g(x), g(anchor) and g(x_new), and two when the memory is
-empty (p = 0, the SVRG case).
+empty (p = 0, the SVRG case); each epoch adds one full_grad pass at the anchor.
+
+The epoch loop here (_epoch_loop) also runs SGD and momentum (baselines.py):
+it owns the sampler, the chunk walk, the StepRecords and the result, and the
+algorithm supplies only its step.  Every algorithm it runs aborts one way: a
+non-finite iterate ends the run with aborted=True, abort_reason "non-finite
+iterate at epoch e, iteration k" and x the last finite iterate.
 """
 
 from __future__ import annotations
@@ -117,19 +123,19 @@ class VarchenParams:
 class AnchorState:
     x_anchor: np.ndarray
     full_grad_anchor: np.ndarray
-    M: int = 0  # samples consumed this epoch
 
 
 @dataclass(frozen=True)
 class VarchenResult:
-    """Outcome of VARCHEN and of the baselines (SGD, momentum, SVRG)."""
+    """Outcome of VARCHEN and of the baselines (SGD, momentum, SVRG).
+
+    On abort, x is the last finite iterate (x0 when no step was taken) and
+    abort_reason names the epoch and the iteration that diverged."""
 
     x: np.ndarray
     iterations: int
     aborted: bool
     abort_reason: Optional[str]
-    final_loss: float
-    epoch_losses: List[float] = field(default_factory=list)
     trace: List[StepRecord] = field(default_factory=list)
 
 
@@ -148,6 +154,40 @@ def svrg_gradient(problem, batch, x: np.ndarray, anchor: AnchorState) -> np.ndar
     return _svrg_terms(problem, batch, x, anchor)[1]
 
 
+def _epoch_loop(problem, m: int, n_epochs: int, seed: int,
+                x0: Optional[np.ndarray], step) -> VarchenResult:
+    """Walk n_epochs shuffles of the samples in chunks of min(m, N), one
+    step(x, batch, k, first) -> (x_new, finish) per chunk (first: the epoch's
+    first chunk).  finish() runs only once x_new is known to be finite; it
+    completes the step and returns the algorithm's StepRecord fields."""
+    N = problem.N
+    m_eff = min(m, N)
+    sampler = SamplerState(N=N, m=m_eff, m_max=m_eff, seed=seed)
+    x = (np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float)).copy()
+
+    trace: List[StepRecord] = []
+    k = 0
+    t0 = time.perf_counter()
+    for epoch in range(n_epochs):
+        sampler.start_epoch()
+        consumed = 0
+        while consumed < N:
+            m_k = min(m_eff, N - consumed)
+            batch = sampler.next_chunk(m_k)
+            x_new, finish = step(x, batch, k, consumed == 0)
+            if not np.all(np.isfinite(x_new)):
+                reason = f"non-finite iterate at epoch {epoch}, iteration {k}"
+                return VarchenResult(x=x, iterations=k, aborted=True,
+                                     abort_reason=reason, trace=trace)
+            fields = finish()
+            x = x_new
+            k += 1
+            consumed += m_k
+            trace.append(StepRecord(k=k, epoch=epoch, m_used=m_k, x=x.copy(),
+                                    wall_ms=(time.perf_counter() - t0) * 1e3, **fields))
+    return VarchenResult(x=x, iterations=k, aborted=False, abort_reason=None, trace=trace)
+
+
 def varchen_run(
     problem,
     params: VarchenParams,
@@ -156,8 +196,6 @@ def varchen_run(
 ) -> VarchenResult:
     """Run n_epochs epochs of anchored, bound-controlled quasi-Newton steps."""
     N = problem.N
-    m_eff = min(params.m, N)
-    sampler = SamplerState(N=N, m=m_eff, m_max=m_eff, seed=seed)
     memory = LBFGSMemory(
         p=params.p,
         gamma_under=params.gamma_under,
@@ -166,64 +204,23 @@ def varchen_run(
         lam_min=params.lam_min,
         lam_max=params.lam_max,
     )
-    x = (np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float)).copy()
+    anchor: Optional[AnchorState] = None
 
-    trace: List[StepRecord] = []
-    epoch_losses: List[float] = []
-    k = 0
-    aborted = False
-    abort_reason = None
-    t0 = time.perf_counter()
+    def step(x, batch, k, first):
+        nonlocal anchor
+        if first:
+            anchor = AnchorState(x_anchor=x.copy(), full_grad_anchor=problem.full_grad(x))
+        g_x, g_tilde = _svrg_terms(problem, batch, x, anchor)
+        lam, Lam, flushed = enforce_bounds(memory)
+        x_new = x + step_size(params.schedule, k) * two_loop_apply(memory, g_tilde)
 
-    for epoch in range(params.n_epochs):
-        f_anchor, g_anchor = problem.loss_and_grad(np.arange(N), x)
-        anchor = AnchorState(x_anchor=x.copy(), full_grad_anchor=g_anchor, M=0)
-        epoch_losses.append(f_anchor)
-        sampler.start_epoch()
-        while anchor.M < N:
-            m_k = min(m_eff, N - anchor.M)
-            batch = sampler.next_chunk(m_k)
-            g_x, g_tilde = _svrg_terms(problem, batch, x, anchor)
-            lam, Lam, flushed = enforce_bounds(memory)
-            d = two_loop_apply(memory, g_tilde)
-            alpha = step_size(params.schedule, k)
-            x_new = x + alpha * d
-            if not np.all(np.isfinite(x_new)):
-                aborted = True
-                abort_reason = (
-                    f"non-finite iterate at epoch {epoch}, iteration {k} "
-                    f"(alpha={alpha:.3e}, |d| max={np.max(np.abs(d)):.3e})"
-                )
-                break
+        def finish():
             if params.p > 0:
                 push_pair(memory, x_new - x, problem.batch_grad(batch, x_new) - g_x)
-            x = x_new
-            k += 1
-            trace.append(
-                StepRecord(
-                    k=k,
-                    epoch=epoch,
-                    m_used=int(batch.size),
-                    samples=int(batch.size) + (N if anchor.M == 0 else 0),
-                    x=x.copy(),
-                    wall_ms=(time.perf_counter() - t0) * 1e3,
-                    lam=lam,
-                    Lam=Lam,
-                    flushed=flushed,
-                    gamma_tilde=memory.gamma_tilde,
-                )
-            )
-            anchor.M += m_k
-        if aborted:
-            break
+            # the anchor's full-gradient pass is charged to the epoch's first step
+            return dict(samples=batch.size + (N if first else 0), lam=lam, Lam=Lam,
+                        flushed=flushed, gamma_tilde=memory.gamma_tilde)
 
-    final_loss = math.inf if aborted else float(problem.full_loss(x))
-    return VarchenResult(
-        x=x,
-        iterations=k,
-        aborted=aborted,
-        abort_reason=abort_reason,
-        final_loss=final_loss,
-        epoch_losses=epoch_losses,
-        trace=trace,
-    )
+        return x_new, finish
+
+    return _epoch_loop(problem, params.m, params.n_epochs, seed, x0, step)

@@ -58,9 +58,10 @@ class TestSgd:
         prob = noisy_problem(rng)
         alpha = 1.0 / prob.L  # well inside the 2/L stability limit
         params = BaselineParams(alpha=alpha, m=prob.N, n_epochs=15)
-        res = sgd_run(prob, params, seed=0, x0=np.ones(prob.n))
+        x0 = np.ones(prob.n)
+        res = sgd_run(prob, params, seed=0, x0=x0)
         assert not res.aborted
-        losses = res.epoch_losses + [res.final_loss]
+        losses = [prob.full_loss(x) for x in [x0] + [r.x for r in res.trace]]
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_epoch_chunking(self, rng):
@@ -71,16 +72,6 @@ class TestSgd:
         for e in range(3):
             sizes = [r.m_used for r in res.trace if r.epoch == e]
             assert sizes == [4, 4, 2]
-
-    def test_divergent_step_aborts(self, rng):
-        prob = noisy_problem(rng)
-        params = BaselineParams(alpha=1e200, m=prob.N, n_epochs=5)
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = sgd_run(prob, params, seed=0, x0=np.ones(prob.n))
-        assert res.aborted
-        assert res.final_loss == float("inf")
-        # epoch 0's one step lands near 1e200; the next one overflows
-        assert res.abort_reason == "non-finite iterate at epoch 1, iteration 1"
 
     def test_deterministic_given_seed(self, rng):
         prob = noisy_problem(rng)
@@ -126,7 +117,7 @@ class TestMomentum:
         for a, b in zip(res_m.trace, res_s.trace):
             np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(res_m.x, res_s.x)
-        assert res_m.final_loss == res_s.final_loss
+        assert prob.full_loss(res_m.x) == prob.full_loss(res_s.x)
 
     def test_velocity_persists_across_epochs(self, rng):
         # With momentum, the first step of epoch 2 differs from a plain SGD
@@ -159,7 +150,7 @@ class TestSvrg:
         for a, b in zip(res_svrg.trace, res_ref.trace):
             np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(res_svrg.x, res_ref.x)
-        assert res_svrg.final_loss == res_ref.final_loss
+        assert prob.full_loss(res_svrg.x) == prob.full_loss(res_ref.x)
 
     def test_first_step_uses_exact_full_gradient(self, rng):
         # At the epoch anchor the variance-reduced gradient equals the stored
@@ -179,3 +170,36 @@ class TestSvrg:
         res = svrg_run(prob, params, seed=0, x0=np.ones(prob.n))
         assert not res.aborted
         assert np.linalg.norm(prob.full_grad(res.x)) < 1e-4
+
+
+def _varchen(prob, params, seed, x0):
+    vr = VarchenParams(p=2, m=params.m, n_epochs=params.n_epochs,
+                       schedule=StepSchedule(kind="constant", c=params.alpha))
+    return varchen_run(prob, vr, seed=seed, x0=x0)
+
+
+class TestAbortRule:
+    """SGD, momentum, SVRG and VARCHEN run one epoch loop and abort one way:
+    the reason names the epoch and iteration, and x is the last finite
+    iterate."""
+
+    @pytest.mark.parametrize("run", [sgd_run, sgd_momentum_run, svrg_run, _varchen],
+                             ids=["sgd", "momentum", "svrg", "varchen"])
+    @pytest.mark.parametrize(
+        "alpha, epoch, k",
+        [
+            (1e200, 1, 1),  # epoch 0's one step lands near 1e200; the next overflows
+            (1e308, 0, 0),  # the first step overflows: x stays x0
+        ],
+    )
+    def test_non_finite_iterate_ends_run(self, rng, run, alpha, epoch, k):
+        prob = noisy_problem(rng)
+        params = BaselineParams(alpha=alpha, momentum=0.5, m=prob.N, n_epochs=5)
+        x0 = np.ones(prob.n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run(prob, params, seed=0, x0=x0)
+        assert res.aborted
+        assert res.abort_reason == f"non-finite iterate at epoch {epoch}, iteration {k}"
+        assert res.iterations == len(res.trace) == k
+        assert np.isfinite(res.x).all()
+        np.testing.assert_array_equal(res.x, res.trace[-1].x if res.trace else x0)

@@ -3,7 +3,11 @@ config parsing, experiment runs, comparison, and the CLI."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -741,6 +745,25 @@ class TestCompare:
             assert Path(s["csv"]).is_file()
             assert np.isfinite(s["final_loss"]) and s["best_loss"] <= s["final_loss"]
 
+    def test_compare_runs_one_after_another(self, tmp_path, monkeypatch):
+        intervals = []
+
+        def timed(real):
+            def entry(*args, **kwargs):
+                t0 = time.perf_counter()
+                result = real(*args, **kwargs)
+                time.sleep(0.05)  # a waiting run lets any concurrent run start
+                intervals.append((t0, time.perf_counter()))
+                return result
+            return entry
+
+        for name in ("arig_run", "aras_run", "varchen_run", "sgd_run",
+                     "sgd_momentum_run", "svrg_run"):
+            monkeypatch.setattr(harness, name, timed(getattr(harness, name)))
+        compare(self.two_configs(tmp_path))
+        (_, end_first), (start_second, _) = sorted(intervals)
+        assert end_first <= start_second
+
     def test_compare_rejects_single_config(self, tmp_path):
         c1, _ = self.two_configs(tmp_path)
         with pytest.raises(ConfigError, match="at least two"):
@@ -772,6 +795,19 @@ class TestCli:
         cfg = write_config(tmp_path, BASE_SGD)
         assert main(["validate-config", "--config", cfg]) == 0
         assert capsys.readouterr().out.strip() == "ok"
+
+    def test_python_m_stochopt(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stochopt", "validate-config",
+             "--config", str(root / "scripts" / "configs" / "logistic_sgd.ini")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_config_error_exit_code_and_stderr(self, tmp_path, capsys):
         bad = write_config(tmp_path, BASE_SGD.replace("kind = logistic", "kind = x"))

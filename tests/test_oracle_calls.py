@@ -73,16 +73,16 @@ class TestVarchenCalls:
                                schedule=StepSchedule(kind="constant", c=0.05))
         res = varchen_run(prob, params, seed=3)
         assert not res.aborted and res.iterations == N_EPOCHS * 5
-        # one fused full pass per epoch anchor, then 3 batch passes a step
-        assert _batch_calls(prob) == {"loss_and_grad": N_EPOCHS,
-                                      "batch_grad": 3 * res.iterations}
+        # one full gradient per epoch anchor, then 3 batch passes a step
+        assert prob.calls["full_grad"] == N_EPOCHS and "full_loss" not in prob.calls
+        assert _batch_calls(prob) == {"batch_grad": 3 * res.iterations}
 
     def test_svrg_two_batch_grads_per_step(self):
         prob = _problem()
         res = svrg_run(prob, BaselineParams(alpha=0.05, m=8, n_epochs=N_EPOCHS), seed=3)
         assert res.iterations == N_EPOCHS * 5
-        assert _batch_calls(prob) == {"loss_and_grad": N_EPOCHS,
-                                      "batch_grad": 2 * res.iterations}
+        assert prob.calls["full_grad"] == N_EPOCHS and "full_loss" not in prob.calls
+        assert _batch_calls(prob) == {"batch_grad": 2 * res.iterations}
 
 
 class TestBaselineCalls:
@@ -92,9 +92,7 @@ class TestBaselineCalls:
         params = BaselineParams(alpha=0.05, momentum=momentum, m=8, n_epochs=N_EPOCHS)
         res = run(prob, params, seed=3)
         assert res.iterations == N_EPOCHS * 5
-        assert _batch_calls(prob) == {"batch_grad": res.iterations}
-        # epoch losses at each epoch start, plus the final loss
-        assert prob.calls["full_loss"] == N_EPOCHS + 1
+        assert prob.calls == {"batch_grad": res.iterations}
 
 
 class TestArasCalls:
