@@ -51,7 +51,6 @@ class PflugState:
     burn_in: int
     S: float = 0.0
     k: int = 0
-    prev_grad: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.burn_in < 1:
@@ -66,7 +65,6 @@ def pflug_update(state: PflugState, g_new: np.ndarray, g_old: np.ndarray) -> Pfl
         raise ValueError(f"gradient shapes differ: {g_new.shape} vs {g_old.shape}")
     state.S += float(g_new @ g_old)
     state.k += 1
-    state.prev_grad = g_new.copy()
     return state
 
 
@@ -194,7 +192,6 @@ def stationary_step(state: ArasState, problem, params: ArasParams, epoch: int = 
         raise RuntimeError("stationary_step called in transient phase")
     sigma_pre = state.sigma
     N = state.sampler.N
-    m_cap = state.sampler.m_max
 
     # variance needs at least two samples, so draws are floored at 2
     draw = min(max(2, state.m), N)
@@ -208,7 +205,7 @@ def stationary_step(state: ArasState, problem, params: ArasParams, epoch: int = 
 
     if var_l1 is not None and gnorm_sq > 0.0:
         if not norm_test(var_l1, batch.size, sigma_pre, gnorm_sq):
-            m_new = adaptive_batch_size(sigma_pre, var_l1, gnorm_sq, m_cap)
+            m_new = adaptive_batch_size(sigma_pre, var_l1, gnorm_sq, min(params.m_max, N))
             state.m = m_new
             batch = state.sampler.draw_batch(min(max(2, m_new), N))
             g = problem.batch_grad(batch, state.x)
@@ -232,16 +229,14 @@ def aras_run(
     """Run n_epochs epochs; an epoch ends once the steps taken in it have
     consumed at least N samples (a resized batch counts its final size)."""
     N = problem.N
-    m_cap = min(params.m_max, N)
-    m0 = min(params.m0, m_cap)
-    sampler = SamplerState(N=N, m=m0, m_max=m_cap, seed=seed)
+    m0 = min(params.m0, N)  # m0 <= m_max holds by ArasParams
     x0 = np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float)
     state = ArasState(
         x=x0.copy(),
         sigma=params.sigma0,
         m=m0,
         pflug=PflugState(burn_in=params.burn_in),
-        sampler=sampler,
+        sampler=SamplerState(N=N, seed=seed),
     )
 
     trace: List[StepRecord] = []

@@ -47,10 +47,10 @@ import os
 import re
 import stat
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,7 +64,7 @@ from .problems import (
     make_logistic,
     make_sigmoid_svm,
 )
-from .regularization import RegParams, arig_run
+from .regularization import ARIG_MODES, RegParams, arig_run
 from .varchen import StepSchedule, VarchenParams, varchen_run
 
 __all__ = [
@@ -472,25 +472,10 @@ def save_csv(path, dataset: Dataset, header: bool = False) -> None:
 
 # -- metrics ------------------------------------------------------------------
 
-METRICS_COLUMNS = [
-    "epoch",
-    "iteration",
-    "samples",
-    "wall_ms",
-    "loss",
-    "grad_norm",
-    "batch_size",
-    "sigma",
-    "lambda_lo",
-    "lambda_hi",
-    "phase",
-    "flush",
-    "test_accuracy",
-]
-
-
 @dataclass(frozen=True)
 class MetricsRecord:
+    """One metrics CSV row; the field order is the file's column order."""
+
     epoch: int
     iteration: int
     samples: int
@@ -504,6 +489,10 @@ class MetricsRecord:
     phase: Optional[str] = None
     flush: Optional[bool] = None
     test_accuracy: Optional[float] = None
+
+
+METRICS_COLUMNS = [f.name for f in dataclasses.fields(MetricsRecord)]
+_METRICS_HINTS = get_type_hints(MetricsRecord)  # column -> declared type
 
 
 def _fmt_cell(v) -> str:
@@ -526,33 +515,29 @@ def write_metrics_csv(path, records: Sequence[MetricsRecord]) -> None:
             writer.writerow([_fmt_cell(getattr(rec, col)) for col in METRICS_COLUMNS])
 
 
+def _parse_cell(cell: str, hint):
+    """A CSV cell as its field's declared type.  Only an Optional[T] field
+    (get_args: (T, NoneType)) reads an empty cell as None; an empty
+    required cell fails its type's parse."""
+    args = get_args(hint)
+    if args and cell == "":
+        return None
+    typ = args[0] if args else hint
+    if typ is bool and cell not in ("0", "1"):
+        raise ValueError(f"flag cell must be 0 or 1, got {cell!r}")
+    return cell == "1" if typ is bool else typ(cell)
+
+
 def read_metrics_csv(path) -> List[MetricsRecord]:
-    out: List[MetricsRecord] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames != METRICS_COLUMNS:
             raise ValueError(f"{path}: unexpected metrics header {reader.fieldnames}")
-        for row in reader:
-            out.append(
-                MetricsRecord(
-                    epoch=int(row["epoch"]),
-                    iteration=int(row["iteration"]),
-                    samples=int(row["samples"]),
-                    wall_ms=float(row["wall_ms"]),
-                    loss=float(row["loss"]) if row["loss"] else None,
-                    grad_norm=float(row["grad_norm"]) if row["grad_norm"] else None,
-                    batch_size=int(row["batch_size"]) if row["batch_size"] else None,
-                    sigma=float(row["sigma"]) if row["sigma"] else None,
-                    lambda_lo=float(row["lambda_lo"]) if row["lambda_lo"] else None,
-                    lambda_hi=float(row["lambda_hi"]) if row["lambda_hi"] else None,
-                    phase=row["phase"] or None,
-                    flush=(row["flush"] == "1") if row["flush"] else None,
-                    test_accuracy=(
-                        float(row["test_accuracy"]) if row["test_accuracy"] else None
-                    ),
-                )
-            )
-    return out
+        return [
+            MetricsRecord(**{name: _parse_cell(row[name], hint)
+                             for name, hint in _METRICS_HINTS.items()})
+            for row in reader
+        ]
 
 
 # -- configuration ------------------------------------------------------------
@@ -566,9 +551,7 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
-ALGORITHMS = ("arig", "aras", "varchen", "sgd", "sgd-momentum", "svrg")
 PROBLEM_KINDS = ("logistic", "sigmoid-svm")
-ARIG_MODES = ("exact", "inexact-g", "inexact-g-and-f")
 
 # section -> key -> parser
 _PROBLEM_KEYS = {
@@ -608,6 +591,7 @@ _ALGO_KEYS = {
     "sgd-momentum": {"alpha": float, "momentum": float, "m": int, "n_epochs": int},
     "svrg": {"alpha": float, "m": int, "n_epochs": int},
 }
+ALGORITHMS = tuple(_ALGO_KEYS)
 
 
 @dataclass
@@ -948,7 +932,7 @@ def _trace_to_metrics(
 
 def run_experiment(config: ExperimentConfig) -> str:
     """Execute the configured run; returns the metrics CSV path."""
-    return _run(config, _resolve_datasets(config))
+    return _run(config, _resolve_datasets(config))[0]
 
 
 def _dataset_source(config: ExperimentConfig) -> Tuple:
@@ -957,9 +941,10 @@ def _dataset_source(config: ExperimentConfig) -> Tuple:
     return (train, config.test_dataset, config.label_column, config.header)
 
 
-def _run(config: ExperimentConfig,
-         resolved: Tuple[Dataset, Optional[Dataset], str]) -> str:
-    """run_experiment on datasets already resolved for this config."""
+def _run(config: ExperimentConfig, resolved: Tuple[Dataset, Optional[Dataset], str]
+         ) -> Tuple[str, List[MetricsRecord]]:
+    """run_experiment on datasets already resolved for this config; returns
+    the metrics CSV path and the rows written to it."""
     train, test, ds_hash = resolved
     problem = _build_problem(config, train)
     params = config.algo_params
@@ -995,7 +980,7 @@ def _run(config: ExperimentConfig,
     with _open_fresh(str(out_path) + ".manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=True)
         fh.write("\n")
-    return str(out_path)
+    return str(out_path), rows
 
 
 # -- comparison ---------------------------------------------------------------
@@ -1027,11 +1012,10 @@ def compare(config_paths: Sequence[str]) -> List[Dict]:
     if len(outs) != len(configs):
         raise ConfigError(["compare configs share an output path; outputs must be distinct"])
 
-    csv_paths = [_run(cfg, res) for cfg, res in zip(configs, resolved)]
+    runs = [_run(cfg, res) for cfg, res in zip(configs, resolved)]
 
     summaries: List[Dict] = []
-    for cfg, fp, csv_path in zip(configs, fingerprints, csv_paths):
-        rows = read_metrics_csv(csv_path)
+    for cfg, fp, (csv_path, rows) in zip(configs, fingerprints, runs):
         losses = [r.loss for r in rows if r.loss is not None]
         accs = [r.test_accuracy for r in rows if r.test_accuracy is not None]
         summaries.append(
@@ -1050,9 +1034,7 @@ def compare(config_paths: Sequence[str]) -> List[Dict]:
 
 
 def _print_summary_table(summaries: List[Dict]) -> None:
-    headers = ["algorithm", "problem", "final_loss", "best_loss",
-               "final_accuracy", "samples", "wall_ms", "csv"]
-    table = [headers]
+    table = [list(summaries[0])]  # compare's keys, in order
     for s in summaries:
         table.append([
             s["algorithm"], s["problem"],
@@ -1060,7 +1042,7 @@ def _print_summary_table(summaries: List[Dict]) -> None:
             "-" if s["final_accuracy"] is None else f"{s['final_accuracy']:.4f}",
             str(s["samples"]), f"{s['wall_ms']:.1f}", s["csv"],
         ])
-    widths = [max(len(row[j]) for row in table) for j in range(len(headers))]
+    widths = [max(map(len, column)) for column in zip(*table)]
     for row in table:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
 

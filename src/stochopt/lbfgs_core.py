@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Optional, Tuple
+from typing import Deque, Tuple
 
 import numpy as np
 
@@ -63,8 +63,6 @@ class LBFGSMemory:
     lam_max: float = 1e5
     gamma_tilde: float = 1.0
     pairs: Deque[CurvaturePair] = field(init=False)
-    lam_lo: Optional[float] = field(default=None, init=False)
-    lam_hi: Optional[float] = field(default=None, init=False)
 
     def __post_init__(self):
         if self.p < 0:
@@ -138,15 +136,16 @@ def estimate_Lg(s: np.ndarray, y: np.ndarray) -> float:
 def push_pair(memory: LBFGSMemory, s: np.ndarray, y: np.ndarray) -> bool:
     """Refresh the scaling from (s, y), damp y, and append the pair.
 
-    Returns False (and leaves the memory untouched) for a zero step or a
-    zero-capacity memory; True on a successful push.
+    Returns False (and leaves the memory untouched) for a zero-capacity
+    memory, a zero step, or a pair whose s's, s'y or y'y is not finite;
+    True on a successful push.
     """
     if memory.p == 0:
         return False
     s = np.asarray(s, dtype=float).copy()
     y = np.asarray(y, dtype=float).copy()
     s_sq = float(s @ s)
-    if s_sq == 0.0:
+    if s_sq == 0.0 or not np.isfinite([s_sq, s @ y, y @ y]).all():
         return False
 
     memory.gamma_tilde = update_scaling(s, y, memory.gamma_under, memory.gamma_over)
@@ -233,27 +232,19 @@ def hessian_bounds(memory: LBFGSMemory, L_g_est: float) -> Tuple[float, float]:
     return lam, Lam
 
 
-def enforce_bounds(
-    memory: LBFGSMemory,
-    lam_min: Optional[float] = None,
-    lam_max: Optional[float] = None,
-) -> Tuple[float, float, bool]:
+def enforce_bounds(memory: LBFGSMemory) -> Tuple[float, float, bool]:
     """Estimate the current bounds and flush the memory if they escape
-    [lam_min, lam_max], keeping only the most recent pair.
+    [memory.lam_min, memory.lam_max], keeping only the most recent pair.
 
-    Returns (lam, Lam, flushed) with the post-flush estimates stored on the
-    memory.  An empty memory reports H0's spectrum and never flushes.
+    Returns (lam, Lam, flushed) with the post-flush estimates.  An empty
+    memory reports H0's spectrum and never flushes.
     """
-    lo = memory.lam_min if lam_min is None else lam_min
-    hi = memory.lam_max if lam_max is None else lam_max
     lam, Lam = hessian_bounds(memory, memory.L_g_est())
     flushed = False
-    if memory.pairs and (Lam > hi or lam < lo):
+    if memory.pairs and (Lam > memory.lam_max or lam < memory.lam_min):
         newest = memory.pairs[-1]
         memory.pairs.clear()
         memory.pairs.append(newest)
         flushed = True
         lam, Lam = hessian_bounds(memory, memory.L_g_est())
-    memory.lam_lo = lam
-    memory.lam_hi = Lam
     return lam, Lam, flushed

@@ -156,7 +156,6 @@ class _QuadData:
     B: np.ndarray  # (N, n) rows b_i
     V: Optional[np.ndarray] = None  # (N, n) rows v_i
     w: Optional[np.ndarray] = None  # (N,) weights
-    eigvals: Optional[np.ndarray] = None
 
 
 def _check_finite(x: np.ndarray) -> np.ndarray:
@@ -437,7 +436,7 @@ def make_quadratic(A: np.ndarray, b: np.ndarray) -> FiniteSumProblem:
     V = eigvecs.T  # rows are eigenvectors
     w = n * eigvals
     B = np.tile(b, (n, 1))
-    quad = _QuadData(A=A, B=B, V=V, w=w, eigvals=eigvals)
+    quad = _QuadData(A=A, B=B, V=V, w=w)
     return FiniteSumProblem(
         kind="quadratic", N=n, n=n, lam=0.0, quad=quad, L=float(eigvals.max())
     )
@@ -463,7 +462,7 @@ def make_noisy_quadratic(A: np.ndarray, B: np.ndarray) -> FiniteSumProblem:
     eigvals = np.linalg.eigvalsh(0.5 * (A + A.T))
     if eigvals.min() <= 0:
         raise ValueError("A must be positive definite")
-    quad = _QuadData(A=A, B=B, V=None, w=None, eigvals=eigvals)
+    quad = _QuadData(A=A, B=B)
     return FiniteSumProblem(
         kind="quadratic", N=B.shape[0], n=n, lam=0.0, quad=quad, L=float(eigvals.max())
     )

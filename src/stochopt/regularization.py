@@ -26,6 +26,7 @@ import numpy as np
 from .record import StepRecord
 
 __all__ = [
+    "ARIG_MODES",
     "RegParams",
     "RegState",
     "ArigResult",
@@ -48,6 +49,8 @@ GradOracle = Callable[[np.ndarray, float], Tuple[np.ndarray, float]]
 FunOracle = Callable[[np.ndarray, float], Tuple[float, float]]
 
 REJECTION_LIMIT = 100  # consecutive rejected steps before aborting
+
+ARIG_MODES = ("exact", "inexact-g", "inexact-g-and-f")  # arig_run's oracle pairs
 
 
 @dataclass(frozen=True)
@@ -84,12 +87,10 @@ class RegState:
     sigma: float
     k: int = 0
     n_success: int = 0
-    n_very_success: int = 0
     n_reject: int = 0
     consec_rejects: int = 0
     # a rejected step re-enters the step computation with the same gradient
     pending_g: Optional[np.ndarray] = None
-    pending_omega: float = 0.0
     # (iterate, f there) from a function-oracle call that reported error 0;
     # valid while state.x is that very array (steps replace x, never mutate
     # it).  An exact value satisfies any accuracy request, so the next step
@@ -195,7 +196,6 @@ def arig_step(
             return StepOutcome(status="terminated", gnorm=gnorm)
     else:
         g = state.pending_g
-        omega = state.pending_omega
         gnorm = float(np.linalg.norm(g))
 
     sigma = state.sigma
@@ -223,8 +223,6 @@ def arig_step(
         state.x = x_new
         f_kept, omega_kept = f_new, omega_f_hat
         state.n_success += 1
-        if rho >= params.eta2:
-            state.n_very_success += 1
         state.consec_rejects = 0
         state.pending_g = None
         status = "accepted"
@@ -233,7 +231,6 @@ def arig_step(
         state.n_reject += 1
         state.consec_rejects += 1
         state.pending_g = g
-        state.pending_omega = omega
         status = "rejected"
         if state.consec_rejects >= REJECTION_LIMIT:
             raise RuntimeError(
@@ -261,7 +258,7 @@ def arig_run(
     or "inexact-g-and-f" (additionally, bounded noise on function values;
     requires params.eta0).
     """
-    if mode not in ("exact", "inexact-g", "inexact-g-and-f"):
+    if mode not in ARIG_MODES:
         raise ValueError(f"unknown oracle mode {mode!r}")
     if mode == "inexact-g-and-f" and params.eta0 is None:
         raise ValueError("inexact-g-and-f mode requires params.eta0")

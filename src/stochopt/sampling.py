@@ -33,19 +33,18 @@ __all__ = [
 
 @dataclass
 class SamplerState:
-    """Single-owner mutable sampler over a population of N indices."""
+    """Single-owner mutable sampler over the indices 0..N-1.  It holds no
+    batch size: each draw_batch/next_chunk call names its own."""
 
     N: int
-    m: int
-    m_max: int
     seed: int
     gen: np.random.Generator = field(init=False, repr=False)
     _perm: np.ndarray = field(init=False, repr=False)
     _cursor: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (1 <= self.m <= self.m_max <= self.N):
-            raise ValueError("need 1 <= m <= m_max <= N")
+        if self.N < 1:
+            raise ValueError("need N >= 1")
         self.gen = np.random.Generator(np.random.Philox(self.seed))
         self._perm = np.empty(0, dtype=np.int64)
         self._cursor = 0
@@ -78,10 +77,6 @@ class SamplerState:
         self._cursor += m
         return np.sort(take)
 
-    @property
-    def remaining_in_epoch(self) -> int:
-        return self._perm.size - self._cursor
-
 
 def sample_variance_l1(problem, batch, x: np.ndarray):
     """(g, var_l1): the batch gradient and the l1 norm of the elementwise
@@ -98,10 +93,7 @@ def sample_variance_l1(problem, batch, x: np.ndarray):
     divided by m-1 and clamped at 0.  The CSR result differs from the
     two-pass form only by rounding.
     """
-    idx = np.asarray(batch, dtype=np.int64).ravel()
-    if idx.size < 2:
-        raise ValueError("variance estimate needs a batch of at least 2")
-    return problem.grad_variance_l1(idx, x)
+    return problem.grad_variance_l1(batch, x)
 
 
 def norm_test(var_l1: float, m: int, sigma: float, gnorm_sq: float) -> bool:

@@ -162,7 +162,7 @@ def _epoch_loop(problem, m: int, n_epochs: int, seed: int,
     completes the step and returns the algorithm's StepRecord fields."""
     N = problem.N
     m_eff = min(m, N)
-    sampler = SamplerState(N=N, m=m_eff, m_max=m_eff, seed=seed)
+    sampler = SamplerState(N=N, seed=seed)
     x = (np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float)).copy()
 
     trace: List[StepRecord] = []

@@ -63,7 +63,7 @@ def fresh_state(problem_N=16, m=2, sigma=1.0, burn_in=5, transient=True, n=2, se
         sigma=sigma,
         m=m,
         pflug=PflugState(burn_in=burn_in),
-        sampler=SamplerState(N=problem_N, m=m, m_max=problem_N, seed=seed),
+        sampler=SamplerState(N=problem_N, seed=seed),
         transient=transient,
     )
 
@@ -89,13 +89,6 @@ class TestPflug:
         st_ = PflugState(burn_in=5)
         with pytest.raises(ValueError, match="shapes"):
             pflug_update(st_, np.ones(3), np.ones(2))
-
-    def test_prev_grad_is_a_copy(self):
-        st_ = PflugState(burn_in=5)
-        g = np.array([2.0, 0.0])
-        pflug_update(st_, g, g)
-        g[0] = -1.0
-        assert st_.prev_grad[0] == 2.0
 
     def test_burn_in_validation(self):
         with pytest.raises(ValueError):

@@ -322,11 +322,37 @@ class TestMetricsCsv:
         assert read_metrics_csv(path) == recs
 
     def test_header_is_fixed_column_order(self, tmp_path):
+        # the file format, spelled out: reordering MetricsRecord must fail here
         path = tmp_path / "m.csv"
         write_metrics_csv(path, self.records())
         with open(path, newline="") as fh:
             header = next(csv.reader(fh))
-        assert header == METRICS_COLUMNS
+        assert header == [
+            "epoch", "iteration", "samples", "wall_ms", "loss", "grad_norm",
+            "batch_size", "sigma", "lambda_lo", "lambda_hi", "phase", "flush",
+            "test_accuracy",
+        ]
+
+    def write_rows(self, path, *rows):
+        path.write_text("\n".join([",".join(METRICS_COLUMNS), *rows]) + "\n")
+
+    def test_empty_required_cell_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        self.write_rows(path, ",1,64,1.5,0.5,,,,,,,,")
+        with pytest.raises(ValueError):
+            read_metrics_csv(path)
+
+    def test_empty_optional_cells_read_as_none(self, tmp_path):
+        path = tmp_path / "m.csv"
+        self.write_rows(path, "0,1,64,1.5,,,,,,,,,")
+        (rec,) = read_metrics_csv(path)
+        assert rec == MetricsRecord(epoch=0, iteration=1, samples=64, wall_ms=1.5)
+        assert type(rec.epoch) is int and type(rec.wall_ms) is float
+
+    def test_flush_cells_read_as_bools(self, tmp_path):
+        path = tmp_path / "m.csv"
+        self.write_rows(path, "0,1,64,1.5,,,,,,,,0,", "0,2,96,2.5,,,,,,,,1,")
+        assert [r.flush for r in read_metrics_csv(path)] == [False, True]
 
     def test_unexpected_header_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -763,6 +789,22 @@ class TestCompare:
         compare(self.two_configs(tmp_path))
         (_, end_first), (start_second, _) = sorted(intervals)
         assert end_first <= start_second
+
+    def test_compare_summarises_its_rows_without_rereading(self, tmp_path, monkeypatch):
+        def no_reread(path):
+            raise RuntimeError(f"compare re-read {path}")
+
+        monkeypatch.setattr(harness, "read_metrics_csv", no_reread)
+        summaries = compare(self.two_configs(tmp_path))
+        monkeypatch.undo()
+        for s in summaries:
+            rows = read_metrics_csv(s["csv"])
+            assert s == {
+                "algorithm": s["algorithm"], "problem": s["problem"],
+                "final_loss": rows[-1].loss, "best_loss": min(r.loss for r in rows),
+                "final_accuracy": None, "samples": rows[-1].samples,
+                "wall_ms": rows[-1].wall_ms, "csv": s["csv"],
+            }
 
     def test_compare_rejects_single_config(self, tmp_path):
         c1, _ = self.two_configs(tmp_path)

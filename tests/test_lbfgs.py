@@ -204,6 +204,24 @@ class TestPushPair:
         assert not push_pair(mem, np.zeros(2), np.ones(2))
         assert len(mem.pairs) == 0 and mem.gamma_tilde == before
 
+    def test_overflowing_pair_is_noop(self):
+        # s's, s'y and y'y all overflow to inf; their ratios would be NaN
+        mem = LBFGSMemory(p=3)
+        s = np.array([1e200, -3e200, 2e200])
+        y = np.array([2e200, -1e200, 5e200])
+        with np.errstate(over="ignore"):
+            assert not push_pair(mem, s, y)
+        assert len(mem.pairs) == 0 and mem.gamma_tilde == 1.0
+
+    def test_non_finite_y_leaves_memory_untouched(self):
+        mem = LBFGSMemory(p=3)
+        assert push_pair(mem, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
+        pair, gamma = mem.pairs[0], mem.gamma_tilde
+        for bad in (np.nan, np.inf):
+            with np.errstate(invalid="ignore"):
+                assert not push_pair(mem, np.array([0.0, 1.0]), np.array([bad, 1.0]))
+            assert list(mem.pairs) == [pair] and mem.gamma_tilde == gamma
+
     def test_stored_pair_is_a_copy(self):
         mem = LBFGSMemory(p=2)
         s = np.array([1.0, 0.0])
@@ -414,7 +432,6 @@ class TestEnforceBounds:
         assert not flushed
         assert (lam2, Lam2) == (lam, Lam)
         assert len(mem.pairs) == 1
-        assert (mem.lam_lo, mem.lam_hi) == (lam, Lam)
 
     def test_violation_keeps_only_newest_pair(self, rng):
         mem = random_memory(rng, n=5, n_pairs=5, p=5)
@@ -428,7 +445,6 @@ class TestEnforceBounds:
         assert mem.pairs[0] is newest
         single = hessian_bounds(mem, mem.L_g_est())
         assert (lam2, Lam2) == single
-        assert (mem.lam_lo, mem.lam_hi) == single
 
     def test_empty_memory_never_flushes(self):
         mem = LBFGSMemory(p=3, gamma_tilde=2.0)
@@ -443,13 +459,15 @@ class TestEnforceBounds:
         push_pair(mem, s, 2.0 * s)
         lam, Lam = hessian_bounds(mem, mem.L_g_est())
         # squeeze the allowed interval so the current upper bound violates it
-        lam2, Lam2, flushed = enforce_bounds(mem, lam_min=0.0, lam_max=Lam / 2)
+        mem.lam_min, mem.lam_max = 0.0, Lam / 2
+        lam2, Lam2, flushed = enforce_bounds(mem)
         assert flushed
         assert len(mem.pairs) == 1
 
     def test_disabled_limits_never_flush(self, rng):
         mem = random_memory(rng, n=5, n_pairs=5, p=5)
-        _, _, flushed = enforce_bounds(mem, lam_min=0.0, lam_max=float("inf"))
+        mem.lam_min, mem.lam_max = 0.0, float("inf")
+        _, _, flushed = enforce_bounds(mem)
         assert not flushed
         assert len(mem.pairs) == 5
 
@@ -457,7 +475,8 @@ class TestEnforceBounds:
         for n_pairs in [1, 2, 5]:
             mem = random_memory(rng, n=4, n_pairs=n_pairs, p=8)
             before = len(mem.pairs)
-            enforce_bounds(mem, lam_min=0.0, lam_max=1e-12)  # force flush
+            mem.lam_min, mem.lam_max = 0.0, 1e-12  # force flush
+            enforce_bounds(mem)
             assert len(mem.pairs) == min(1, before)
 
 

@@ -263,7 +263,7 @@ class TestArigStep:
         np.testing.assert_allclose(state.x, [0.5, 0.0])
         # rho hit eta2 exactly, so sigma shrinks: max(0.1, 0.5*2) = 1
         assert state.sigma == pytest.approx(1.0)
-        assert state.n_success == 1 and state.n_very_success == 1
+        assert state.n_success == 1
         assert state.pending_g is None
 
     def test_rejection_keeps_x_and_inflates_sigma(self):
@@ -299,7 +299,6 @@ class TestArigStep:
         fun = lambda x, w: (0.0, 0.0)
         state = RegState(x=np.array([3.0]), sigma=1.0)
         state.pending_g = np.array([1e-12])
-        state.pending_omega = 1.0
         out = arig_step(state, DEFAULTS, grad, fun)
         assert out.status == "rejected"
 

@@ -23,32 +23,32 @@ from oracles import csr_variance_l1_reference, looped_variance_l1, two_pass_vari
 
 class TestDrawBatch:
     def test_full_draw_is_whole_population(self):
-        s = SamplerState(N=10, m=5, m_max=10, seed=0)
+        s = SamplerState(N=10, seed=0)
         batch = s.draw_batch(10)
         np.testing.assert_array_equal(batch, np.arange(10))
 
     def test_no_repeats_and_sorted(self):
-        s = SamplerState(N=50, m=5, m_max=50, seed=3)
+        s = SamplerState(N=50, seed=3)
         for _ in range(100):
             b = s.draw_batch(7)
             assert len(set(b.tolist())) == 7
             assert np.all(np.diff(b) > 0)
 
     def test_deterministic_per_seed(self):
-        a = SamplerState(N=30, m=4, m_max=30, seed=42)
-        b = SamplerState(N=30, m=4, m_max=30, seed=42)
+        a = SamplerState(N=30, seed=42)
+        b = SamplerState(N=30, seed=42)
         for _ in range(20):
             np.testing.assert_array_equal(a.draw_batch(4), b.draw_batch(4))
 
     def test_seed_changes_stream(self):
-        a = SamplerState(N=30, m=4, m_max=30, seed=1)
-        b = SamplerState(N=30, m=4, m_max=30, seed=2)
+        a = SamplerState(N=30, seed=1)
+        b = SamplerState(N=30, seed=2)
         draws_a = np.concatenate([a.draw_batch(4) for _ in range(10)])
         draws_b = np.concatenate([b.draw_batch(4) for _ in range(10)])
         assert not np.array_equal(draws_a, draws_b)
 
     def test_uniformity_5_sigma(self):
-        s = SamplerState(N=10, m=1, m_max=10, seed=7)
+        s = SamplerState(N=10, seed=7)
         counts = np.zeros(10)
         n_draws = 10_000
         for _ in range(n_draws):
@@ -58,35 +58,36 @@ class TestDrawBatch:
         assert np.all(np.abs(counts - expect) <= 5 * sigma)
 
     def test_oversized_batch_rejected(self):
-        s = SamplerState(N=5, m=2, m_max=5, seed=0)
+        s = SamplerState(N=5, seed=0)
         with pytest.raises(ValueError):
             s.draw_batch(6)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
-            SamplerState(N=5, m=0, m_max=5, seed=0)
-        with pytest.raises(ValueError):
-            SamplerState(N=5, m=3, m_max=6, seed=0)
+            SamplerState(N=0, seed=0)
 
 
 class TestEpochShuffle:
     def test_epoch_covers_population(self):
-        s = SamplerState(N=13, m=4, m_max=13, seed=5)
+        s = SamplerState(N=13, seed=5)
         s.start_epoch()
         seen = []
-        while s.remaining_in_epoch:
-            seen.extend(s.next_chunk(min(4, s.remaining_in_epoch)).tolist())
+        remaining = 13
+        while remaining:
+            take = min(4, remaining)
+            seen.extend(s.next_chunk(take).tolist())
+            remaining -= take
         assert sorted(seen) == list(range(13))
 
     def test_chunk_overrun_rejected(self):
-        s = SamplerState(N=6, m=3, m_max=6, seed=0)
+        s = SamplerState(N=6, seed=0)
         s.start_epoch()
         s.next_chunk(4)
         with pytest.raises(ValueError):
             s.next_chunk(3)  # only 2 left
 
     def test_exhausted_epoch_rejected(self):
-        s = SamplerState(N=4, m=2, m_max=4, seed=0)
+        s = SamplerState(N=4, seed=0)
         s.start_epoch()
         s.next_chunk(4)
         with pytest.raises(RuntimeError):
@@ -337,7 +338,7 @@ def test_property_resize_then_norm_test_passes(sigma, var_l1, gnorm_sq, m_max):
 @given(seed=st.integers(0, 2**31), n=st.integers(2, 20), m=st.integers(2, 10))
 def test_property_draws_are_valid_subsets(seed, n, m):
     m = min(m, n)
-    s = SamplerState(N=n, m=m, m_max=n, seed=seed)
+    s = SamplerState(N=n, seed=seed)
     b = s.draw_batch(m)
     assert b.size == m
     assert np.all((0 <= b) & (b < n))

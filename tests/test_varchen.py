@@ -322,7 +322,7 @@ class TestVarchenRun:
 
         N = prob.N
         m_eff = min(m, N)
-        sampler = SamplerState(N=N, m=m_eff, m_max=m_eff, seed=seed)
+        sampler = SamplerState(N=N, seed=seed)
         memory = LBFGSMemory(
             p=p, lam_min=0.0, lam_max=float("inf"),
             gamma_under=params.gamma_under, gamma_over=params.gamma_over,
