@@ -130,11 +130,14 @@ class ArasState:
 class ArasResult:
     x: np.ndarray
     iterations: int
-    triggered: bool
     trigger_k: Optional[int]
     sigma_trigger: Optional[float]
     sigma_final: float
     trace: List[StepRecord] = field(default_factory=list)
+
+    @property
+    def triggered(self) -> bool:
+        return self.trigger_k is not None
 
 
 def _record(state: ArasState, epoch: int, m_used: int, phase: str, sigma_pre: float,
@@ -253,7 +256,6 @@ def aras_run(
     return ArasResult(
         x=state.x,
         iterations=state.k,
-        triggered=not state.transient,
         trigger_k=state.trigger_k,
         sigma_trigger=state.sigma_trigger,
         sigma_final=state.sigma,

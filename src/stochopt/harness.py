@@ -15,7 +15,9 @@ report (_trace_to_metrics) reads each row's columns and sample charge from
 the record, with no reference to the algorithm.  It runs after the
 algorithm entry returns: the full-pass loss, gradient norm and accuracy of
 the selected rows are evaluation, kept out of the optimizer's time and
-oracle counts.
+oracle counts.  Where the run already computed the exact loss and gradient
+norm at a row's iterate (ARIG's full passes), the record carries them and
+the report makes no second pass.
 
 Every output file is replaced by a new file rather than truncated in place
 (see _open_fresh): on ext4, truncating the previous run's not-yet-flushed
@@ -893,7 +895,12 @@ def _trace_to_metrics(
 ) -> List[MetricsRecord]:
     """Downsample a trace of StepRecords at the configured cadence (0: the
     last step of each epoch), computing the N-cost metrics (full loss, full
-    gradient norm, test accuracy) only at the selected rows."""
+    gradient norm, test accuracy) only at the selected rows.
+
+    A record that carries the exact loss and grad_norm at its x (ARIG with
+    exact function values, see record.py) gives them to its row as they
+    are; only a selected row whose record lacks them costs a loss_and_grad
+    pass over all N samples."""
     trace = result.trace
     cadence = config.cadence
     N = problem.N
@@ -909,7 +916,10 @@ def _trace_to_metrics(
         if not selected:
             continue
 
-        loss, grad = problem.loss_and_grad(np.arange(N), rec.x)
+        loss, grad_norm = rec.loss, rec.grad_norm
+        if loss is None:
+            loss, grad = problem.loss_and_grad(np.arange(N), rec.x)
+            grad_norm = float(np.linalg.norm(grad))
         rows.append(
             MetricsRecord(
                 epoch=rec.epoch,
@@ -917,7 +927,7 @@ def _trace_to_metrics(
                 samples=cum_samples,
                 wall_ms=rec.wall_ms,
                 loss=loss,
-                grad_norm=float(np.linalg.norm(grad)),
+                grad_norm=grad_norm,
                 batch_size=rec.m_used,
                 sigma=rec.sigma,
                 lambda_lo=rec.lam,

@@ -7,6 +7,12 @@ epoch, whose full-gradient pass belongs to that step) and the iterate x
 after the step.  ARIG takes full-batch steps, so its epoch is k and both
 counts are N.  Every other field is None for an algorithm that has no value
 for it, and the report copies its columns straight from the record.
+
+loss and grad_norm are the exact full objective f(x) and ||grad f(x)|| at the
+record's x, set only when the run itself computed both exactly there (ARIG in
+"exact" and "inexact-g" mode, see regularization.arig_run): the report then
+copies them instead of making its own full pass.  They are both None
+otherwise, and the report evaluates them at the rows it keeps.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ class StepRecord:
     Lam: Optional[float] = None
     flushed: Optional[bool] = None  # VARCHEN/SVRG: memory flushed before the step
     phase: Optional[str] = None  # ARAS: "transient" | "stationary"
+    loss: Optional[float] = None  # ARIG: exact f(x), with grad_norm, or both None
+    grad_norm: Optional[float] = None  # ARIG: exact ||grad f(x)||
     # diagnostics
     gnorm: Optional[float] = None  # ARIG/ARAS: norm of the step's gradient
     rho: Optional[float] = None  # ARIG/ARAS: decrease ratio

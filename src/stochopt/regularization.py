@@ -44,8 +44,13 @@ __all__ = [
     "noisy_fun_oracle",
 ]
 
-# oracle(x, requested_error) -> (value, actual_error_bound)
-GradOracle = Callable[[np.ndarray, float], Tuple[np.ndarray, float]]
+# Gradient oracle: oracle(x, omega_req) -> (g, omega, grad_norm).  g has
+# relative error ||g - grad f(x)|| <= omega * ||g|| (omega 0: g is exact), and
+# grad_norm is ||grad f(x)|| of the exact gradient the oracle evaluated to
+# build g, or None when it evaluated none.  arig_step takes ||g|| from it when
+# omega is 0, and arig_run hands it to the report for the iterate x.
+GradOracle = Callable[[np.ndarray, float], Tuple[np.ndarray, float, Optional[float]]]
+# Function oracle: oracle(x, w_req) -> (fbar, w) with |fbar - f(x)| <= w.
 FunOracle = Callable[[np.ndarray, float], Tuple[float, float]]
 
 REJECTION_LIMIT = 100  # consecutive rejected steps before aborting
@@ -87,15 +92,22 @@ class RegState:
     sigma: float
     k: int = 0
     n_success: int = 0
-    n_reject: int = 0
     consec_rejects: int = 0
     # a rejected step re-enters the step computation with the same gradient
     pending_g: Optional[np.ndarray] = None
+    # the grad_norm the last fresh gradient-oracle call reported: at the
+    # iterate the last step started from, which a rejected step keeps
+    grad_norm: Optional[float] = None
     # (iterate, f there) from a function-oracle call that reported error 0;
     # valid while state.x is that very array (steps replace x, never mutate
     # it).  An exact value satisfies any accuracy request, so the next step
     # reuses it instead of asking for f(x) again.
     exact_f: Optional[Tuple[np.ndarray, float]] = None
+
+    @property
+    def n_reject(self) -> int:
+        """Rejected steps: every step counted in k is accepted or rejected."""
+        return self.k - self.n_success
 
 
 @dataclass(frozen=True)
@@ -104,10 +116,13 @@ class ArigResult:
     terminated: bool
     iterations: int
     n_success: int
-    n_reject: int
     sigma_final: float
     sigma_max_observed: float
     trace: List[StepRecord] = field(default_factory=list)
+
+    @property
+    def n_reject(self) -> int:
+        return self.iterations - self.n_success
 
 
 def model_decrease(sigma: float, gnorm_sq: float) -> float:
@@ -189,9 +204,12 @@ def arig_step(
     """
     if state.pending_g is None:
         omega_req = 1.0 / state.sigma
-        g, omega = grad_oracle(state.x, omega_req)
+        g, omega, state.grad_norm = grad_oracle(state.x, omega_req)
         g = np.asarray(g, dtype=float)
-        gnorm = float(np.linalg.norm(g))
+        if omega == 0.0 and state.grad_norm is not None:
+            gnorm = state.grad_norm  # g is the exact gradient the oracle measured
+        else:
+            gnorm = float(np.linalg.norm(g))
         if gnorm <= params.eps / (1.0 + omega):
             return StepOutcome(status="terminated", gnorm=gnorm)
     else:
@@ -228,7 +246,6 @@ def arig_step(
         status = "accepted"
     else:
         f_kept, omega_kept = f_old, omega_f
-        state.n_reject += 1
         state.consec_rejects += 1
         state.pending_g = g
         status = "rejected"
@@ -257,6 +274,14 @@ def arig_run(
     "inexact-g" (gradient error injected at exactly the requested 1/sigma),
     or "inexact-g-and-f" (additionally, bounded noise on function values;
     requires params.eta0).
+
+    A step's record carries the exact f and ||grad f|| at its iterate when
+    the run computed both there: f is the kept value of an exact function
+    oracle (state.exact_f), and ||grad f|| is what the gradient oracle
+    reports at that iterate, in the next step or the termination test.  So
+    the record is built one step late, with wall_ms stamped at the end of its
+    own step.  The last record of a run that exhausts max_iters, and every
+    record in "inexact-g-and-f" mode, carry neither.
     """
     if mode not in ARIG_MODES:
         raise ValueError(f"unknown oracle mode {mode!r}")
@@ -279,51 +304,64 @@ def arig_run(
     trace: List[StepRecord] = []
     terminated = False
     sigma_max_obs = state.sigma
+    # the last step's record fields and exact f, awaiting ||grad f|| at its x
+    pending: Optional[Tuple[dict, Optional[float]]] = None
     t0 = time.perf_counter()
 
     while state.k < params.max_iters:
         sigma_used = state.sigma
         out = arig_step(state, params, g_oracle, f_oracle)
+        if pending is not None:
+            trace.append(_record(*pending, state.grad_norm))
+            pending = None
         if out.status == "terminated":
             terminated = True
             break
         sigma_max_obs = max(sigma_max_obs, sigma_used, state.sigma)
-        trace.append(
-            StepRecord(
-                k=state.k,
-                epoch=state.k,
-                m_used=problem.N,
-                samples=problem.N,
-                x=state.x.copy(),
-                wall_ms=(time.perf_counter() - t0) * 1e3,
-                sigma=sigma_used,
-                gnorm=out.gnorm,
-                rho=out.rho,
-                accepted=(out.status == "accepted"),
-                f_val=out.f_old,
-            )
+        fields = dict(
+            k=state.k,
+            epoch=state.k,
+            m_used=problem.N,
+            samples=problem.N,
+            x=state.x.copy(),
+            wall_ms=(time.perf_counter() - t0) * 1e3,
+            sigma=sigma_used,
+            gnorm=out.gnorm,
+            rho=out.rho,
+            accepted=(out.status == "accepted"),
+            f_val=out.f_old,
         )
+        pending = (fields, state.exact_f[1] if state.exact_f is not None else None)
+    if pending is not None:
+        trace.append(_record(*pending, None))
 
     return ArigResult(
         x=state.x,
         terminated=terminated,
         iterations=state.k,
         n_success=state.n_success,
-        n_reject=state.n_reject,
         sigma_final=state.sigma,
         sigma_max_observed=sigma_max_obs,
         trace=trace,
     )
 
 
+def _record(fields: dict, loss: Optional[float], grad_norm: Optional[float]) -> StepRecord:
+    """A step's record: loss and grad_norm only when both are exact values."""
+    if loss is None or grad_norm is None:
+        loss = grad_norm = None
+    return StepRecord(**fields, loss=loss, grad_norm=grad_norm)
+
+
 # -- oracle factories ---------------------------------------------------------
 
 
 def exact_grad_oracle(problem) -> GradOracle:
-    """Full gradient with zero reported error."""
+    """Full gradient with zero reported error, and its norm as grad_norm."""
 
-    def oracle(x: np.ndarray, omega_req: float) -> Tuple[np.ndarray, float]:
-        return problem.full_grad(x), 0.0
+    def oracle(x: np.ndarray, omega_req: float) -> Tuple[np.ndarray, float, float]:
+        g = problem.full_grad(x)
+        return g, 0.0, float(np.linalg.norm(g))
 
     return oracle
 
@@ -334,16 +372,17 @@ def adversarial_grad_oracle(problem, seed: int) -> GradOracle:
     For omega_req < 1 the error is injected orthogonally to grad f with
     magnitude c = omega*||grad f||/sqrt(1-omega^2); otherwise (or in
     dimension 1) the gradient is shrunk to grad f/(1+omega), which attains
-    the same relative error for any omega.
+    the same relative error for any omega.  grad_norm is ||grad f(x)||,
+    which the injection computes anyway.
     """
     gen = np.random.Generator(np.random.Philox(seed))
 
-    def oracle(x: np.ndarray, omega_req: float) -> Tuple[np.ndarray, float]:
+    def oracle(x: np.ndarray, omega_req: float) -> Tuple[np.ndarray, float, float]:
         g_true = problem.full_grad(x)
         w = float(omega_req)
         gn = float(np.linalg.norm(g_true))
         if w <= 0.0 or gn == 0.0:
-            return g_true, 0.0
+            return g_true, 0.0, gn
         if w < 1.0 and g_true.size > 1:
             u = gen.standard_normal(g_true.size)
             u = u - (u @ g_true) / (gn * gn) * g_true
@@ -351,8 +390,8 @@ def adversarial_grad_oracle(problem, seed: int) -> GradOracle:
             if un > 0.0:
                 u = u / un
                 c = w * gn / math.sqrt(1.0 - w * w)
-                return g_true + c * u, w
-        return g_true / (1.0 + w), w
+                return g_true + c * u, w, gn
+        return g_true / (1.0 + w), w, gn
 
     return oracle
 

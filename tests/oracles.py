@@ -7,7 +7,9 @@ single-pair update, a looped two-pass variance, the norm-test variance as
 two separate passes (gradient, then variance) compute it, a line-by-line
 libsvm parser, a cell-by-cell CSV parser, the largest squared row norm over
 the whole matrix, the metrics report's column rules spelled out per
-algorithm, the logistic loss as np.logaddexp computes it, and a float64
+algorithm, its loss and gradient norm from a fresh full pass per row (the
+one helper that calls the package, for values it must match bit for bit),
+the logistic loss as np.logaddexp computes it, and a float64
 ulp distance.  Tests freeze against these, so keep them dumb and obvious.
 """
 
@@ -331,3 +333,22 @@ def report_columns_reference(algorithm, trace, N, cadence):
             rec.flushed if bounds else None,
         ))
     return rows
+
+
+def report_values_reference(problem, trace, cadence):
+    """(loss, grad_norm) of each row the metrics report keeps from a trace,
+    each from one problem.loss_and_grad pass over all N samples at the row's
+    iterate, whatever the record carries.  A row is kept at cadence c > 0
+    when its k is a multiple of c, at cadence 0 when it is the last step of
+    its epoch, and the trace's last step always."""
+    values = []
+    for i, rec in enumerate(trace):
+        last = i == len(trace) - 1
+        if cadence > 0:
+            kept = last or rec.k % cadence == 0
+        else:
+            kept = last or trace[i + 1].epoch != rec.epoch
+        if kept:
+            loss, grad = problem.loss_and_grad(np.arange(problem.N), rec.x)
+            values.append((loss, float(np.linalg.norm(grad))))
+    return values

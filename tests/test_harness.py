@@ -16,7 +16,7 @@ import scipy.optimize
 import scipy.sparse as sp
 
 import stochopt.harness as harness
-from oracles import report_columns_reference
+from oracles import report_columns_reference, report_values_reference
 from stochopt.harness import (
     ConfigError,
     METRICS_COLUMNS,
@@ -709,12 +709,14 @@ REPORT_ALGO_SECTIONS = {
 
 class TestReport:
     """The metrics CSV against the per-algorithm column rules in
-    oracles.report_columns_reference, applied to the run's own trace."""
+    oracles.report_columns_reference, and its loss and grad_norm columns
+    against oracles.report_values_reference, applied to the run's own trace."""
 
-    @pytest.mark.parametrize("cadence", [0, 1, 3])
-    @pytest.mark.parametrize("algorithm", sorted(REPORT_ALGO_SECTIONS))
-    def test_columns_follow_per_algorithm_rules(self, tmp_path, monkeypatch,
-                                                algorithm, cadence):
+    @staticmethod
+    def run(tmp_path, monkeypatch, algorithm, cadence, section=None):
+        """The CSV rows of a run on a 40 x 4 logistic problem, with the
+        problem and the result its report read."""
+        section = REPORT_ALGO_SECTIONS[algorithm] if section is None else section
         text = f"""\
     [problem]
     kind = logistic
@@ -733,22 +735,52 @@ class TestReport:
     cadence = {cadence}
 
     [{algorithm}]
-    {REPORT_ALGO_SECTIONS[algorithm]}
+    {section}
     """
-        results = []
+        seen = []
         report = harness._trace_to_metrics
 
         def capture(config, problem, test, result):
-            results.append(result)
+            seen.append((problem, result))
             return report(config, problem, test, result)
 
         monkeypatch.setattr(harness, "_trace_to_metrics", capture)
         rows = read_metrics_csv(run_experiment(load_config(write_config(tmp_path, text))))
-        (result,) = results
+        (problem, result), = seen
         assert len(result.trace) > 3
+        return rows, problem, result
+
+    @staticmethod
+    def check(rows, problem, result, algorithm, cadence):
         got = [(r.epoch, r.iteration, r.samples, r.batch_size, r.sigma,
                 r.lambda_lo, r.lambda_hi, r.phase, r.flush) for r in rows]
         assert got == report_columns_reference(algorithm, result.trace, 40, cadence)
+        # bit for bit, whether the record carried the values or the report
+        # made its own pass
+        got = [(r.loss, r.grad_norm) for r in rows]
+        assert got == report_values_reference(problem, result.trace, cadence)
+
+    @pytest.mark.parametrize("cadence", [0, 1, 3])
+    @pytest.mark.parametrize("algorithm", sorted(REPORT_ALGO_SECTIONS))
+    def test_columns_follow_per_algorithm_rules(self, tmp_path, monkeypatch,
+                                                algorithm, cadence):
+        rows, problem, result = self.run(tmp_path, monkeypatch, algorithm, cadence)
+        self.check(rows, problem, result, algorithm, cadence)
+
+    @pytest.mark.parametrize("cadence", [0, 1, 3])
+    @pytest.mark.parametrize("section", [
+        "eps = 1e-6\n    mode = exact\n    sigma0 = 0.01\n    sigma_min = 0.005",
+        "eps = 1e-6\n    mode = inexact-g",
+        "eps = 1e-6\n    mode = inexact-g-and-f\n    eta0 = 0.1",
+        "eps = 1e-12\n    mode = inexact-g\n    max_iters = 8",
+    ], ids=["exact", "inexact-g", "inexact-g-and-f", "exhausted"])
+    def test_arig_modes_follow_the_same_rules(self, tmp_path, monkeypatch,
+                                              section, cadence):
+        """Rows copied from the run's exact values and rows the report
+        evaluates itself, in each oracle mode."""
+        rows, problem, result = self.run(tmp_path, monkeypatch, "arig", cadence, section)
+        assert result.terminated == ("max_iters" not in section)
+        self.check(rows, problem, result, "arig", cadence)
 
 
 class TestCompare:

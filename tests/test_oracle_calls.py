@@ -1,6 +1,8 @@
 """Oracle calls per step: each algorithm asks the problem for exactly the
-batch passes its update reads, and nothing else."""
+batch passes its update reads, and nothing else; and the metrics report
+makes a full pass only for a row whose record lacks exact values."""
 
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
@@ -12,16 +14,18 @@ from stochopt import (
     ArasParams,
     BaselineParams,
     Dataset,
+    RegParams,
     StepSchedule,
     VarchenParams,
     aras_run,
+    arig_run,
     make_logistic,
     sgd_momentum_run,
     sgd_run,
     svrg_run,
     varchen_run,
 )
-from stochopt.harness import gen_synthetic, load_config
+from stochopt.harness import _trace_to_metrics, gen_synthetic, load_config
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -161,3 +165,48 @@ class TestArasCountedRows:
         grad_rows = sum(v for k, v in prob.rows.items() if "grad" in k)
         # 59,037 when the variance took its own pass over each stationary batch
         assert grad_rows <= 41_000, dict(prob.rows)
+
+
+class TestArigReportCalls:
+    """_trace_to_metrics on an ARIG result: rows whose record carries the
+    exact f and ||grad f|| cost no problem call; every other row costs one
+    loss_and_grad pass."""
+
+    # sigma0 below the curvature makes exact mode reject steps, so records
+    # whose x is unchanged (a stale-gradient re-entry follows) are covered
+    PARAMS = RegParams(eps=1e-6, sigma0=0.01, sigma_min=0.005, eta0=0.1)
+
+    def report_calls(self, mode, cadence, max_iters=None):
+        prob = _problem()
+        params = self.PARAMS
+        if max_iters is not None:
+            params = dataclasses.replace(params, max_iters=max_iters)
+        res = arig_run(prob, params, mode=mode, seed=3)
+        config = dataclasses.replace(load_config(CONFIG_DIR / "logistic_arig.ini"),
+                                     cadence=cadence)
+        prob.calls.clear()
+        rows = _trace_to_metrics(config, prob, None, res)
+        assert len(rows) > 1
+        return res, rows, dict(prob.calls)
+
+    @pytest.mark.parametrize("cadence", [0, 1, 3])
+    @pytest.mark.parametrize("mode", ["exact", "inexact-g"])
+    def test_exact_f_modes_make_no_report_pass(self, mode, cadence):
+        res, rows, calls = self.report_calls(mode, cadence)
+        assert res.terminated
+        if mode == "exact":
+            assert res.n_reject > 0
+        assert calls == {}
+
+    @pytest.mark.parametrize("cadence", [0, 1, 3])
+    def test_noisy_f_mode_makes_one_pass_per_row(self, cadence):
+        res, rows, calls = self.report_calls("inexact-g-and-f", cadence)
+        assert res.terminated
+        assert calls == {"loss_and_grad": len(rows)}
+
+    @pytest.mark.parametrize("cadence", [0, 1, 3])
+    def test_exhausted_run_makes_one_pass_for_its_last_row(self, cadence):
+        res, rows, calls = self.report_calls("exact", cadence, max_iters=7)
+        assert not res.terminated and res.iterations == 7
+        assert calls == {"loss_and_grad": 1}
+        assert [rec.loss is None for rec in res.trace] == [False] * 6 + [True]

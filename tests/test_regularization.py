@@ -240,7 +240,7 @@ class TestComplexityBudget:
 
 def half_norm_squared_oracles():
     """Hand oracles for f(x) = 0.5 ||x||^2 (gradient is x itself)."""
-    grad = lambda x, w: (x.copy(), 0.0)
+    grad = lambda x, w: (x.copy(), 0.0, float(np.linalg.norm(x)))
     fun = lambda x, w: (0.5 * float(x @ x), 0.0)
     return grad, fun
 
@@ -267,7 +267,7 @@ class TestArigStep:
         assert state.pending_g is None
 
     def test_rejection_keeps_x_and_inflates_sigma(self):
-        grad = lambda x, w: (np.array([1.0]), 0.0)
+        grad = lambda x, w: (np.array([1.0]), 0.0, None)
         fun = lambda x, w: (0.0, 0.0)  # flat f: rho = 0 < eta1
         state = RegState(x=np.array([3.0]), sigma=1.0)
         out = arig_step(state, DEFAULTS, grad, fun)
@@ -283,7 +283,7 @@ class TestArigStep:
 
         def counting_grad(x, w):
             calls["n"] += 1
-            return np.array([1.0]), 0.0
+            return np.array([1.0]), 0.0, None
 
         fun = lambda x, w: (0.0, 0.0)
         state = RegState(x=np.array([3.0]), sigma=1.0)
@@ -295,7 +295,7 @@ class TestArigStep:
     def test_stale_gradient_never_triggers_termination(self):
         # A pending gradient below the termination threshold must still be
         # used for a step; only fresh gradients may terminate.
-        grad = lambda x, w: (np.array([1.0]), 0.0)
+        grad = lambda x, w: (np.array([1.0]), 0.0, None)
         fun = lambda x, w: (0.0, 0.0)
         state = RegState(x=np.array([3.0]), sigma=1.0)
         state.pending_g = np.array([1e-12])
@@ -310,7 +310,7 @@ class TestArigStep:
         assert state.consec_rejects == 0
 
     def test_rejection_limit_aborts(self):
-        grad = lambda x, w: (np.array([1.0]), 0.0)
+        grad = lambda x, w: (np.array([1.0]), 0.0, None)
         fun = lambda x, w: (0.0, 0.0)
         state = RegState(x=np.array([3.0]), sigma=1.0)
         with pytest.raises(RuntimeError, match="consecutive rejected"):
@@ -459,9 +459,10 @@ class TestOracles:
     def test_exact_oracles_report_zero_error(self):
         prob = diag_quadratic([1.0, 2.0], b=[1.0, 0.0])
         x = np.array([0.3, -0.7])
-        g, w = exact_grad_oracle(prob)(x, 0.5)
+        g, w, gn = exact_grad_oracle(prob)(x, 0.5)
         assert w == 0.0
         np.testing.assert_array_equal(g, prob.full_grad(x))
+        assert gn == float(np.linalg.norm(prob.full_grad(x)))
         f, wf = exact_fun_oracle(prob)(x, 0.5)
         assert wf == 0.0
         assert f == prob.full_loss(x)
@@ -472,8 +473,9 @@ class TestOracles:
         oracle = adversarial_grad_oracle(prob, seed=11)
         x = np.array([0.4, 1.2, -0.3])
         g_true = prob.full_grad(x)
-        g, w = oracle(x, omega)
+        g, w, gn = oracle(x, omega)
         assert w == omega
+        assert gn == float(np.linalg.norm(g_true))
         err = np.linalg.norm(g - g_true)
         assert err == pytest.approx(omega * np.linalg.norm(g), rel=1e-12)
 
@@ -483,7 +485,8 @@ class TestOracles:
         oracle = adversarial_grad_oracle(prob, seed=0)
         x = np.array([4.0])
         g_true = prob.full_grad(x)
-        g, w = oracle(x, omega)
+        g, w, gn = oracle(x, omega)
+        assert gn == float(np.linalg.norm(g_true))
         np.testing.assert_allclose(g, g_true / (1.0 + omega))
         assert np.linalg.norm(g - g_true) == pytest.approx(
             omega * np.linalg.norm(g), rel=1e-12
@@ -492,8 +495,8 @@ class TestOracles:
     def test_adversarial_zero_gradient_passthrough(self):
         prob = diag_quadratic([1.0, 1.0])  # minimizer at the origin
         oracle = adversarial_grad_oracle(prob, seed=0)
-        g, w = oracle(np.zeros(2), 0.5)
-        assert w == 0.0
+        g, w, gn = oracle(np.zeros(2), 0.5)
+        assert w == 0.0 and gn == 0.0
         np.testing.assert_array_equal(g, np.zeros(2))
 
     def test_noisy_fun_oracle_bounded(self):
@@ -517,8 +520,8 @@ class TestOracles:
     def test_adversarial_oracle_deterministic_per_seed(self):
         prob = diag_quadratic([1.0, 2.0, 3.0], b=[1.0, 0.0, -1.0])
         x = np.array([0.5, 0.5, 0.5])
-        g1, _ = adversarial_grad_oracle(prob, seed=42)(x, 0.5)
-        g2, _ = adversarial_grad_oracle(prob, seed=42)(x, 0.5)
+        g1, _, _ = adversarial_grad_oracle(prob, seed=42)(x, 0.5)
+        g2, _, _ = adversarial_grad_oracle(prob, seed=42)(x, 0.5)
         np.testing.assert_array_equal(g1, g2)
 
 
