@@ -2,7 +2,12 @@
 
 Configs are INI files with a [problem] section (kind, dataset or [synthetic]
 block, regularizer), a [run] section (algorithm, seed, output, cadence), and
-an optional per-algorithm section overriding that algorithm's defaults.  A
+an optional per-algorithm section overriding that algorithm's defaults.  Each
+section is a dataclass: its keys are the fields, parsed as their annotated
+types, and an unset key keeps the class's default (see _SECTION_KEYS for the
+renamed and flattened keys).  A value a run would reject fails at load:
+each parameter class checks its fields (VarchenParams by building the
+L-BFGS memory it describes) and load_config checks [problem] and [run].  A
 run writes one CSV of MetricsRecord rows (fixed column order, empty cells
 for metrics an algorithm does not produce) plus a JSON manifest holding the
 resolved config, the seed, a content hash of the dataset and the numeric
@@ -106,12 +111,14 @@ class SyntheticSpec:
             raise ValueError("need N >= 2")
         if self.n < 1:
             raise ValueError("need n >= 1")
-        if self.noise < 0:
+        if not self.noise >= 0:
             raise ValueError("noise must be nonnegative")
         if not self.kappa >= 1:
             raise ValueError("condition number kappa must be >= 1")
         if self.label_model not in ("linear-separable", "sigmoid-svm-planted"):
             raise ValueError(f"unknown label model {self.label_model!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def gen_synthetic(spec: SyntheticSpec) -> Dataset:
@@ -555,55 +562,37 @@ class ConfigError(Exception):
 
 PROBLEM_KINDS = ("logistic", "sigmoid-svm")
 
-# section -> key -> parser
-_PROBLEM_KEYS = {
-    "kind": str,
-    "dataset": str,
-    "test_dataset": str,
-    "lam": float,
-    "label_column": int,
-    "header": bool,
+# Every config section is a dataclass: its keys are the fields, each parsed
+# as the field's annotated type, and a key left unset keeps the class's
+# default.  [problem] and [run] are these fields of ExperimentConfig, and
+# [synthetic] is SyntheticSpec with N and n named n_samples and n_features.
+# A [<algorithm>] section is the algorithm's parameter class, with three
+# exceptions: `momentum` is a key only under [sgd-momentum], [arig] `mode` is
+# ExperimentConfig.arig_mode, and [varchen] flattens its StepSchedule into
+# `schedule`, `step_c` and `step_beta`.
+_PROBLEM_KEYS = ("kind", "dataset", "test_dataset", "lam", "label_column", "header")
+_RUN_KEYS = ("algorithm", "seed", "out", "cadence")
+_SYNTHETIC_NAMES = {"n_samples": "N", "n_features": "n"}  # key -> field
+_SCHEDULE_NAMES = {"schedule": "kind", "step_c": "c", "step_beta": "beta"}
+_ALGO_PARAMS = {
+    "arig": RegParams,
+    "aras": ArasParams,
+    "varchen": VarchenParams,
+    "sgd": BaselineParams,
+    "sgd-momentum": BaselineParams,
+    "svrg": BaselineParams,
 }
-_SYNTHETIC_KEYS = {
-    "n_samples": int,
-    "n_features": int,
-    "noise": float,
-    "kappa": float,
-    "label_model": str,
-    "seed": int,
-}
-_RUN_KEYS = {"algorithm": str, "seed": int, "out": str, "cadence": int}
-_ALGO_KEYS = {
-    "arig": {
-        "eps": float, "sigma0": float, "sigma_min": float, "eta1": float,
-        "eta2": float, "gamma1": float, "gamma2": float, "gamma3": float,
-        "eta0": float, "max_iters": int, "mode": str,
-    },
-    "aras": {
-        "sigma0": float, "sigma_min": float, "eta": float, "gamma1": float,
-        "gamma2": float, "m0": int, "m_max": int, "burn_in": int,
-        "n_epochs": int,
-    },
-    "varchen": {
-        "p": int, "eta": float, "lam_min": float, "lam_max": float,
-        "gamma_under": float, "gamma_over": float, "m": int,
-        "schedule": str, "step_c": float, "step_beta": float, "n_epochs": int,
-    },
-    "sgd": {"alpha": float, "m": int, "n_epochs": int},
-    "sgd-momentum": {"alpha": float, "momentum": float, "m": int, "n_epochs": int},
-    "svrg": {"alpha": float, "m": int, "n_epochs": int},
-}
-ALGORITHMS = tuple(_ALGO_KEYS)
+ALGORITHMS = tuple(_ALGO_PARAMS)
 
 
 @dataclass
 class ExperimentConfig:
     kind: str
-    lam: float
     algorithm: str
-    seed: int
     out: str
-    cadence: int
+    lam: float = 0.0
+    seed: int = 0
+    cadence: int = 0
     dataset: Optional[str] = None
     test_dataset: Optional[str] = None
     label_column: int = 0
@@ -614,20 +603,8 @@ class ExperimentConfig:
 
     def as_manifest_dict(self) -> Dict:
         d = {
-            "problem": {
-                "kind": self.kind,
-                "lam": self.lam,
-                "dataset": self.dataset,
-                "test_dataset": self.test_dataset,
-                "label_column": self.label_column,
-                "header": self.header,
-            },
-            "run": {
-                "algorithm": self.algorithm,
-                "seed": self.seed,
-                "out": self.out,
-                "cadence": self.cadence,
-            },
+            "problem": {key: getattr(self, key) for key in _PROBLEM_KEYS},
+            "run": {key: getattr(self, key) for key in _RUN_KEYS},
             "params": dataclasses.asdict(self.algo_params),
         }
         if self.synthetic is not None:
@@ -637,10 +614,51 @@ class ExperimentConfig:
         return d
 
 
-def _parse_section(parser, section, keyspec, errors) -> Dict:
+def _key_types(cls, names: Optional[Dict[str, str]] = None) -> Dict[str, type]:
+    """Config key -> parse type for each field of dataclass cls: the field's
+    annotation, or T for an Optional[T] field.  `names` maps a key to its
+    field where the two differ."""
+    hints = get_type_hints(cls)
+    keys = {name: key for key, name in (names or {}).items()}
+    return {keys.get(f.name, f.name): (get_args(hints[f.name]) or (hints[f.name],))[0]
+            for f in dataclasses.fields(cls)}
+
+
+_CONFIG_TYPES = _key_types(ExperimentConfig)
+
+
+def _algo_keys(algorithm: str) -> Dict[str, type]:
+    keys = _key_types(_ALGO_PARAMS[algorithm])
+    if algorithm in ("sgd", "svrg"):
+        del keys["momentum"]
+    elif algorithm == "arig":
+        keys["mode"] = _CONFIG_TYPES["arig_mode"]
+    elif algorithm == "varchen":
+        del keys["schedule"]
+        keys.update(_key_types(StepSchedule, _SCHEDULE_NAMES))
+    return keys
+
+
+_SECTION_KEYS = {  # section -> key -> type
+    "problem": {key: _CONFIG_TYPES[key] for key in _PROBLEM_KEYS},
+    "synthetic": _key_types(SyntheticSpec, _SYNTHETIC_NAMES),
+    "run": {key: _CONFIG_TYPES[key] for key in _RUN_KEYS},
+    **{algorithm: _algo_keys(algorithm) for algorithm in ALGORITHMS},
+}
+
+
+def _fields(values: Dict, names: Dict[str, str]) -> Dict:
+    """A parsed section's values keyed by field instead of by config key."""
+    return {names.get(key, key): value for key, value in values.items()}
+
+
+def _parse_section(parser, section, errors) -> Dict:
+    """The keys set in `section`, as their types; unknown keys and values
+    that do not parse are appended to errors."""
     out = {}
     if not parser.has_section(section):
         return out
+    keyspec = _SECTION_KEYS[section]
     for key in parser.options(section):
         if key not in keyspec:
             errors.append(f"[{section}] unknown key {key!r}")
@@ -677,23 +695,21 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError([f"{path}: {exc}"])
 
     errors: List[str] = []
-    known_sections = {"problem", "synthetic", "run", *_ALGO_KEYS}
     for section in parser.sections():
-        if section not in known_sections:
+        if section not in _SECTION_KEYS:
             errors.append(f"unknown section [{section}]")
 
-    prob = _parse_section(parser, "problem", _PROBLEM_KEYS, errors)
-    syn = _parse_section(parser, "synthetic", _SYNTHETIC_KEYS, errors)
-    run = _parse_section(parser, "run", _RUN_KEYS, errors)
+    prob = _parse_section(parser, "problem", errors)
+    syn = _parse_section(parser, "synthetic", errors)
+    run = _parse_section(parser, "run", errors)
 
     kind = prob.get("kind")
     if kind is None:
         errors.append("[problem] kind is required")
     elif kind not in PROBLEM_KINDS:
         errors.append(f"[problem] kind must be one of {PROBLEM_KINDS}, got {kind!r}")
-    lam = prob.get("lam", 0.0)
-    if lam < 0:
-        errors.append("[problem] lam must be nonnegative")
+    if not 0 <= prob.get("lam", 0.0) < math.inf:
+        errors.append("[problem] lam must be nonnegative and finite")
 
     has_dataset = "dataset" in prob
     has_synthetic = parser.has_section("synthetic")
@@ -702,19 +718,11 @@ def load_config(path) -> ExperimentConfig:
 
     synthetic = None
     if has_synthetic:
-        syn_kwargs = {
-            "N": syn.get("n_samples"),
-            "n": syn.get("n_features"),
-            "noise": syn.get("noise", 0.0),
-            "kappa": syn.get("kappa", 1.0),
-            "label_model": syn.get("label_model", "linear-separable"),
-            "seed": syn.get("seed", 0),
-        }
-        if syn_kwargs["N"] is None or syn_kwargs["n"] is None:
+        if "n_samples" not in syn or "n_features" not in syn:
             errors.append("[synthetic] n_samples and n_features are required")
         else:
             try:
-                synthetic = SyntheticSpec(**syn_kwargs)
+                synthetic = SyntheticSpec(**_fields(syn, _SYNTHETIC_NAMES))
             except ValueError as exc:
                 errors.append(f"[synthetic] {exc}")
 
@@ -723,76 +731,48 @@ def load_config(path) -> ExperimentConfig:
         errors.append("[run] algorithm is required")
     elif algorithm not in ALGORITHMS:
         errors.append(f"[run] algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
-
-    cadence = run.get("cadence", 0)
-    if cadence < 0:
+    if run.get("cadence", 0) < 0:
         errors.append("[run] cadence must be >= 0")
-    seed = run.get("seed", 0)
-    out_raw = run.get("out")
-    if out_raw is None:
-        out = str(path.with_suffix(".metrics.csv"))
-    elif Path(out_raw).is_absolute():
-        out = out_raw
-    else:
-        out = str(path.parent / out_raw)
+    if run.get("seed", 0) < 0:
+        errors.append("[run] seed must be >= 0")
+    out = run.get("out")
+    if out is None:
+        run["out"] = str(path.with_suffix(".metrics.csv"))
+    elif not Path(out).is_absolute():
+        run["out"] = str(path.parent / out)
 
     algo_params = None
-    arig_mode = "exact"
-    if algorithm in _ALGO_KEYS:
-        algo_kwargs = _parse_section(parser, algorithm, _ALGO_KEYS[algorithm], errors)
+    arig_mode = ExperimentConfig.arig_mode
+    if algorithm in _ALGO_PARAMS:
+        values = _parse_section(parser, algorithm, errors)
         # warn about sections for algorithms that are not being run
-        for other in _ALGO_KEYS:
+        for other in ALGORITHMS:
             if other != algorithm and parser.has_section(other):
                 errors.append(f"section [{other}] does not match algorithm {algorithm!r}")
+        if algorithm == "arig":
+            arig_mode = values.pop("mode", arig_mode)
+            if arig_mode not in ARIG_MODES:
+                errors.append(f"[arig] mode must be one of {ARIG_MODES}")
         try:
-            if algorithm == "arig":
-                arig_mode = algo_kwargs.pop("mode", "exact")
-                if arig_mode not in ARIG_MODES:
-                    errors.append(f"[arig] mode must be one of {ARIG_MODES}")
-                algo_params = RegParams(**algo_kwargs)
-            elif algorithm == "aras":
-                algo_params = ArasParams(**algo_kwargs)
-            elif algorithm == "varchen":
-                sched_kind = algo_kwargs.pop("schedule", "constant")
-                sched_c = algo_kwargs.pop("step_c", 0.1)
-                sched_beta = algo_kwargs.pop("step_beta", 0.75)
-                schedule = StepSchedule(kind=sched_kind, c=sched_c, beta=sched_beta)
-                algo_params = VarchenParams(schedule=schedule, **algo_kwargs)
-            else:
-                algo_params = BaselineParams(**algo_kwargs)
+            if algorithm == "varchen":
+                schedule = {key: values.pop(key) for key in _SCHEDULE_NAMES if key in values}
+                values["schedule"] = dataclasses.replace(
+                    VarchenParams.schedule, **_fields(schedule, _SCHEDULE_NAMES))
+            algo_params = _ALGO_PARAMS[algorithm](**values)
         except ValueError as exc:
             errors.append(f"[{algorithm}] {exc}")
 
     # dataset paths resolve relative to the config file
-    dataset = prob.get("dataset")
-    test_dataset = prob.get("test_dataset")
-    if dataset is not None:
-        dataset = str((path.parent / dataset).resolve())
-        if not Path(dataset).is_file():
-            errors.append(f"[problem] dataset not found: {dataset}")
-    if test_dataset is not None:
-        test_dataset = str((path.parent / test_dataset).resolve())
-        if not Path(test_dataset).is_file():
-            errors.append(f"[problem] test_dataset not found: {test_dataset}")
+    for key in ("dataset", "test_dataset"):
+        if key in prob:
+            prob[key] = str((path.parent / prob[key]).resolve())
+            if not Path(prob[key]).is_file():
+                errors.append(f"[problem] {key} not found: {prob[key]}")
 
     if errors:
         raise ConfigError(errors)
-
-    return ExperimentConfig(
-        kind=kind,
-        lam=lam,
-        algorithm=algorithm,
-        seed=seed,
-        out=out,
-        cadence=cadence,
-        dataset=dataset,
-        test_dataset=test_dataset,
-        label_column=prob.get("label_column", 0),
-        header=prob.get("header", False),
-        synthetic=synthetic,
-        algo_params=algo_params,
-        arig_mode=arig_mode,
-    )
+    return ExperimentConfig(**prob, **run, synthetic=synthetic,
+                            algo_params=algo_params, arig_mode=arig_mode)
 
 
 # -- running ------------------------------------------------------------------
@@ -1062,6 +1042,8 @@ def _print_summary_table(summaries: List[Dict]) -> None:
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(["--seed must be >= 0"])
         config.seed = args.seed
     if args.out is not None:
         config.out = args.out

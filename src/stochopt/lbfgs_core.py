@@ -79,7 +79,8 @@ class LBFGSMemory:
         if not self.gamma_over <= self.lam_max:
             raise ValueError("need gamma_over <= lam_max")
         if not self.gamma_under <= self.gamma_tilde <= self.gamma_over:
-            raise ValueError("gamma_tilde outside clamp interval")
+            raise ValueError("the clamp [gamma_under, gamma_over] must contain the "
+                             f"starting scaling gamma_tilde = {self.gamma_tilde:g}")
         self.pairs = deque(maxlen=self.p)
 
     def L_g_est(self) -> float:

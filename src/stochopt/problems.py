@@ -396,8 +396,8 @@ def _validate_pm1_labels(labels: np.ndarray):
 def make_sigmoid_svm(dataset: Dataset, lam: float) -> FiniteSumProblem:
     """Nonconvex SVM with sigmoid loss: f_i = 1 - tanh(v_i x'u_i) + lam||x||^2."""
     _validate_pm1_labels(dataset.labels)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be nonnegative and finite")
     # curvature of 1 - tanh(z) is at most 4/(3*sqrt(3))
     L = 4.0 / (3.0 * np.sqrt(3.0)) * dataset.max_row_sq_norm() + 2.0 * lam
     return FiniteSumProblem(
@@ -408,8 +408,8 @@ def make_sigmoid_svm(dataset: Dataset, lam: float) -> FiniteSumProblem:
 def make_logistic(dataset: Dataset, lam: float) -> FiniteSumProblem:
     """Binary logistic regression: f_i = log(1+exp(-v_i x'u_i)) + lam||x||^2."""
     _validate_pm1_labels(dataset.labels)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be nonnegative and finite")
     L = 0.25 * dataset.max_row_sq_norm() + 2.0 * lam
     return FiniteSumProblem(
         kind="logistic", N=dataset.N, n=dataset.n, lam=lam, dataset=dataset, L=L

@@ -103,20 +103,18 @@ class VarchenParams:
     n_epochs: int = 20
 
     def __post_init__(self):
-        # lam_min = 0 / lam_max = inf disable the bound control; equality at
-        # gamma_over = lam_max is allowed (the standard constants sit there)
-        if not 0 <= self.lam_min < self.gamma_under:
-            raise ValueError("need 0 <= lam_min < gamma_under")
-        if not 0 < self.gamma_under < self.gamma_over <= self.lam_max:
-            raise ValueError("need gamma_under < gamma_over <= lam_max")
-        if self.p < 0:
-            raise ValueError("memory p must be >= 0")
-        if not 0 < self.eta < 1:
-            raise ValueError("need eta in (0, 1)")
+        self.new_memory()  # the memory's own checks on p, eta, bounds and clamp
         if self.m < 1:
             raise ValueError("batch size must be positive")
         if self.n_epochs < 1:
             raise ValueError("n_epochs must be positive")
+
+    def new_memory(self) -> LBFGSMemory:
+        """An empty L-BFGS memory with these settings.  Building one in
+        __post_init__ checks them, so a VarchenParams that exists runs."""
+        return LBFGSMemory(p=self.p, gamma_under=self.gamma_under,
+                           gamma_over=self.gamma_over, eta=self.eta,
+                           lam_min=self.lam_min, lam_max=self.lam_max)
 
 
 @dataclass
@@ -196,14 +194,7 @@ def varchen_run(
 ) -> VarchenResult:
     """Run n_epochs epochs of anchored, bound-controlled quasi-Newton steps."""
     N = problem.N
-    memory = LBFGSMemory(
-        p=params.p,
-        gamma_under=params.gamma_under,
-        gamma_over=params.gamma_over,
-        eta=params.eta,
-        lam_min=params.lam_min,
-        lam_max=params.lam_max,
-    )
+    memory = params.new_memory()
     anchor: Optional[AnchorState] = None
 
     def step(x, batch, k, first):

@@ -3,6 +3,7 @@ config parsing, experiment runs, comparison, and the CLI."""
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -63,6 +64,50 @@ BASE_SGD = """\
     m = 16
     n_epochs = 3
     """
+
+
+# Every config key, by section, with a valid value that is not its default.
+CONFIG_SURFACE = {
+    "problem": {"kind": "sigmoid-svm", "dataset": "train.csv", "test_dataset": "test.csv",
+                "lam": 0.5, "label_column": 1, "header": True},
+    "synthetic": {"n_samples": 40, "n_features": 3, "noise": 0.2, "kappa": 10.0,
+                  "label_model": "sigmoid-svm-planted", "seed": 5},
+    "run": {"algorithm": "sgd", "seed": 4, "out": "o.csv", "cadence": 3},
+    "arig": {"eps": 1e-4, "sigma0": 2.0, "sigma_min": 0.5, "eta1": 0.3, "eta2": 0.8,
+             "gamma1": 0.4, "gamma2": 1.7, "gamma3": 2.5, "eta0": 0.1,
+             "max_iters": 77, "mode": "inexact-g-and-f"},
+    "aras": {"sigma0": 3.0, "sigma_min": 0.2, "eta": 0.3, "gamma1": 0.6, "gamma2": 2.5,
+             "m0": 16, "m_max": 512, "burn_in": 20, "n_epochs": 4},
+    "varchen": {"p": 5, "eta": 0.3, "lam_min": 1e-4, "lam_max": math.inf,
+                "gamma_under": 0.2, "gamma_over": 1e4, "m": 32, "schedule": "power",
+                "step_c": 0.3, "step_beta": 0.6, "n_epochs": 3},
+    "sgd": {"alpha": 0.3, "m": 8, "n_epochs": 2},
+    "sgd-momentum": {"alpha": 0.3, "momentum": 0.9, "m": 8, "n_epochs": 2},
+    "svrg": {"alpha": 0.3, "m": 8, "n_epochs": 2},
+}
+ALGORITHM_SECTIONS = [s for s in CONFIG_SURFACE if s not in ("problem", "synthetic", "run")]
+
+
+def ini_text(sections):
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items()) + "\n"
+        for name, keys in sections.items()
+    )
+
+
+def landed(cfg, section, key):
+    """Where load_config put the value of `key` in `section`."""
+    if section in ("problem", "run"):
+        value = getattr(cfg, key)
+        return Path(value).name if key in ("dataset", "test_dataset", "out") else value
+    if section == "synthetic":
+        return getattr(cfg.synthetic, {"n_samples": "N", "n_features": "n"}.get(key, key))
+    if key == "mode":
+        return cfg.arig_mode
+    schedule = {"schedule": "kind", "step_c": "c", "step_beta": "beta"}
+    if key in schedule:
+        return getattr(cfg.algo_params.schedule, schedule[key])
+    return getattr(cfg.algo_params, key)
 
 
 class TestSynthetic:
@@ -507,6 +552,46 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="cannot parse 'sixteen' as int"):
             load_config(write_config(tmp_path, text))
 
+    @pytest.mark.parametrize("algorithm", ALGORITHM_SECTIONS)
+    def test_every_key_reaches_the_config(self, tmp_path, algorithm):
+        for name in ("train.csv", "test.csv"):
+            (tmp_path / name).write_text("x,label\n1.0,1\n")
+        run = dict(CONFIG_SURFACE["run"], algorithm=algorithm)
+        section = CONFIG_SURFACE[algorithm]
+        cfg = load_config(write_config(tmp_path, ini_text(
+            {"problem": CONFIG_SURFACE["problem"], "run": run, algorithm: section})))
+        syn = load_config(write_config(tmp_path, ini_text(
+            {"problem": {"kind": "logistic"}, "synthetic": CONFIG_SURFACE["synthetic"],
+             "run": {"algorithm": algorithm}}), name="syn.ini"))
+        for name, keys in [("problem", CONFIG_SURFACE["problem"]), ("run", run)]:
+            for key, value in keys.items():
+                assert landed(cfg, name, key) == value, key
+        for key, value in CONFIG_SURFACE["synthetic"].items():
+            assert landed(syn, "synthetic", key) == value, key
+        for key, value in section.items():
+            # syn's [algorithm] section is empty, so it holds the defaults
+            assert landed(cfg, algorithm, key) == value != landed(syn, algorithm, key), key
+
+        # no key beyond these: the manifest lists every field behind a key
+        manifest = cfg.as_manifest_dict()
+        assert set(manifest["problem"]) == set(CONFIG_SURFACE["problem"])
+        assert set(manifest["run"]) - {"arig_mode"} == set(run)
+        names = {"n_samples": "N", "n_features": "n"}
+        assert set(syn.as_manifest_dict()["synthetic"]) == {
+            names.get(key, key) for key in CONFIG_SURFACE["synthetic"]}
+        fields = {"schedule" if key in ("step_c", "step_beta") else key
+                  for key in section if key != "mode"}
+        if algorithm in ("sgd", "svrg"):
+            fields.add("momentum")  # a field, but a key only under [sgd-momentum]
+            text = ini_text({"problem": {"kind": "logistic"},
+                             "synthetic": CONFIG_SURFACE["synthetic"], "run": run,
+                             algorithm: dict(section, momentum=0.9)})
+            with pytest.raises(ConfigError, match=rf"\[{algorithm}\] unknown key 'momentum'"):
+                load_config(write_config(tmp_path, text, name="momentum.ini"))
+        assert set(manifest["params"]) == fields
+        if algorithm == "varchen":
+            assert set(manifest["params"]["schedule"]) == {"kind", "c", "beta"}
+
 
 def strip_wall(path):
     """CSV rows with the wall_ms column blanked, for rerun comparisons."""
@@ -882,6 +967,47 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "ok"
         assert "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.ini")),
+        ids=lambda path: path.name,
+    )
+    def test_example_config_validates(self, path, capsys):
+        assert main(["validate-config", "--config", str(path)]) == 0
+
+    @pytest.mark.parametrize("clamp", ["gamma_under = 2", "gamma_over = 0.5"])
+    def test_varchen_clamp_without_one_fails_at_load(self, tmp_path, capsys, clamp):
+        text = BASE_SGD.replace("algorithm = sgd", "algorithm = varchen").replace(
+            "[sgd]\n    alpha = 0.1", "[varchen]\n    " + clamp)
+        cfg = write_config(tmp_path, text)
+        for verb in ("validate-config", "run"):
+            assert main([verb, "--config", cfg]) == 1
+            err = capsys.readouterr().err
+            assert "[varchen]" in err and "must contain the starting scaling" in err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("lam = 0.1", "lam = nan", "[problem] lam must be nonnegative"),
+            ("lam = 0.1", "lam = inf", "[problem] lam must be nonnegative"),
+            ("n_features = 5", "n_features = 5\n    noise = nan",
+             "[synthetic] noise must be nonnegative"),
+            ("seed = 3", "seed = -1", "[synthetic] seed must be >= 0"),
+            ("seed = 1", "seed = -1", "[run] seed must be >= 0"),
+        ],
+        ids=["lam-nan", "lam-inf", "noise-nan", "synthetic-seed", "run-seed"],
+    )
+    def test_bad_numbers_fail_at_load(self, tmp_path, capsys, old, new, message):
+        assert BASE_SGD.count(old) == 1
+        cfg = write_config(tmp_path, BASE_SGD.replace(old, new))
+        for verb in ("validate-config", "run"):
+            assert main([verb, "--config", cfg]) == 1
+            assert message in capsys.readouterr().err
+
+    def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE_SGD)
+        assert main(["run", "--config", cfg, "--seed", "-1"]) == 1
+        assert "--seed must be >= 0" in capsys.readouterr().err
 
     def test_config_error_exit_code_and_stderr(self, tmp_path, capsys):
         bad = write_config(tmp_path, BASE_SGD.replace("kind = logistic", "kind = x"))
