@@ -97,12 +97,12 @@ class ArasParams:
     n_epochs: int = 10
 
     def __post_init__(self):
-        if not 0 < self.sigma_min <= self.sigma0:
-            raise ValueError("need 0 < sigma_min <= sigma0")
+        if not 0 < self.sigma_min <= self.sigma0 < np.inf:
+            raise ValueError("need 0 < sigma_min <= sigma0 < inf")
         if not 0 < self.eta < 1:
             raise ValueError("need 0 < eta < 1")
-        if not 0 < self.gamma1 < 1 < self.gamma2:
-            raise ValueError("need 0 < gamma1 < 1 < gamma2")
+        if not 0 < self.gamma1 < 1 < self.gamma2 < np.inf:
+            raise ValueError("need 0 < gamma1 < 1 < gamma2 < inf")
         if not 1 <= self.m0 <= self.m_max:
             raise ValueError("need 1 <= m0 <= m_max")
         if self.burn_in < 1:

@@ -35,8 +35,8 @@ class BaselineParams:
     n_epochs: int = 20
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
         if self.m < 1:

@@ -20,15 +20,27 @@ Every batch is used in ascending index order, so its reductions run in that
 order; the whole index set in order, as every full pass hands it over, is
 recognised by one scan and not sorted.  Losses are averaged with numpy's
 pairwise summation; the gradient sum over rows, sum_i c_i u_i, is a
-sequential ascending-row accumulation (``einsum`` for dense rows, the CSR
-transpose product for sparse ones).  Results do not depend on the BLAS
-thread count: the only BLAS call is the margin product rows @ x, where a
-thread split hands out whole rows and each margin stays one dot product,
-while the reductions over rows stay out of BLAS, whose gemv would split
-their sums across threads and change the bits.  A batch that is the whole
+sequential ascending-row accumulation (``einsum`` for dense rows; for CSR
+rows, scipy's transpose product on the whole set in place and
+``np.bincount`` over a gathered batch's stored entries).  Results do not
+depend on the BLAS thread count: the only BLAS call is the margin product
+rows @ x, where a thread split hands out whole rows and each margin stays
+one dot product, while the reductions over rows stay out of BLAS, whose
+gemv would split their sums across threads and change the bits.  A batch that is the whole
 index set reads the feature matrix in place instead of gathering a copy;
 the arithmetic is the same, so batch_grad over the full index set equals
 full_grad exactly.
+
+Any other CSR batch is gathered with numpy from the matrix's
+indptr/indices/data arrays (columns, values and a row id per stored entry),
+and its margins and gradient sum are ``np.bincount`` over those, with no
+scipy object built.  bincount adds its weights in input order into a zeroed
+output; scipy's ``csr_matvec`` (margins) and ``csc_matvec`` on the
+transpose (gradient) add the same products in the same stored order, so
+the bits are equal, duplicate or unsorted entries included, as long as
+scipy's compiled loop rounds each product before adding it.  Densifying a
+batch (per_sample_grads) and summing the duplicates of a dataset not in
+canonical form wrap the gathered arrays in a csr_matrix.
 
 The logistic loss uses numpy's vectorized ``exp`` and ``log1p`` in the
 stable form max(-z, 0) + log1p(exp(-|z|)), and stays within 2 ulp of
@@ -49,7 +61,7 @@ batch's stored entries and never build the dense m x n block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -143,6 +155,36 @@ class Dataset:
         return float(np.max(maxima))
 
 
+class _CsrBatch(NamedTuple):
+    """A gathered batch of m CSR rows in scipy's CSR arrays, built with
+    numpy alone: row i's stored entries are indices/data[indptr[i]:indptr[i+1]]
+    in the dataset's stored order, and rowid gives each entry's row."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    rowid: np.ndarray
+    shape: Tuple[int, int]
+
+    @classmethod
+    def gather(cls, feats, idx: np.ndarray) -> "_CsrBatch":
+        """Rows idx of CSR `feats`, one copy of their stored entries."""
+        starts = feats.indptr[idx]
+        lens = feats.indptr[idx + 1] - starts
+        indptr = np.zeros(idx.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=indptr[1:])
+        rowid = np.repeat(np.arange(idx.size), lens)
+        # entry k of row i sits at starts[i] + (k - indptr[i]) in feats
+        pos = np.arange(indptr[-1]) + (starts - indptr[:-1])[rowid]
+        return cls(indptr, feats.indices.take(pos), feats.data.take(pos), rowid,
+                   (idx.size, feats.shape[1]))
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The batch as a csr_matrix on these arrays, for scipy's
+        duplicate-summing toarray() and sum_duplicates()."""
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+
+
 @dataclass(frozen=True)
 class _QuadData:
     """Per-sample quadratic payload: f_i(x) = 0.5 x'M_i x - b_i'x.
@@ -200,17 +242,29 @@ class FiniteSumProblem:
 
     def _rows(self, idx: np.ndarray, whole: bool):
         """Feature rows and labels of a validated batch: the whole index set
-        reads the dataset in place; any other batch gathers one copy."""
+        reads the dataset in place; any other batch gathers one copy, for
+        CSR features a _CsrBatch of the rows' stored entries.  The in-place
+        set goes to scipy's products, which run a whole set's entries
+        faster; a gathered batch goes to np.bincount, since building scipy
+        objects would cost a batch more than its arithmetic."""
         ds = self.dataset
         if whole:
             return ds.features, ds.labels
+        if sp.issparse(ds.features):
+            return _CsrBatch.gather(ds.features, idx), ds.labels[idx]
         return ds.features[idx], ds.labels[idx]
 
     def _margins_and_coefs(self, rows, v: np.ndarray, x: np.ndarray,
                            losses: bool, coefs: bool):
         """One margin pass: (pure per-sample losses, d loss_i / d z
         coefficients); a value not asked for is None."""
-        z = v * np.asarray(rows @ x).ravel()
+        if isinstance(rows, _CsrBatch):
+            # each margin adds its row's products in stored order into a
+            # zero, as scipy's csr_matvec does
+            z = v * np.bincount(rows.rowid, weights=rows.data * x.take(rows.indices),
+                                minlength=v.size)
+        else:
+            z = v * np.asarray(rows @ x).ravel()
         if self.kind == "sigmoid-svm":
             t = np.tanh(z)
             return (1.0 - t if losses else None,
@@ -240,10 +294,17 @@ class FiniteSumProblem:
         return f, g
 
     def _mean_grad(self, rows, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """(1/m) sum_i coef_i * row_i + 2 lam x over the batch's m rows."""
-        # sequential ascending-row sum; a dense BLAS gemv would split it
-        # across threads and change its bits
-        if sp.issparse(rows):
+        """(1/m) sum_i coef_i * row_i + 2 lam x over the batch's m rows.
+
+        Each coordinate is a sequential ascending-row sum; a dense BLAS gemv
+        would split it across threads and change its bits.  A gathered CSR
+        batch adds coef_i * u_ij into coordinate j entry by entry in stored
+        order (rows ascending), the order in which scipy's csc_matvec runs
+        the in-place transpose product, so the two forms agree bit for bit."""
+        if isinstance(rows, _CsrBatch):
+            base = np.bincount(rows.indices, weights=rows.data * coef.take(rows.rowid),
+                               minlength=self.n)
+        elif sp.issparse(rows):
             base = np.asarray(rows.T @ coef).ravel()
         else:
             base = np.einsum("i,ij->j", coef, rows)
@@ -290,6 +351,8 @@ class FiniteSumProblem:
             return self._quad_per_sample_grads(idx, x)
         rows, v = self._rows(idx, whole)
         _, coef = self._margins_and_coefs(rows, v, x, losses=False, coefs=True)
+        if isinstance(rows, _CsrBatch):
+            rows = rows.tocsr()
         if sp.issparse(rows):
             rows = rows.toarray()
         return coef[:, None] * rows + (2.0 * self.lam) * x
@@ -326,14 +389,16 @@ class FiniteSumProblem:
             rows, v = self._rows(idx, whole)
             _, coef = self._margins_and_coefs(rows, v, x, losses=False, coefs=True)
             g = self._mean_grad(rows, coef, x)
-            if sp.issparse(rows):
-                if not rows.has_canonical_format:
-                    # a repeated (i, j) entry would be counted as two coordinates
-                    rows = rows.copy()
+            if sp.issparse(self.dataset.features):
+                if not self.dataset.features.has_canonical_format:
+                    # a repeated (i, j) entry would be counted as two
+                    # coordinates; summing rewrites the arrays, so it runs
+                    # on the batch's own or on a copy of the dataset's
+                    rows = rows.tocsr() if isinstance(rows, _CsrBatch) else rows.copy()
                     rows.sum_duplicates()
                 w = g - (2.0 * self.lam) * x
                 vals = np.repeat(coef, np.diff(rows.indptr)) * rows.data  # c_i u_ij
-                w_at = w[rows.indices]
+                w_at = w.take(rows.indices)
                 # (c u - w)^2 - w^2 = c u (c u - 2 w)
                 total = m * float(w @ w) + float(np.sum(vals * (vals - 2.0 * w_at)))
                 return g, max(0.0, total / (m - 1))

@@ -74,12 +74,12 @@ class RegParams:
     def __post_init__(self):
         if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if not 0 < self.sigma_min <= self.sigma0:
-            raise ValueError("need 0 < sigma_min <= sigma0")
+        if not 0 < self.sigma_min <= self.sigma0 < math.inf:
+            raise ValueError("need 0 < sigma_min <= sigma0 < inf")
         if not 0 < self.eta1 <= self.eta2 < 1:
             raise ValueError("need 0 < eta1 <= eta2 < 1")
-        if not 0 < self.gamma1 < 1 < self.gamma2 < self.gamma3:
-            raise ValueError("need 0 < gamma1 < 1 < gamma2 < gamma3")
+        if not 0 < self.gamma1 < 1 < self.gamma2 < self.gamma3 < math.inf:
+            raise ValueError("need 0 < gamma1 < 1 < gamma2 < gamma3 < inf")
         if self.eta0 is not None and not 0 < self.eta0 < 0.5 * self.eta1:
             raise ValueError("eta0 must satisfy 0 < eta0 < eta1/2")
         if self.max_iters < 1:

@@ -54,8 +54,8 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "harmonic", "power"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not self.c > 0:
-            raise ValueError("schedule coefficient must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValueError("schedule coefficient must be positive and finite")
         if self.kind == "power" and not 0.5 < self.beta < 1.0:
             raise ValueError("power schedule needs beta in (1/2, 1)")
 

@@ -9,7 +9,8 @@ libsvm parser, a cell-by-cell CSV parser, the largest squared row norm over
 the whole matrix, the metrics report's column rules spelled out per
 algorithm, its loss and gradient norm from a fresh full pass per row (the
 one helper that calls the package, for values it must match bit for bit),
-the logistic loss as np.logaddexp computes it, and a float64
+the logistic loss as np.logaddexp computes it, a CSR batch's oracles
+through scipy's own row gather and transpose product, and a float64
 ulp distance.  Tests freeze against these, so keep them dumb and obvious.
 """
 
@@ -113,6 +114,30 @@ def csr_variance_l1_reference(features, labels, kind: str, lam: float, batch,
     vals = np.repeat(coef, np.diff(rows.indptr)) * rows.data
     total = m * float(w @ w) + float(np.sum(vals * (vals - 2.0 * w[rows.indices])))
     return max(0.0, total / (m - 1))
+
+
+def csr_batch_reference(features, labels, kind: str, lam: float, batch,
+                        x: np.ndarray):
+    """(mean loss, mean gradient, dense per-sample gradients) of a CSR batch
+    in scipy's form: the sorted batch's rows gathered by csr_matrix indexing,
+    margins rows @ x, the gradient sum rows.T @ coef and the per-sample rows
+    densified by toarray().  A non-canonical matrix keeps its stored order
+    and duplicates, which the products add as they come and toarray() sums.
+    The library's gathered CSR batch must agree bit for bit."""
+    idx = np.sort(np.asarray(batch, dtype=np.int64).ravel())
+    rows = sp.csr_matrix(features)[idx]
+    v = np.asarray(labels, dtype=float)[idx]
+    z = v * np.asarray(rows @ x).ravel()
+    if kind == "sigmoid-svm":  # 1 - tanh z, d/dz = -(1 - tanh^2 z)
+        t = np.tanh(z)
+        losses, coef = 1.0 - t, -v * (1.0 - t * t)
+    else:  # logistic in the library's stable form, d/dz = -1 / (1 + exp(z))
+        losses = np.log1p(np.exp(-np.abs(z))) - np.minimum(z, 0.0)
+        coef = -v / (1.0 + np.exp(z))
+    loss = float(np.mean(losses) + lam * (x @ x))
+    grad = np.asarray(rows.T @ coef).ravel() / idx.size + (2.0 * lam) * x
+    per_sample = coef[:, None] * rows.toarray() + (2.0 * lam) * x
+    return loss, grad, per_sample
 
 
 def logistic_losses_reference(z) -> np.ndarray:

@@ -17,6 +17,7 @@ import scipy.optimize
 import scipy.sparse as sp
 
 import stochopt.harness as harness
+import stochopt.problems as problems
 from oracles import report_columns_reference, report_values_reference
 from stochopt.harness import (
     ConfigError,
@@ -949,6 +950,68 @@ class TestCompare:
             compare([c1, c2])
 
 
+CSR_ALGORITHM_SECTIONS = {
+    "arig": {"eps": 1e-5, "max_iters": 40},
+    "aras": {"sigma0": 1.0, "m0": 8, "m_max": 64, "burn_in": 5, "n_epochs": 2},
+    "varchen": {"p": 3, "m": 16, "n_epochs": 2},
+    "sgd": {"alpha": 0.5, "m": 16, "n_epochs": 2},
+    "sgd-momentum": {"alpha": 0.5, "momentum": 0.5, "m": 16, "n_epochs": 2},
+    "svrg": {"alpha": 0.5, "m": 16, "n_epochs": 2},
+}
+
+
+def write_csr_libsvm(path, N=150, n=700, nnz=10, seed=4):
+    """A libsvm file wider than DENSE_DIM_LIMIT, so that it loads as CSR:
+    each row holds up to `nnz` random columns, a few rows none at all."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(n)
+    lines = []
+    for i in range(N):
+        cols = np.unique(rng.integers(0, n, size=0 if i % 37 == 5 else nnz))
+        vals = np.round(rng.standard_normal(cols.size), 4)
+        label = 1 if float(vals @ w[cols]) + 0.3 * rng.standard_normal() >= 0 else -1
+        lines.append(" ".join([str(label)] + [f"{c + 1}:{v!r}" for c, v in
+                                              zip(cols.tolist(), vals.tolist())]))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestCsrRuns:
+    """Every algorithm runs end to end on a dataset that loads as CSR.  A
+    batch other than the whole index set is gathered (problems._CsrBatch);
+    ARIG's passes are all over the whole set, which scipy reads in place."""
+
+    @pytest.mark.parametrize("algorithm", sorted(CSR_ALGORITHM_SECTIONS))
+    def test_run_on_csr_is_deterministic(self, tmp_path, capsys, monkeypatch, algorithm):
+        write_csr_libsvm(tmp_path / "wide.libsvm")
+        assert sp.issparse(load_libsvm(str(tmp_path / "wide.libsvm")).features)
+        cfg = write_config(tmp_path, ini_text({
+            "problem": {"kind": "logistic", "lam": 0.01, "dataset": "wide.libsvm"},
+            "run": {"algorithm": algorithm, "seed": 2, "cadence": 3, "out": "a.csv"},
+            algorithm: CSR_ALGORITHM_SECTIONS[algorithm],
+        }))
+        kinds = []
+        rows = problems.FiniteSumProblem._rows
+
+        def recording_rows(self, idx, whole):
+            out = rows(self, idx, whole)
+            kinds.append(type(out[0]))
+            return out
+
+        monkeypatch.setattr(problems.FiniteSumProblem, "_rows", recording_rows)
+        assert main(["run", "--config", cfg]) == 0
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 0
+        capsys.readouterr()
+        assert sp.csr_matrix in kinds
+        if algorithm == "arig":
+            assert set(kinds) == {sp.csr_matrix}
+        else:
+            assert problems._CsrBatch in kinds and np.ndarray not in kinds
+        manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+        assert manifest["aborted"] is False
+        first = strip_wall(tmp_path / "a.csv")
+        assert len(first) > 2 and first == strip_wall(tmp_path / "b.csv")
+
+
 class TestCli:
     def test_validate_config_ok(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_SGD)
@@ -1003,6 +1066,34 @@ class TestCli:
         for verb in ("validate-config", "run"):
             assert main([verb, "--config", cfg]) == 1
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "algorithm, key, message",
+        [
+            ("sgd", "alpha", "alpha must be positive and finite"),
+            ("sgd-momentum", "alpha", "alpha must be positive and finite"),
+            ("svrg", "alpha", "alpha must be positive and finite"),
+            ("varchen", "step_c", "schedule coefficient must be positive and finite"),
+            ("aras", "sigma0", "need 0 < sigma_min <= sigma0 < inf"),
+            ("aras", "gamma2", "need 0 < gamma1 < 1 < gamma2 < inf"),
+            ("arig", "sigma0", "need 0 < sigma_min <= sigma0 < inf"),
+            # gamma2 < gamma3 already bounds [arig] gamma2
+            ("arig", "gamma3", "need 0 < gamma1 < 1 < gamma2 < gamma3 < inf"),
+        ],
+        ids=["sgd-alpha", "sgd-momentum-alpha", "svrg-alpha", "varchen-step_c",
+             "aras-sigma0", "aras-gamma2", "arig-sigma0", "arig-gamma3"],
+    )
+    def test_infinite_step_lengths_fail_at_load(self, tmp_path, capsys, algorithm, key,
+                                                message):
+        block = "[sgd]\n    alpha = 0.1\n    m = 16\n    n_epochs = 3\n"
+        assert BASE_SGD.count(block) == 1
+        text = BASE_SGD.replace("algorithm = sgd", f"algorithm = {algorithm}").replace(
+            block, f"[{algorithm}]\n    {key} = inf\n")
+        cfg = write_config(tmp_path, text)
+        for verb in ("validate-config", "run"):
+            assert main([verb, "--config", cfg]) == 1
+            err = capsys.readouterr().err
+            assert f"[{algorithm}]" in err and message in err
 
     def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_SGD)

@@ -20,6 +20,8 @@ from stochopt import (
 
 import stochopt.problems as problems
 from oracles import (
+    csr_batch_reference,
+    csr_variance_l1_reference,
     enumerate_batches,
     fd_gradient,
     logistic_losses_reference,
@@ -337,6 +339,112 @@ class TestWholeSetTakesNoSort:
                 fs, gs = prob.loss_and_grad(np.sort(dup), x)
                 assert fd == fs and np.array_equal(gd, gs)
                 assert not np.array_equal(gd, g)
+
+
+def _csr_variants(rng, N=9, n=6):
+    """{name: CSR features} over one random matrix whose rows 2 and 5 hold
+    no entries: canonical and non-canonical (each row's entries stored in
+    reverse order, its last column stored once more), each with int32 and
+    with int64 index arrays."""
+    X = rng.standard_normal((N, n))
+    X[rng.random((N, n)) < 0.4] = 0.0
+    X[[2, 5]] = 0.0
+    canonical = sp.csr_matrix(X)
+    data, indices, indptr = [], [], [0]
+    for i in range(N):
+        lo, hi = canonical.indptr[i], canonical.indptr[i + 1]
+        cols = list(canonical.indices[lo:hi][::-1])
+        vals = list(canonical.data[lo:hi][::-1])
+        if cols:
+            cols.append(cols[0])
+            vals.append(float(rng.standard_normal()))
+        indices += cols
+        data += vals
+        indptr.append(len(indices))
+    variants = {}
+    for name, (vals, cols, ptr) in {
+        "canonical": (canonical.data, canonical.indices, canonical.indptr),
+        "non-canonical": (np.array(data), np.array(indices), np.array(indptr)),
+    }.items():
+        for itype in (np.int32, np.int64):
+            feats = sp.csr_matrix((vals.copy(), cols.astype(itype), ptr.astype(itype)),
+                                  shape=(N, n))
+            # the constructor picks the narrowest index type; set the asked one
+            feats.indices, feats.indptr = cols.astype(itype), ptr.astype(itype)
+            variants[f"{name}-{np.dtype(itype).name}"] = feats
+    return variants
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestCsrGatheredBatch:
+    """A CSR batch that is not the whole index set is gathered from the
+    matrix's arrays and reduced with bincount; its bits equal scipy's row
+    gather and transpose product (oracles.csr_batch_reference)."""
+
+    BATCHES = {
+        "sorted": [0, 1, 3, 4, 8],
+        "unsorted": [7, 0, 4, 6, 1],
+        "repeated": [3, 1, 3, 8, 1, 1],
+        "empty-rows": [2, 5, 6],
+        "only-empty-rows": [5, 2],
+        "m=1": [4],
+        "m=1-empty": [2],
+        "whole": list(range(9)),
+    }
+
+    @pytest.mark.parametrize("kind", ["logistic", "sigmoid-svm"])
+    def test_bitwise_equal_to_scipy_form(self, rng, kind):
+        y = np.where(rng.standard_normal(9) >= 0, 1.0, -1.0)
+        lam = 0.05
+        make = make_logistic if kind == "logistic" else make_sigmoid_svm
+        variants = _csr_variants(rng)
+        assert variants["canonical-int64"].indices.dtype == np.int64
+        assert not variants["non-canonical-int32"].has_canonical_format
+        for name, feats in variants.items():
+            prob = make(Dataset(features=feats, labels=y), lam)
+            for batch in self.BATCHES.values():
+                for _ in range(3):
+                    x = 3.0 * rng.standard_normal(prob.n)
+                    f_ref, g_ref, G_ref = csr_batch_reference(feats, y, kind, lam, batch, x)
+                    where = (name, batch)
+                    assert _bits(prob.batch_loss(batch, x)) == _bits(f_ref), where
+                    assert np.array_equal(_bits(prob.batch_grad(batch, x)), _bits(g_ref)), where
+                    f, g = prob.loss_and_grad(batch, x)
+                    assert _bits(f) == _bits(f_ref), where
+                    assert np.array_equal(_bits(g), _bits(g_ref)), where
+                    G = prob.per_sample_grads(batch, x)
+                    assert np.array_equal(_bits(G), _bits(G_ref)), where
+                    if len(batch) < 2:
+                        continue
+                    gv, var = prob.grad_variance_l1(batch, x)
+                    assert np.array_equal(_bits(gv), _bits(g_ref)), where
+                    var_ref = csr_variance_l1_reference(feats, y, kind, lam, batch, x, g_ref)
+                    assert _bits(var) == _bits(var_ref), where
+
+    def test_batch_builds_no_scipy_object(self, rng, monkeypatch):
+        feats = _csr_variants(rng, N=12, n=7)["canonical-int32"]
+        y = np.where(rng.standard_normal(12) >= 0, 1.0, -1.0)
+        x = rng.standard_normal(7)
+        batch = np.array([9, 0, 4, 4, 11])
+        for make in (make_logistic, make_sigmoid_svm):
+            prob = make(Dataset(features=feats, labels=y), 0.05)
+            expected = (prob.batch_grad(batch, x), prob.batch_loss(batch, x),
+                        prob.loss_and_grad(batch, x), prob.grad_variance_l1(batch, x))
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("a mini-batch call built a scipy object")
+
+            with monkeypatch.context() as patched:
+                for attr in ("__getitem__", "transpose", "__init__"):
+                    patched.setattr(sp.csr_matrix, attr, refuse)
+                got = (prob.batch_grad(batch, x), prob.batch_loss(batch, x),
+                       prob.loss_and_grad(batch, x), prob.grad_variance_l1(batch, x))
+            assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
+            assert got[2][0] == expected[2][0] and np.array_equal(got[2][1], expected[2][1])
+            assert np.array_equal(got[3][0], expected[3][0]) and got[3][1] == expected[3][1]
 
 
 _THREAD_PROBE = """
