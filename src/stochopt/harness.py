@@ -28,9 +28,11 @@ Every output file is replaced by a new file rather than truncated in place
 (see _open_fresh): on ext4, truncating the previous run's not-yet-flushed
 output blocks the open while the kernel writes it out.  libsvm and CSV
 input are parsed in blocks with C-level string work and array checks (see
-load_libsvm, load_csv).  compare resolves each distinct dataset source once
-and hands the datasets to its runs, which run one after another, so each
-run's wall_ms is its own optimizer time.
+load_libsvm, load_csv); a libsvm block checks its colons with one
+bytes.translate over the NUL-joined pair tokens and reads plain ASCII
+indices with numpy, not int() per token.  compare resolves each distinct
+dataset source once and hands the datasets to its runs, which run one after
+another, so each run's wall_ms is its own optimizer time.
 
 Generation and hashing add at most one bounded block to the dataset:
 generation scales the features in place and the hash reads the arrays' own
@@ -51,7 +53,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import stat
 import sys
 from dataclasses import dataclass
@@ -181,18 +182,26 @@ def _open_fresh(path, newline: Optional[str] = None):
 _LIBSVM_BLOCK_LINES = 512
 _INT32_MAX = np.iinfo(np.int32).max
 
-# A token with two or more colons (a token never spans whitespace).
-_MULTI_COLON = re.compile(r":[^\s:]*:")
+# Every byte but NUL and ':', for bytes.translate to delete.
+_NOT_COLON_OR_NUL = bytes(b for b in range(256) if b not in b"\0:")
+# Indices of at most this many ASCII digits are read with numpy; an int64
+# holds every one of them exactly.
+_INDEX_DIGITS = 18
 
 
 def load_libsvm(path, n_features: Optional[int] = None) -> Dataset:
     """Parse `label idx:val ...` lines with 1-based indices.
 
     The file is parsed in blocks of _LIBSVM_BLOCK_LINES lines, each with
-    C-level work only: a split per line, `int`/`float` mapped over the
-    block's index and value tokens, and array checks (index >= 1, one colon
-    per token, finite numbers, no index twice in a row).  Columns come out
-    sorted within each row; rows wider than DENSE_DIM_LIMIT stay CSR.
+    C-level work only: a split per line, one check that every pair token
+    holds exactly one colon (the tokens joined with NUL, every byte but NUL
+    and ':' deleted by bytes.translate, must leave ':' NUL ':' ... ':'),
+    the indices read from that buffer's digit spans with numpy when each is
+    1 to 18 ASCII digits (else `int` mapped over them, so a sign, '_' or
+    another Unicode digit parses as int() does), `float` mapped over the
+    labels and values, and array checks (index >= 1, finite numbers, no
+    index twice in a row).  Columns come out sorted within each row; rows
+    wider than DENSE_DIM_LIMIT stay CSR.
     Malformed input, including a non-finite label or value, raises
     ValueError naming the first offending line in file order; only the
     block holding it is scanned again, token by token, to word the message.
@@ -272,14 +281,18 @@ def _parse_libsvm_block(path, lines: List[str], first_lineno: int):
     sorted within each row, values); raises at the block's first bad line."""
     toks = [t for t in map(str.split, lines) if t]
     pairs = list(chain.from_iterable(t[1:] for t in toks))
-    text = "".join(lines)
+    joined = "\0".join(pairs).encode()
     ok = False
     try:
         labels = np.fromiter((float(t[0]) for t in toks), float, len(toks))
-        # labels parsed, so they hold no colon: every colon is in a pair token
-        if not _MULTI_COLON.search(text) and text.count(":") == len(pairs):
+        # exactly one colon per pair token: deleting every other byte leaves
+        # each token's ':' between the NUL separators (a NUL inside a token
+        # adds one, and such a token is bad anyway)
+        if joined.translate(None, _NOT_COLON_OR_NUL) == (b":\0" * len(pairs))[:-1]:
             fields = ":".join(pairs).split(":")
-            idx = np.fromiter(map(int, fields[0::2]), np.int64, len(pairs))
+            idx = _ascii_indices(joined, len(pairs))
+            if idx is None:
+                idx = np.fromiter(map(int, fields[0::2]), np.int64, len(pairs))
             vals = np.fromiter(map(float, fields[1::2]), float, len(pairs))
             ok = (idx.min(initial=1) >= 1 and np.isfinite(labels).all()
                   and np.isfinite(vals).all())
@@ -297,6 +310,30 @@ def _parse_libsvm_block(path, lines: List[str], first_lineno: int):
     if not ok:
         raise ValueError(_first_libsvm_error(path, lines, first_lineno))
     return labels, counts, cols, vals
+
+
+def _ascii_indices(joined: bytes, m: int) -> Optional[np.ndarray]:
+    """The indices of m NUL-joined `index:value` tokens, each with one
+    colon, read digit by digit with numpy when every index is 1 to
+    _INDEX_DIGITS ASCII digits; None otherwise, for int() to read them (a
+    sign, '_', other Unicode digits, an empty or a longer index)."""
+    buf = np.frombuffer(joined, np.uint8)
+    colon = np.flatnonzero(buf == ord(":"))
+    start = np.zeros(m, np.int64)
+    start[1:] = np.flatnonzero(buf == 0) + 1
+    width = colon - start
+    if m == 0 or not 1 <= width.min() <= width.max() <= _INDEX_DIGITS:
+        return None
+    idx = np.zeros(m, np.int64)
+    for d in range(int(width.max())):
+        # the d-th digit from the right, 0 where the index is shorter; a
+        # byte below '0' wraps above 9
+        digit = buf.take(colon - (d + 1), mode="clip") - np.uint8(ord("0"))
+        digit[width <= d] = 0
+        if digit.max() > 9:
+            return None
+        idx += digit * np.int64(10 ** d)
+    return idx
 
 
 class _IndexOverflow(Exception):

@@ -17,19 +17,28 @@ Three loss kinds are supported:
   with per-sample linear terms (:func:`make_noisy_quadratic`).
 
 Every batch is used in ascending index order, so its reductions run in that
-order; the whole index set in order, as every full pass hands it over, is
-recognised by one scan and not sorted.  Losses are averaged with numpy's
-pairwise summation; the gradient sum over rows, sum_i c_i u_i, is a
-sequential ascending-row accumulation (``einsum`` for dense rows; for CSR
-rows, scipy's transpose product on the whole set in place and
-``np.bincount`` over a gathered batch's stored entries).  Results do not
-depend on the BLAS thread count: the only BLAS call is the margin product
-rows @ x, where a thread split hands out whole rows and each margin stays
-one dot product, while the reductions over rows stay out of BLAS, whose
-gemv would split their sums across threads and change the bits.  A batch that is the whole
-index set reads the feature matrix in place instead of gathering a copy;
-the arithmetic is the same, so batch_grad over the full index set equals
-full_grad exactly.
+order; full_grad and full_loss build no index array, and a batch that is
+the whole index set in order is recognised by one scan and not sorted.
+Losses are averaged with numpy's pairwise summation; the gradient sum over
+rows, sum_i c_i u_i, is a sequential ascending-row accumulation (``einsum``
+for dense rows; for CSR rows, scipy's transpose product on the whole set in
+place and ``np.bincount`` over a gathered batch's stored entries).  Results
+do not depend on the BLAS thread count: the only BLAS call is the margin
+product rows @ x, where a thread split hands out whole rows and each margin
+stays one dot product, while the reductions over rows stay out of BLAS,
+whose gemv would split their sums across threads and change the bits.  A
+batch that is the whole index set reads the feature matrix in place instead
+of gathering a copy; the arithmetic is the same, so batch_grad over the full
+index set equals full_grad exactly.
+
+Whole-set passes at one x share their margins: the problem keeps the signed
+margins v*(U x) of its last whole-set pass, keyed by the exact bytes of x,
+so full_grad(x) right after full_loss(x), as ARIG asks at each accepted
+trial point, makes no second product (the same holds for a whole-set
+loss_and_grad, per_sample_grads or grad_variance_l1 at that x).  The memo
+holds N floats, is replaced as one tuple, and is never read or written by a
+gathered batch.  Like ``L``, it assumes the dataset is not changed in place
+after the problem is built.
 
 Any other CSR batch is gathered with numpy from the matrix's
 indptr/indices/data arrays (columns, values and a row id per stored entry),
@@ -82,6 +91,10 @@ DENSE_DIM_LIMIT = 512
 # here; hashing and CSV writing in harness.py).  A pass holds one block at a
 # time, so its transient memory stays this size, not a copy of the dataset.
 BLOCK_BYTES = 1 << 20
+
+
+# The batch full_grad and full_loss hand to _pass: the whole set, no indices.
+_WHOLE_SET = object()
 
 
 def block_rows(row_bytes: int) -> int:
@@ -220,15 +233,21 @@ class FiniteSumProblem:
     # Documented Lipschitz constant of grad f: exact for quadratics,
     # an analytic upper bound for the two losses (diagnostics only).
     L: float = field(default=float("nan"))
+    # The last whole-set margin pass, (x.tobytes(), signed margins v*(U x)),
+    # replaced as one tuple; see _margins_and_coefs.
+    _margins_memo: Optional[Tuple[bytes, np.ndarray]] = field(
+        default=None, init=False, compare=False, repr=False)
 
     # -- internal helpers -------------------------------------------------
 
     def _batch_array(self, batch):
         """(idx, whole): the batch's indices, validated and in ascending
         order (which keeps every reduction deterministic), and whether they
-        are the whole index set.  A size-N batch that is strictly ascending
-        and in range is the whole set in order, as full passes hand it over,
-        and takes no sort; any other batch is sorted, then checked."""
+        are the whole index set.  _WHOLE_SET gives (None, True).  A size-N
+        batch that is strictly ascending and in range is the whole set in
+        order and takes no sort; any other batch is sorted, then checked."""
+        if batch is _WHOLE_SET:
+            return None, True
         idx = np.asarray(batch, dtype=np.int64).ravel()
         if idx.size == 0:
             raise ValueError("empty batch")
@@ -257,8 +276,19 @@ class FiniteSumProblem:
     def _margins_and_coefs(self, rows, v: np.ndarray, x: np.ndarray,
                            losses: bool, coefs: bool):
         """One margin pass: (pure per-sample losses, d loss_i / d z
-        coefficients); a value not asked for is None."""
-        if isinstance(rows, _CsrBatch):
+        coefficients); a value not asked for is None.  The whole set's
+        margins come from _margins_memo when x has its key's bytes, and
+        replace it otherwise; a gathered batch leaves the memo alone."""
+        if rows is self.dataset.features:
+            key = x.tobytes()
+            memo = self._margins_memo
+            if memo is not None and memo[0] == key:
+                z = memo[1]
+            else:
+                z = v * np.asarray(rows @ x).ravel()
+                z.flags.writeable = False
+                object.__setattr__(self, "_margins_memo", (key, z))
+        elif isinstance(rows, _CsrBatch):
             # each margin adds its row's products in stored order into a
             # zero, as scipy's csr_matvec does
             z = v * np.bincount(rows.rowid, weights=rows.data * x.take(rows.indices),
@@ -282,6 +312,8 @@ class FiniteSumProblem:
         x = _check_finite(x)
         idx, whole = self._batch_array(batch)
         if self.kind == "quadratic":
+            if idx is None:
+                idx = np.arange(self.N)
             return (float(np.mean(self._quad_losses(idx, x))) if loss else None,
                     self._quad_batch_grad(idx, x) if grad else None)
         rows, v = self._rows(idx, whole)
@@ -337,11 +369,11 @@ class FiniteSumProblem:
 
     def full_grad(self, x: np.ndarray) -> np.ndarray:
         """grad f(x) over all N samples (same code path as batch_grad)."""
-        return self.batch_grad(np.arange(self.N), x)
+        return self._pass(_WHOLE_SET, x, loss=False, grad=True)[1]
 
     def full_loss(self, x: np.ndarray) -> float:
         """f(x) over all N samples."""
-        return self.batch_loss(np.arange(self.N), x)
+        return self._pass(_WHOLE_SET, x, loss=True, grad=False)[0]
 
     def per_sample_grads(self, batch, x: np.ndarray) -> np.ndarray:
         """Dense (m, n) matrix of grad f_i(x) for i in the sorted batch."""

@@ -81,6 +81,8 @@ BAD_TOKENS = st.sampled_from([
     "2:inf", "3:-inf", "4:1e999", "1.0:2", "::", "x",
     "99999999999999999999:1", "-99999999999999999999:1",
 ])
+# spellings of index c that int() reads as c
+INDEX_SPELLINGS = st.sampled_from(["{}", "{}", "{}", "+{}", "0{}", "00{}"])
 # widths on both sides of the dense/CSR switch
 WIDTHS = st.sampled_from([1, 3, 20, DENSE_DIM_LIMIT, DENSE_DIM_LIMIT + 1, 700])
 
@@ -95,7 +97,7 @@ def libsvm_line(draw, width, dirty):
     cols = draw(st.lists(st.integers(1, width), max_size=min(width, 6), unique=True))
     if not draw(st.booleans()):
         cols = sorted(cols)
-    tokens = [f"{c}:{draw(GOOD_VALUES)}" for c in cols]
+    tokens = [f"{draw(INDEX_SPELLINGS).format(c)}:{draw(GOOD_VALUES)}" for c in cols]
     label = draw(GOOD_LABELS)
     fault = draw(st.sampled_from(["none", "none", "none", "token", "tokens", "dup", "label"]))
     if not dirty or fault == "none":
@@ -174,6 +176,53 @@ class TestLoadLibsvmMatchesReference:
         for load in (load_libsvm, load_libsvm_reference):
             with pytest.raises(OverflowError):
                 load(path)
+
+    @pytest.mark.parametrize("block", [1, 4096])
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            # a colon-less token and a two-colon token: the colon count
+            # matches the token count, within a line and across lines
+            (["1 5 1:2:3"], "line 1: expected index:value, got '5'"),
+            (["1 5", "1 2:3:4"], "line 1: expected index:value, got '5'"),
+            # a NUL inside a token, where it looks like the separator of
+            # two good tokens, and beside a colon-less token
+            (["1 1:2\x003:4"], "line 1: bad index:value pair '1:2\\x003:4'"),
+            (["1 1:2\x003:4 5"], "line 1: bad index:value pair '1:2\\x003:4'"),
+            (["1 2\x00:1"], "line 1: bad index:value pair '2\\x00:1'"),
+            # spellings int() reads as the same index
+            (["1 3:1 +3:2"], "line 1: duplicate feature index 3"),
+            (["1 7:1 007:2"], "line 1: duplicate feature index 7"),
+            (["1 4:1 \u0664:2"], "line 1: duplicate feature index 4"),
+        ],
+    )
+    def test_colon_counts_and_spellings_errors(self, tmp_path, monkeypatch, block,
+                                               lines, message):
+        monkeypatch.setattr(harness, "_LIBSVM_BLOCK_LINES", block)
+        path = tmp_path / "bad.libsvm"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_libsvm(path)
+        assert str(exc.value) == f"{path}: {message}"
+        assert_matches_reference(path)
+
+    @pytest.mark.parametrize("block", [1, 4096])
+    @pytest.mark.parametrize(
+        "text, columns",
+        [
+            ("1 +3:1.5 007:2 1_0:3\n-1 \u0663:4 01:5\n", [[2, 6, 9], [0, 2]]),
+            ("1 999999999999999999:1 2:-1\n", [[1, 999999999999999998]]),
+            ("1 0999999999999999999:1\n", [[999999999999999998]]),
+        ],
+    )
+    def test_valid_index_spellings(self, tmp_path, monkeypatch, block, text, columns):
+        monkeypatch.setattr(harness, "_LIBSVM_BLOCK_LINES", block)
+        path = tmp_path / "spell.libsvm"
+        path.write_text(text, encoding="utf-8")
+        assert_matches_reference(path)
+        feats = sp.csr_matrix(load_libsvm(path).features)
+        assert [feats.indices[a:b].tolist()
+                for a, b in zip(feats.indptr[:-1], feats.indptr[1:])] == columns
 
     @pytest.mark.parametrize("block", [1, 4096])
     @pytest.mark.parametrize(

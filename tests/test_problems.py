@@ -341,6 +341,126 @@ class TestWholeSetTakesNoSort:
                 assert not np.array_equal(gd, g)
 
 
+def _count_products(prob):
+    """Swap prob's feature matrix for a subclass of it that records the
+    rows of every product rows @ x (a gathered dense batch keeps the
+    subclass); returns that list.  Dataset.__post_init__ would drop a
+    subclass, hence object.__setattr__."""
+    products = []
+    feats = prob.dataset.features
+    base = sp.csr_matrix if sp.issparse(feats) else np.ndarray
+
+    class Counting(base):
+        def __matmul__(self, other):
+            products.append(self.shape[0])
+            return base.__matmul__(self, other)
+
+    counted = Counting(feats) if sp.issparse(feats) else feats.view(Counting)
+    object.__setattr__(prob.dataset, "features", counted)
+    return products
+
+
+class TestWholeSetMarginMemo:
+    """Whole-set passes at one x share one margin product; any other x, and
+    every gathered batch, computes its own, with the bits of a fresh
+    problem."""
+
+    @staticmethod
+    def _cases(rng):
+        ds = _random_dataset(rng, N=30, n=5)
+        ds.features[ds.features < -1.0] = 0.0
+        csr = Dataset(features=sp.csr_matrix(ds.features), labels=ds.labels)
+        for data in (ds, csr):
+            for make in (make_logistic, make_sigmoid_svm):
+                # each problem its own Dataset, so counting one counts no other
+                yield lambda data=data, make=make: make(
+                    Dataset(features=data.features, labels=data.labels), 0.05)
+
+    def test_full_grad_after_full_loss_reuses_the_margins(self, rng):
+        for build in self._cases(rng):
+            prob = build()
+            products = _count_products(prob)
+            x = rng.standard_normal(prob.n)
+            f = prob.full_loss(x)
+            g = prob.full_grad(x)
+            f2, g2 = prob.loss_and_grad(np.arange(prob.N), x)
+            G = prob.per_sample_grads(np.arange(prob.N), x)
+            gv, var = prob.grad_variance_l1(np.arange(prob.N), x)
+            assert products == [prob.N]
+            assert np.array_equal(_bits(g), _bits(build().full_grad(x)))
+            assert _bits(f) == _bits(build().full_loss(x))
+            assert _bits(f2) == _bits(f) and np.array_equal(_bits(g2), _bits(g))
+            assert np.array_equal(_bits(G), _bits(build().per_sample_grads(np.arange(prob.N), x)))
+            gv_ref, var_ref = build().grad_variance_l1(np.arange(prob.N), x)
+            assert np.array_equal(_bits(gv), _bits(gv_ref)) and _bits(var) == _bits(var_ref)
+
+    def test_x_changed_in_place_is_recomputed(self, rng):
+        for build in self._cases(rng):
+            prob = build()
+            products = _count_products(prob)
+            x = rng.standard_normal(prob.n)
+            prob.full_loss(x)
+            x[1] += 0.5
+            g = prob.full_grad(x)
+            assert products == [prob.N, prob.N]
+            assert np.array_equal(_bits(g), _bits(build().full_grad(x)))
+
+    def test_negative_zero_is_another_point(self, rng):
+        for build in self._cases(rng):
+            prob = build()
+            products = _count_products(prob)
+            x = rng.standard_normal(prob.n)
+            x[2] = 0.0
+            prob.full_loss(x)
+            y = x.copy()
+            y[2] = -0.0
+            g = prob.full_grad(y)
+            assert products == [prob.N, prob.N]
+            assert np.array_equal(_bits(g), _bits(build().full_grad(y)))
+
+    def test_gathered_batch_neither_reads_nor_writes_the_memo(self, rng):
+        for build in self._cases(rng):
+            prob = build()
+            products = _count_products(prob)
+            x, z = rng.standard_normal(prob.n), rng.standard_normal(prob.n)
+            prob.full_loss(x)
+            memo = prob._margins_memo
+            for batch, at in (([3, 0, 7], x), ([5, 1], z), (np.arange(prob.N - 1), x)):
+                f, g = prob.loss_and_grad(batch, at)
+                f_ref, g_ref = build().loss_and_grad(batch, at)
+                assert _bits(f) == _bits(f_ref) and np.array_equal(_bits(g), _bits(g_ref))
+                assert prob._margins_memo is memo
+            # gathered dense rows keep the subclass, so their products show;
+            # the whole set's product is still the first and only one
+            dense = not sp.issparse(prob.dataset.features)
+            assert products == [prob.N] + ([3, 2, prob.N - 1] if dense else [])
+            prob.full_grad(x)
+            assert products.count(prob.N) == 1
+
+    def test_quadratics_keep_no_memo(self, rng):
+        B = rng.standard_normal((6, 4))
+        for prob in (_random_quadratic(rng), make_noisy_quadratic(np.eye(4), B)):
+            x = rng.standard_normal(prob.n)
+            prob.full_loss(x)
+            prob.full_grad(x)
+            prob.loss_and_grad(np.arange(prob.N), x)
+            assert prob._margins_memo is None
+
+    @pytest.mark.parametrize("mode", ["exact", "inexact-g"])
+    def test_arig_makes_one_margin_product_per_iterate(self, rng, mode):
+        X = rng.standard_normal((200, 5))
+        y = np.where(X @ rng.standard_normal(5) + 0.5 * rng.standard_normal(200) > 0, 1.0, -1.0)
+        prob = make_logistic(Dataset(features=X, labels=y), lam=0.01)
+        products = _count_products(prob)
+        # sigma0 this small makes the exact run reject some trial points
+        params = stochopt.RegParams(eps=1e-6, sigma0=0.01, sigma_min=0.01)
+        res = stochopt.arig_run(prob, params, mode=mode, seed=3)
+        assert res.terminated and res.iterations > 5
+        assert mode != "exact" or res.n_success < res.iterations
+        # x0 and each step's trial point, accepted or rejected
+        assert products == [prob.N] * (res.iterations + 1)
+
+
 def _csr_variants(rng, N=9, n=6):
     """{name: CSR features} over one random matrix whose rows 2 and 5 hold
     no entries: canonical and non-canonical (each row's entries stored in
