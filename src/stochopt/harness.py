@@ -22,7 +22,8 @@ algorithm entry returns: the full-pass loss, gradient norm and accuracy of
 the selected rows are evaluation, kept out of the optimizer's time and
 oracle counts.  Where the run already computed the exact loss and gradient
 norm at a row's iterate (ARIG's full passes), the record carries them and
-the report makes no second pass.
+the report makes no second pass; where it computed only the gradient
+(a VARCHEN/SVRG anchor), the report makes a loss-only pass.
 
 Every output file is replaced by a new file rather than truncated in place
 (see _open_fresh): on ext4, truncating the previous run's not-yet-flushed
@@ -900,7 +901,9 @@ def _numeric_env() -> Dict:
         "numpy": np.__version__,
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
-        "simd_found": list(info["SIMD Extensions"]["found"]),
+        # numpy lists no "found" key when it dispatches to no target above
+        # its baseline (NPY_DISABLE_CPU_FEATURES can switch all of them off)
+        "simd_found": list(info["SIMD Extensions"].get("found", [])),
     }
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = os.environ.get(var)
@@ -916,8 +919,9 @@ def _trace_to_metrics(
 
     A record that carries the exact loss and grad_norm at its x (ARIG with
     exact function values, see record.py) gives them to its row as they
-    are; only a selected row whose record lacks them costs a loss_and_grad
-    pass over all N samples."""
+    are.  A record with grad_norm alone (the last step of a VARCHEN/SVRG
+    epoch that another epoch's anchor followed) costs a full_loss pass, and
+    one with neither a loss_and_grad pass, both over all N samples."""
     trace = result.trace
     cadence = config.cadence
     N = problem.N
@@ -934,9 +938,11 @@ def _trace_to_metrics(
             continue
 
         loss, grad_norm = rec.loss, rec.grad_norm
-        if loss is None:
+        if grad_norm is None:
             loss, grad = problem.loss_and_grad(np.arange(N), rec.x)
             grad_norm = float(np.linalg.norm(grad))
+        elif loss is None:
+            loss = problem.full_loss(rec.x)
         rows.append(
             MetricsRecord(
                 epoch=rec.epoch,

@@ -19,6 +19,7 @@ all but the newest pair when the estimates leave a prescribed interval
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Tuple
@@ -145,26 +146,29 @@ def push_pair(memory: LBFGSMemory, s: np.ndarray, y: np.ndarray) -> bool:
         return False
     s = np.asarray(s, dtype=float).copy()
     y = np.asarray(y, dtype=float).copy()
-    s_sq = float(s @ s)
-    if s_sq == 0.0 or not np.isfinite([s_sq, s @ y, y @ y]).all():
+    # each dot product once; the steps below are update_scaling, damped_y
+    # and estimate_Lg on these values, bit for bit (np.linalg.norm of a
+    # 1-D array is the square root of its dot with itself)
+    s_sq, sTy, y_sq = float(s @ s), float(s @ y), float(y @ y)
+    if s_sq == 0.0 or not (math.isfinite(s_sq) and math.isfinite(sTy) and math.isfinite(y_sq)):
         return False
 
-    memory.gamma_tilde = update_scaling(s, y, memory.gamma_under, memory.gamma_over)
-    y_hat, _ = damped_y(y, s, memory.gamma_tilde, memory.eta)
-    curv = float(s @ y_hat)
-    floor = memory.eta * memory.gamma_tilde * s_sq
+    gamma_raw = y_sq / sTy if sTy > 0.0 else memory.gamma_over
+    gamma = memory.gamma_tilde = min(max(gamma_raw, memory.gamma_under), memory.gamma_over)
+    theta = damping_theta(sTy, gamma * s_sq, memory.eta)
+    if theta == 1.0:
+        y_hat, curv = y, sTy
+    else:
+        y_hat = theta * y + (1.0 - theta) * gamma * s
+        curv = float(s @ y_hat)
+    floor = memory.eta * gamma * s_sq
     if curv <= 0.0 or curv < floor - _CURV_RTOL * abs(floor):
         raise RuntimeError(
             f"damped curvature {curv:.6e} below its floor {floor:.6e}"
         )
     memory.pairs.append(
-        CurvaturePair(
-            s=s,
-            y_hat=np.asarray(y_hat, dtype=float),
-            rho_hat=1.0 / curv,
-            gamma_tilde=memory.gamma_tilde,
-            lg=estimate_Lg(s, y),
-        )
+        CurvaturePair(s=s, y_hat=y_hat, rho_hat=1.0 / curv, gamma_tilde=gamma,
+                      lg=math.sqrt(y_sq) / math.sqrt(s_sq))
     )
     return True
 
@@ -172,18 +176,18 @@ def push_pair(memory: LBFGSMemory, s: np.ndarray, y: np.ndarray) -> bool:
 def two_loop_apply(memory: LBFGSMemory, g: np.ndarray) -> np.ndarray:
     """d = -H g via the two-loop recursion over the damped pairs, with
     H0 = inv(gamma_tilde) * I at the current scaling."""
-    q = np.asarray(g, dtype=float).copy()
+    r = np.asarray(g, dtype=float).copy()
     pairs = memory.pairs
-    alphas = np.empty(len(pairs))
-    for i, pair in enumerate(reversed(pairs)):
-        a = pair.rho_hat * float(pair.s @ q)
-        alphas[i] = a
-        q -= a * pair.y_hat
-    r = q / memory.gamma_tilde
-    for i, pair in enumerate(pairs):
+    alphas = []
+    for pair in reversed(pairs):
+        a = pair.rho_hat * float(pair.s @ r)
+        alphas.append(a)
+        r -= a * pair.y_hat
+    r /= memory.gamma_tilde
+    for pair, a in zip(pairs, reversed(alphas)):
         b = pair.rho_hat * float(pair.y_hat @ r)
-        r += (alphas[len(pairs) - 1 - i] - b) * pair.s
-    return -r
+        r += (a - b) * pair.s
+    return np.negative(r, out=r)
 
 
 def _interval_update(lam: float, Lam: float, gamma: float, L: float) -> Tuple[float, float]:

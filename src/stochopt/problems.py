@@ -40,6 +40,16 @@ holds N floats, is replaced as one tuple, and is never read or written by a
 gathered batch.  Like ``L``, it assumes the dataset is not changed in place
 after the problem is built.
 
+Passes over one gathered batch share its gather: the problem keeps the last
+batch it gathered (sorted indices, rows and labels, all read-only), keyed by
+the bytes of the batch's indices as int64, so the same indices in a new
+array, or as int32, hit it, and an array changed in place misses it.
+VARCHEN's three passes over a step's batch, SVRG's two and an ARAS
+transient step's two each validate, sort and gather once.  The memo is
+replaced as one tuple by the next batch and dropped by a whole-set pass,
+which never reads it; so a run's last batch is released by the report's
+full passes.  Quadratic problems keep no batch memo.
+
 Any other CSR batch is gathered with numpy from the matrix's
 indptr/indices/data arrays (columns, values and a row id per stored entry),
 and its margins and gradient sum are ``np.bincount`` over those, with no
@@ -237,6 +247,10 @@ class FiniteSumProblem:
     # replaced as one tuple; see _margins_and_coefs.
     _margins_memo: Optional[Tuple[bytes, np.ndarray]] = field(
         default=None, init=False, compare=False, repr=False)
+    # The last gathered batch, (bytes of its int64 indices, (sorted indices,
+    # rows, labels)) with read-only arrays, replaced as one tuple; see _gather.
+    _batch_memo: Optional[Tuple[bytes, tuple]] = field(
+        default=None, init=False, compare=False, repr=False)
 
     # -- internal helpers -------------------------------------------------
 
@@ -272,6 +286,28 @@ class FiniteSumProblem:
         if sp.issparse(ds.features):
             return _CsrBatch.gather(ds.features, idx), ds.labels[idx]
         return ds.features[idx], ds.labels[idx]
+
+    def _gather(self, batch):
+        """(idx, rows, labels) of a batch of the two losses, through _rows
+        (idx is None for _WHOLE_SET).  A gathered batch is kept in
+        _batch_memo with read-only arrays; a whole-set pass drops it."""
+        if batch is _WHOLE_SET:
+            object.__setattr__(self, "_batch_memo", None)
+            return (None, *self._rows(None, True))
+        idx = np.asarray(batch, dtype=np.int64).ravel()
+        key = idx.tobytes()
+        memo = self._batch_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        idx, whole = self._batch_array(idx)
+        rows, v = self._rows(idx, whole)
+        if whole:
+            object.__setattr__(self, "_batch_memo", None)
+            return idx, rows, v
+        for arr in (idx, v, *(rows[:4] if isinstance(rows, _CsrBatch) else (rows,))):
+            arr.flags.writeable = False
+        object.__setattr__(self, "_batch_memo", (key, (idx, rows, v)))
+        return idx, rows, v
 
     def _margins_and_coefs(self, rows, v: np.ndarray, x: np.ndarray,
                            losses: bool, coefs: bool):
@@ -310,13 +346,13 @@ class FiniteSumProblem:
         """(mean loss, mean gradient) over the batch from one margin pass;
         a value not asked for is None."""
         x = _check_finite(x)
-        idx, whole = self._batch_array(batch)
         if self.kind == "quadratic":
+            idx, _ = self._batch_array(batch)
             if idx is None:
                 idx = np.arange(self.N)
             return (float(np.mean(self._quad_losses(idx, x))) if loss else None,
                     self._quad_batch_grad(idx, x) if grad else None)
-        rows, v = self._rows(idx, whole)
+        _, rows, v = self._gather(batch)
         losses, coef = self._margins_and_coefs(rows, v, x, losses=loss, coefs=grad)
         f = g = None
         if loss:
@@ -378,10 +414,9 @@ class FiniteSumProblem:
     def per_sample_grads(self, batch, x: np.ndarray) -> np.ndarray:
         """Dense (m, n) matrix of grad f_i(x) for i in the sorted batch."""
         x = _check_finite(x)
-        idx, whole = self._batch_array(batch)
         if self.kind == "quadratic":
-            return self._quad_per_sample_grads(idx, x)
-        rows, v = self._rows(idx, whole)
+            return self._quad_per_sample_grads(self._batch_array(batch)[0], x)
+        _, rows, v = self._gather(batch)
         _, coef = self._margins_and_coefs(rows, v, x, losses=False, coefs=True)
         if isinstance(rows, _CsrBatch):
             rows = rows.tocsr()
@@ -409,7 +444,10 @@ class FiniteSumProblem:
         by rounding; rounding can push the CSR form of a near-zero variance
         below zero, so it is clamped at 0.
         """
-        idx, whole = self._batch_array(batch)
+        if self.kind == "quadratic":
+            idx, _ = self._batch_array(batch)
+        else:
+            idx, rows, v = self._gather(batch)
         m = idx.size
         if m < 2:
             raise ValueError("variance estimate needs a batch of at least 2")
@@ -418,15 +456,14 @@ class FiniteSumProblem:
             g = self._quad_batch_grad(idx, x)
             G = self._quad_per_sample_grads(idx, x)
         else:
-            rows, v = self._rows(idx, whole)
             _, coef = self._margins_and_coefs(rows, v, x, losses=False, coefs=True)
             g = self._mean_grad(rows, coef, x)
             if sp.issparse(self.dataset.features):
                 if not self.dataset.features.has_canonical_format:
                     # a repeated (i, j) entry would be counted as two
                     # coordinates; summing rewrites the arrays, so it runs
-                    # on the batch's own or on a copy of the dataset's
-                    rows = rows.tocsr() if isinstance(rows, _CsrBatch) else rows.copy()
+                    # on a copy, never on the memo's or the dataset's
+                    rows = (rows.tocsr() if isinstance(rows, _CsrBatch) else rows).copy()
                     rows.sum_duplicates()
                 w = g - (2.0 * self.lam) * x
                 vals = np.repeat(coef, np.diff(rows.indptr)) * rows.data  # c_i u_ij

@@ -9,10 +9,13 @@ counts are N.  Every other field is None for an algorithm that has no value
 for it, and the report copies its columns straight from the record.
 
 loss and grad_norm are the exact full objective f(x) and ||grad f(x)|| at the
-record's x, set only when the run itself computed both exactly there (ARIG in
-"exact" and "inexact-g" mode, see regularization.arig_run): the report then
-copies them instead of making its own full pass.  They are both None
-otherwise, and the report evaluates them at the rows it keeps.
+record's x, set only when the run itself computed them exactly there; the
+report copies what a record carries and computes only the rest.  ARIG in
+"exact" and "inexact-g" mode sets both (see regularization.arig_run), so
+its rows cost no pass.  VARCHEN and SVRG set grad_norm alone on the last
+step of an epoch that another epoch follows, from the next anchor's full
+gradient at the same x, so those rows cost a loss-only pass.  Every other
+record has neither, and a row kept for it costs a full loss_and_grad pass.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ class StepRecord:
     flushed: Optional[bool] = None  # VARCHEN/SVRG: memory flushed before the step
     phase: Optional[str] = None  # ARAS: "transient" | "stationary"
     loss: Optional[float] = None  # ARIG: exact f(x), with grad_norm, or both None
-    grad_norm: Optional[float] = None  # ARIG: exact ||grad f(x)||
+    grad_norm: Optional[float] = None  # ARIG, VARCHEN/SVRG epoch end: exact ||grad f(x)||
     # diagnostics
     gnorm: Optional[float] = None  # ARIG/ARAS: norm of the step's gradient
     rho: Optional[float] = None  # ARIG/ARAS: decrease ratio

@@ -11,6 +11,11 @@ variance-reduction correction cancels: y = g(x_new, xi) - g(x, xi) is
 computed directly as the raw gradient difference.  A step therefore makes
 three batch passes, g(x), g(anchor) and g(x_new), and two when the memory is
 empty (p = 0, the SVRG case); each epoch adds one full_grad pass at the anchor.
+The problem keeps the batch it gathered last, so the three passes over one
+batch gather its rows once (problems.FiniteSumProblem._gather).  The anchor
+sits at the previous epoch's last iterate, and its ||grad f|| goes on that
+epoch's last record, where the metrics report reads it instead of making a
+gradient pass of its own.
 
 The epoch loop here (_epoch_loop) also runs SGD and momentum (baselines.py):
 it owns the sampler, the chunk walk, the StepRecords and the result, and the
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -153,11 +158,16 @@ def svrg_gradient(problem, batch, x: np.ndarray, anchor: AnchorState) -> np.ndar
 
 
 def _epoch_loop(problem, m: int, n_epochs: int, seed: int,
-                x0: Optional[np.ndarray], step) -> VarchenResult:
+                x0: Optional[np.ndarray], step, anchor_norm=None) -> VarchenResult:
     """Walk n_epochs shuffles of the samples in chunks of min(m, N), one
     step(x, batch, k, first) -> (x_new, finish) per chunk (first: the epoch's
     first chunk).  finish() runs only once x_new is known to be finite; it
-    completes the step and returns the algorithm's StepRecord fields."""
+    completes the step and returns the algorithm's StepRecord fields.
+
+    An anchored algorithm passes anchor_norm(x) -> ||grad f(x)||, which
+    anchors the epoch at x before its first chunk.  That x is the previous
+    epoch's last iterate, so the exact norm goes on that epoch's last
+    record, which the report keeps at cadence 0."""
     N = problem.N
     m_eff = min(m, N)
     sampler = SamplerState(N=N, seed=seed)
@@ -168,6 +178,10 @@ def _epoch_loop(problem, m: int, n_epochs: int, seed: int,
     t0 = time.perf_counter()
     for epoch in range(n_epochs):
         sampler.start_epoch()
+        if anchor_norm is not None:
+            grad_norm = anchor_norm(x)
+            if trace:
+                trace[-1] = replace(trace[-1], grad_norm=grad_norm)
         consumed = 0
         while consumed < N:
             m_k = min(m_eff, N - consumed)
@@ -197,10 +211,12 @@ def varchen_run(
     memory = params.new_memory()
     anchor: Optional[AnchorState] = None
 
-    def step(x, batch, k, first):
+    def anchor_norm(x):
         nonlocal anchor
-        if first:
-            anchor = AnchorState(x_anchor=x.copy(), full_grad_anchor=problem.full_grad(x))
+        anchor = AnchorState(x_anchor=x.copy(), full_grad_anchor=problem.full_grad(x))
+        return float(np.linalg.norm(anchor.full_grad_anchor))
+
+    def step(x, batch, k, first):
         g_x, g_tilde = _svrg_terms(problem, batch, x, anchor)
         lam, Lam, flushed = enforce_bounds(memory)
         x_new = x + step_size(params.schedule, k) * two_loop_apply(memory, g_tilde)
@@ -214,4 +230,4 @@ def varchen_run(
 
         return x_new, finish
 
-    return _epoch_loop(problem, params.m, params.n_epochs, seed, x0, step)
+    return _epoch_loop(problem, params.m, params.n_epochs, seed, x0, step, anchor_norm)

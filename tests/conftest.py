@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stochopt.problems as problems
+
 # make tests/oracles.py importable from any invocation directory
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -41,3 +43,18 @@ def traced_peak():
             tracemalloc.stop()
 
     return peak
+
+
+@pytest.fixture
+def gathers(monkeypatch):
+    """A spy on FiniteSumProblem._rows: the list of its calls' whole flags,
+    in order (False: the call gathered a copy of the batch's rows)."""
+    calls = []
+    rows = problems.FiniteSumProblem._rows
+
+    def spy(self, idx, whole):
+        calls.append(whole)
+        return rows(self, idx, whole)
+
+    monkeypatch.setattr(problems.FiniteSumProblem, "_rows", spy)
+    return calls

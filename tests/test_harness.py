@@ -1031,6 +1031,21 @@ class TestCli:
         assert proc.stdout.strip() == "ok"
         assert "RuntimeWarning" not in proc.stderr
 
+    def test_run_without_simd_dispatch_targets(self, tmp_path):
+        """With every dispatch target above the baseline switched off, numpy
+        reports no "found" SIMD extensions; the run still writes its
+        manifest, with an empty list."""
+        root = Path(__file__).resolve().parents[1]
+        cfg = write_config(tmp_path, BASE_SGD)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        env["NPY_DISABLE_CPU_FEATURES"] = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+        proc = subprocess.run([sys.executable, "-m", "stochopt", "run", "--config", cfg],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        assert isinstance(manifest["numeric_env"]["simd_found"], list)
+
     @pytest.mark.parametrize(
         "path", sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.ini")),
         ids=lambda path: path.name,

@@ -244,6 +244,86 @@ class TestPushPair:
             assert curv >= floor * (1 - 1e-9)
 
 
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestPushPairMatchesHelpers:
+    """push_pair computes each dot product once; the pair it stores is the
+    one the public helpers give, bit for bit."""
+
+    @staticmethod
+    def _reference(mem, s, y):
+        """(s, y_hat, rho_hat, gamma_tilde, lg, theta) from the helpers."""
+        gamma = update_scaling(s, y, mem.gamma_under, mem.gamma_over)
+        y_hat, theta = damped_y(y, s, gamma, mem.eta)
+        return s, y_hat, 1.0 / float(s @ y_hat), gamma, estimate_Lg(s, y), theta
+
+    @staticmethod
+    def _across(r, s):
+        """A vector orthogonal to s, of s's length."""
+        u = r.standard_normal(s.size)
+        u -= (u @ s) / (s @ s) * s
+        return u * (np.linalg.norm(s) / np.linalg.norm(u))
+
+    # case -> (y from (rng, s), whether y is kept undamped)
+    CASES = {
+        # y'y/s'y inside the clamp and s'y >= eta gamma s's
+        "undamped": (lambda r, s: 2.0 * s + 0.1 * r.standard_normal(s.size), True),
+        # s'y > 0 but below eta gamma s's
+        "damped": (lambda r, s: 0.05 * s + TestPushPairMatchesHelpers._across(r, s), False),
+        "negative-curvature": (lambda r, s: -s + 0.3 * r.standard_normal(s.size), False),
+        "orthogonal": (lambda r, s: TestPushPairMatchesHelpers._across(r, s), False),
+        # y'y/s'y = 1e-3 clamps to gamma_under = 0.1, then s'y < eta gamma s's
+        "clamped-low": (lambda r, s: 1e-3 * s, False),
+        # y'y/s'y near 1e7 clamps to gamma_over = 1e5
+        "clamped-high": (lambda r, s: 1e7 * s + r.standard_normal(s.size), True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_pair_is_the_helpers_pair(self, rng, case):
+        thetas = set()
+        for _ in range(50):
+            mem = LBFGSMemory(p=3, eta=ETA)
+            s = rng.standard_normal(6) * float(rng.uniform(0.1, 10.0))
+            y = self.CASES[case][0](rng, s)
+            want = self._reference(mem, s, y)
+            assert push_pair(mem, s, y)
+            pair = mem.pairs[-1]
+            got = (pair.s, pair.y_hat, pair.rho_hat, pair.gamma_tilde, pair.lg)
+            for a, b in zip(got, want):
+                assert np.array_equal(_bits(a), _bits(b)), case
+            assert mem.gamma_tilde == pair.gamma_tilde
+            thetas.add(want[-1] == 1.0)
+        # every draw took the branch the case names
+        assert thetas == {self.CASES[case][1]}, case
+        if case.startswith("clamped"):
+            assert pair.gamma_tilde == (mem.gamma_under if case == "clamped-low" else mem.gamma_over)
+
+    def test_non_finite_input_is_refused(self):
+        for s, y in ((np.array([np.nan, 1.0]), np.array([1.0, 1.0])),
+                     (np.array([1.0, 1.0]), np.array([1.0, np.inf])),
+                     (np.array([1e200, 1e200]), np.array([1.0, 1.0]))):
+            mem = LBFGSMemory(p=3)
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert not push_pair(mem, s, y)
+            assert len(mem.pairs) == 0 and mem.gamma_tilde == 1.0
+
+    def test_two_loop_matches_the_plain_recursion(self, rng):
+        for _ in range(50):
+            mem = random_memory(rng, n=5, n_pairs=int(rng.integers(0, 5)), p=4)
+            g = rng.standard_normal(5)
+            q = g.copy()
+            alphas = []
+            for pair in reversed(mem.pairs):
+                alphas.append(pair.rho_hat * float(pair.s @ q))
+                q = q - alphas[-1] * pair.y_hat
+            r = q / mem.gamma_tilde
+            for pair, a in zip(mem.pairs, reversed(alphas)):
+                r = r + (a - pair.rho_hat * float(pair.y_hat @ r)) * pair.s
+            assert np.array_equal(_bits(two_loop_apply(mem, g)), _bits(-r))
+
+
 class TestTwoLoop:
     def test_empty_memory_scales_gradient(self):
         mem = LBFGSMemory(p=3, gamma_tilde=2.0)

@@ -71,7 +71,10 @@ def _batch_calls(prob):
 
 
 class TestVarchenCalls:
-    def test_three_batch_grads_and_no_loss_per_step(self):
+    """The batch passes of a step share one gather (the problem keeps the
+    batch it gathered last); the anchors read the whole set in place."""
+
+    def test_three_batch_grads_and_no_loss_per_step(self, gathers):
         prob = _problem()
         params = VarchenParams(p=5, m=8, n_epochs=N_EPOCHS,
                                schedule=StepSchedule(kind="constant", c=0.05))
@@ -80,13 +83,75 @@ class TestVarchenCalls:
         # one full gradient per epoch anchor, then 3 batch passes a step
         assert prob.calls["full_grad"] == N_EPOCHS and "full_loss" not in prob.calls
         assert _batch_calls(prob) == {"batch_grad": 3 * res.iterations}
+        assert gathers.count(False) == res.iterations and gathers.count(True) == N_EPOCHS
 
-    def test_svrg_two_batch_grads_per_step(self):
+    def test_svrg_two_batch_grads_per_step(self, gathers):
         prob = _problem()
         res = svrg_run(prob, BaselineParams(alpha=0.05, m=8, n_epochs=N_EPOCHS), seed=3)
         assert res.iterations == N_EPOCHS * 5
         assert prob.calls["full_grad"] == N_EPOCHS and "full_loss" not in prob.calls
         assert _batch_calls(prob) == {"batch_grad": 2 * res.iterations}
+        assert gathers.count(False) == res.iterations and gathers.count(True) == N_EPOCHS
+
+
+ANCHORED_EPOCHS = 3
+
+
+def _anchored_runs():
+    params = VarchenParams(p=5, m=8, n_epochs=ANCHORED_EPOCHS,
+                           schedule=StepSchedule(kind="constant", c=0.05))
+    baseline = BaselineParams(alpha=0.05, m=8, n_epochs=ANCHORED_EPOCHS)
+    return {
+        "varchen": lambda prob: varchen_run(prob, params, seed=3),
+        "svrg": lambda prob: svrg_run(prob, baseline, seed=3),
+    }
+
+
+class TestAnchorNormOnEpochEnd:
+    """VARCHEN and SVRG anchor each epoch's full gradient at the previous
+    epoch's last iterate; its norm goes on that epoch's last record, and the
+    report makes a loss-only pass for the row instead of a full one."""
+
+    @pytest.mark.parametrize("algo", sorted(_anchored_runs()))
+    def test_epoch_end_records_carry_the_anchor_norm(self, algo):
+        res = _anchored_runs()[algo](_problem())
+        fresh = _problem()._inner
+        trace = res.trace
+        ends = {i for i in range(len(trace) - 1) if trace[i + 1].epoch != trace[i].epoch}
+        assert len(ends) == ANCHORED_EPOCHS - 1
+        for i, rec in enumerate(trace):
+            assert rec.loss is None
+            if i in ends:
+                want = float(np.linalg.norm(fresh.full_grad(rec.x)))
+                assert np.float64(rec.grad_norm).tobytes() == np.float64(want).tobytes()
+            else:
+                assert rec.grad_norm is None
+
+    # 5 steps an epoch: at cadence 2 one epoch end is kept (k = 10), at 1 both
+    @pytest.mark.parametrize("cadence", [0, 1, 2])
+    @pytest.mark.parametrize("algo", sorted(_anchored_runs()))
+    def test_report_makes_a_loss_pass_for_an_epoch_end_row(self, algo, cadence):
+        prob = _problem()
+        res = _anchored_runs()[algo](prob)
+        config = dataclasses.replace(load_config(CONFIG_DIR / "svm_varchen.ini"),
+                                     cadence=cadence)
+        prob.calls.clear()
+        rows = _trace_to_metrics(config, prob, None, res)
+        carried = sum(rec.grad_norm is not None and (cadence == 0 or rec.k % cadence == 0)
+                      for rec in res.trace)
+        if cadence == 0:
+            assert len(rows) == ANCHORED_EPOCHS and carried == ANCHORED_EPOCHS - 1
+        else:
+            assert 0 < carried < len(rows)
+        assert dict(prob.calls) == {"full_loss": carried, "loss_and_grad": len(rows) - carried}
+        # every row has the bits of a full pass on a fresh problem
+        fresh = _problem()._inner
+        by_k = {rec.k: rec for rec in res.trace}
+        for row in rows:
+            loss, grad = fresh.loss_and_grad(np.arange(fresh.N), by_k[row.iteration].x)
+            assert np.float64(row.loss).tobytes() == np.float64(loss).tobytes()
+            assert (np.float64(row.grad_norm).tobytes()
+                    == np.float64(np.linalg.norm(grad)).tobytes())
 
 
 class TestBaselineCalls:
@@ -100,13 +165,15 @@ class TestBaselineCalls:
 
 
 class TestArasCalls:
-    def test_transient_step_is_two_fused_passes(self):
+    def test_transient_step_is_two_fused_passes(self, gathers):
         prob = _problem()
         params = ArasParams(sigma0=2.0, m0=4, m_max=8, burn_in=10_000, n_epochs=N_EPOCHS)
         res = aras_run(prob, params, seed=3)
         assert not res.triggered
         assert all(rec.phase == "transient" and rec.gnorm > 0 for rec in res.trace)
         assert _batch_calls(prob) == {"loss_and_grad": 2 * res.iterations}
+        # the two passes over the step's batch share one gather
+        assert gathers == [False] * res.iterations
 
     def test_stationary_step_reads_the_variance_not_per_sample_grads(self):
         prob = _problem()

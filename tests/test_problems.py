@@ -444,7 +444,10 @@ class TestWholeSetMarginMemo:
             prob.full_loss(x)
             prob.full_grad(x)
             prob.loss_and_grad(np.arange(prob.N), x)
-            assert prob._margins_memo is None
+            prob.batch_grad([1, 0], x)
+            prob.grad_variance_l1([1, 0], x)
+            prob.per_sample_grads([1, 0], x)
+            assert prob._margins_memo is None and prob._batch_memo is None
 
     @pytest.mark.parametrize("mode", ["exact", "inexact-g"])
     def test_arig_makes_one_margin_product_per_iterate(self, rng, mode):
@@ -553,6 +556,8 @@ class TestCsrGatheredBatch:
             prob = make(Dataset(features=feats, labels=y), 0.05)
             expected = (prob.batch_grad(batch, x), prob.batch_loss(batch, x),
                         prob.loss_and_grad(batch, x), prob.grad_variance_l1(batch, x))
+            # a fresh problem, so the patched calls gather the batch themselves
+            prob = make(Dataset(features=feats, labels=y), 0.05)
 
             def refuse(*args, **kwargs):
                 raise AssertionError("a mini-batch call built a scipy object")
@@ -565,6 +570,128 @@ class TestCsrGatheredBatch:
             assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
             assert got[2][0] == expected[2][0] and np.array_equal(got[2][1], expected[2][1])
             assert np.array_equal(got[3][0], expected[3][0]) and got[3][1] == expected[3][1]
+
+
+class TestGatheredBatchMemo:
+    """A problem keeps the batch it gathered last, keyed by the bytes of its
+    int64 indices: the next call on those indices gathers nothing, and every
+    result has the bits of a fresh problem's."""
+
+    @staticmethod
+    def _builds(rng):
+        """(name, build) over dense and CSR (canonical and not) features,
+        for both losses; each build makes a fresh problem."""
+        dense = _random_dataset(rng, N=9, n=6)
+        variants = _csr_variants(rng)
+        feats = {"dense": dense.features, "csr": variants["canonical-int32"],
+                 "csr-non-canonical": variants["non-canonical-int64"]}
+        for name, f in feats.items():
+            for make in (make_logistic, make_sigmoid_svm):
+                yield f"{name}-{make.__name__}", (
+                    lambda f=f, make=make: make(Dataset(features=f, labels=dense.labels), 0.05))
+
+    @staticmethod
+    def _calls(get, batch, x, z):
+        """Every gathering entry point on one batch, at two points, each on
+        the problem get() returns."""
+        return [get().batch_grad(batch, x), get().batch_loss(batch, z),
+                *get().loss_and_grad(batch, x), get().per_sample_grads(batch, z),
+                *get().grad_variance_l1(batch, x), get().batch_grad(batch, z)]
+
+    def _assert_bits_equal(self, got, want, where):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(_bits(a), _bits(b)), where
+
+    def test_one_gather_for_repeated_calls(self, rng, gathers):
+        x, z = rng.standard_normal(6), rng.standard_normal(6)
+        batch = np.array([7, 0, 3, 3, 5])
+        for name, build in self._builds(rng):
+            want = self._calls(build, batch, x, z)
+            prob = build()
+            gathers.clear()
+            got = self._calls(lambda: prob, batch, x, z)
+            assert gathers == [False], name
+            self._assert_bits_equal(got, want, name)
+
+    def test_batch_changed_in_place_is_gathered_again(self, rng, gathers):
+        x = rng.standard_normal(6)
+        for name, build in self._builds(rng):
+            batch = np.array([4, 1, 8])
+            prob = build()
+            gathers.clear()
+            prob.batch_grad(batch, x)
+            batch[1] = 6
+            g = prob.batch_grad(batch, x)
+            assert gathers == [False, False], name
+            self._assert_bits_equal([g], [build().batch_grad(batch, x)], name)
+
+    def test_int32_and_int64_indices_share_the_memo(self, rng, gathers):
+        x = rng.standard_normal(6)
+        for name, build in self._builds(rng):
+            prob = build()
+            gathers.clear()
+            got = [prob.batch_grad(np.array([5, 2, 0], dtype=dtype), x)
+                   for dtype in (np.int64, np.int32)]
+            got.append(prob.batch_grad([5, 2, 0], x))
+            assert gathers == [False], name
+            want = build().batch_grad(np.array([5, 2, 0], dtype=np.int32), x)
+            self._assert_bits_equal(got, [want] * 3, name)
+
+    def test_memo_arrays_are_read_only(self, rng):
+        x = rng.standard_normal(6)
+        for name, build in self._builds(rng):
+            prob = build()
+            prob.loss_and_grad([3, 1, 4, 1], x)
+            key, (idx, rows, labels) = prob._batch_memo
+            assert key == np.array([3, 1, 4, 1], dtype=np.int64).tobytes()
+            arrays = [idx, labels, *(rows[:4] if isinstance(rows, problems._CsrBatch) else [rows])]
+            for arr in arrays:
+                assert not arr.flags.writeable, name
+                with pytest.raises(ValueError):
+                    arr[:1] = 0
+
+    def test_non_canonical_variance_leaves_the_memo_intact(self, rng):
+        """grad_variance_l1 sums the duplicates of non-canonical CSR on a
+        copy, so a later call on the memo's batch keeps its bits."""
+        x, z = rng.standard_normal(6), rng.standard_normal(6)
+        for name, feats in _csr_variants(rng).items():
+            if feats.has_canonical_format:
+                continue
+            y = np.where(rng.standard_normal(9) >= 0, 1.0, -1.0)
+            for make in (make_logistic, make_sigmoid_svm):
+                prob = make(Dataset(features=feats, labels=y), 0.05)
+                fresh = make(Dataset(features=feats, labels=y), 0.05)
+                batch = [8, 0, 3, 0, 4]
+                gv, var = prob.grad_variance_l1(batch, x)
+                self._assert_bits_equal([prob.batch_grad(batch, x), prob.batch_grad(batch, z)],
+                                        [gv, fresh.batch_grad(batch, z)], name)
+                self._assert_bits_equal([prob.grad_variance_l1(batch, z)[1]],
+                                        [fresh.grad_variance_l1(batch, z)[1]], name)
+
+    def test_whole_set_passes_drop_the_memo(self, rng, gathers):
+        x = rng.standard_normal(6)
+        for name, build in self._builds(rng):
+            prob = build()
+            gathers.clear()
+            for whole_pass in (prob.full_grad, prob.full_loss,
+                               lambda x: prob.batch_loss(np.arange(prob.N)[::-1], x)):
+                prob.batch_grad([2, 7], x)
+                assert prob._batch_memo is not None
+                whole_pass(x)
+                assert prob._batch_memo is None, name
+            assert gathers == [False, True] * 3, name
+
+    def test_failed_batch_is_not_kept(self, rng):
+        x = rng.standard_normal(6)
+        for name, build in self._builds(rng):
+            prob = build()
+            for _ in range(2):
+                with pytest.raises(IndexError):
+                    prob.batch_grad([0, 9], x)
+                with pytest.raises(ValueError):
+                    prob.batch_grad([], x)
+            assert prob._batch_memo is None, name
 
 
 _THREAD_PROBE = """
