@@ -12,6 +12,10 @@ a norm test against sigma, and sigma grows linearly (so the step 1/sigma
 decays harmonically).  A stationary step makes one gathered pass that gives
 both the batch gradient and the norm-test variance, plus a re-draw at the
 new batch size when the norm test fails.
+
+A run aborts as the epoch-loop algorithms do: a step whose new iterate is
+not finite is not taken, and the run ends with aborted=True, an
+abort_reason naming the epoch and iteration, and x the last finite iterate.
 """
 
 from __future__ import annotations
@@ -134,6 +138,8 @@ class ArasResult:
     sigma_trigger: Optional[float]
     sigma_final: float
     trace: List[StepRecord] = field(default_factory=list)
+    aborted: bool = False
+    abort_reason: Optional[str] = None
 
     @property
     def triggered(self) -> bool:
@@ -152,8 +158,11 @@ def _record(state: ArasState, epoch: int, m_used: int, phase: str, sigma_pre: fl
     )
 
 
-def transient_step(state: ArasState, problem, params: ArasParams, epoch: int = 0) -> StepRecord:
-    """One always-accepted step with ratio-driven sigma and Pflug update."""
+def transient_step(state: ArasState, problem, params: ArasParams,
+                   epoch: int = 0) -> Optional[StepRecord]:
+    """One always-accepted step with ratio-driven sigma and Pflug update;
+    None, with the state unchanged but the sampler, when the new iterate
+    would not be finite."""
     if not state.transient:
         raise RuntimeError("transient_step called in stationary phase")
     sigma_pre = state.sigma
@@ -168,6 +177,8 @@ def transient_step(state: ArasState, problem, params: ArasParams, epoch: int = 0
 
     s = -g_old / sigma_pre
     x_new = state.x + s
+    if not np.all(np.isfinite(x_new)):
+        return None
     f_new, g_new = problem.loss_and_grad(batch, x_new)
     rho_bar = (f_old - f_new) * sigma_pre / gnorm_sq
 
@@ -189,8 +200,11 @@ def transient_step(state: ArasState, problem, params: ArasParams, epoch: int = 0
                    float(np.sqrt(gnorm_sq)), rho_bar, triggered_now)
 
 
-def stationary_step(state: ArasState, problem, params: ArasParams, epoch: int = 0) -> StepRecord:
-    """One step with norm-test batch resizing and linear sigma growth."""
+def stationary_step(state: ArasState, problem, params: ArasParams,
+                    epoch: int = 0) -> Optional[StepRecord]:
+    """One step with norm-test batch resizing and linear sigma growth; None,
+    with the state unchanged but the sampler, when the new iterate would not
+    be finite."""
     if state.transient:
         raise RuntimeError("stationary_step called in transient phase")
     sigma_pre = state.sigma
@@ -206,15 +220,19 @@ def stationary_step(state: ArasState, problem, params: ArasParams, epoch: int = 
         g, var_l1 = problem.batch_grad(batch, state.x), None
     gnorm_sq = float(g @ g)
 
+    m_new = state.m
     if var_l1 is not None and gnorm_sq > 0.0:
         if not norm_test(var_l1, batch.size, sigma_pre, gnorm_sq):
             m_new = adaptive_batch_size(sigma_pre, var_l1, gnorm_sq, min(params.m_max, N))
-            state.m = m_new
             batch = state.sampler.draw_batch(min(max(2, m_new), N))
             g = problem.batch_grad(batch, state.x)
             gnorm_sq = float(g @ g)
 
-    state.x = state.x + (-g / sigma_pre)
+    x_new = state.x + (-g / sigma_pre)
+    if not np.all(np.isfinite(x_new)):
+        return None
+    state.x = x_new
+    state.m = m_new
     state.sigma = sigma_pre * state.t / (state.t - 1)
     state.t += 1
     state.k += 1
@@ -243,15 +261,17 @@ def aras_run(
     )
 
     trace: List[StepRecord] = []
+    reason = None
     for epoch in range(params.n_epochs):
         consumed = 0
-        while consumed < N:
-            if state.transient:
-                rec = transient_step(state, problem, params, epoch=epoch)
+        while consumed < N and reason is None:
+            step = transient_step if state.transient else stationary_step
+            rec = step(state, problem, params, epoch=epoch)
+            if rec is None:
+                reason = f"non-finite iterate at epoch {epoch}, iteration {state.k}"
             else:
-                rec = stationary_step(state, problem, params, epoch=epoch)
-            consumed += rec.m_used
-            trace.append(rec)
+                consumed += rec.m_used
+                trace.append(rec)
 
     return ArasResult(
         x=state.x,
@@ -260,4 +280,6 @@ def aras_run(
         sigma_trigger=state.sigma_trigger,
         sigma_final=state.sigma,
         trace=trace,
+        aborted=reason is not None,
+        abort_reason=reason,
     )

@@ -21,9 +21,8 @@ order; full_grad and full_loss build no index array, and a batch that is
 the whole index set in order is recognised by one scan and not sorted.
 Losses are averaged with numpy's pairwise summation; the gradient sum over
 rows, sum_i c_i u_i, is a sequential ascending-row accumulation (``einsum``
-for dense rows; for CSR rows, scipy's transpose product on the whole set in
-place and ``np.bincount`` over a gathered batch's stored entries).  Results
-do not depend on the BLAS thread count: the only BLAS call is the margin
+for dense rows, scipy's ``csc_matvec`` for CSR rows).  Results do not
+depend on the BLAS thread count: the only BLAS call is the dense margin
 product rows @ x, where a thread split hands out whole rows and each margin
 stays one dot product, while the reductions over rows stay out of BLAS,
 whose gemv would split their sums across threads and change the bits.  A
@@ -50,16 +49,16 @@ replaced as one tuple by the next batch and dropped by a whole-set pass,
 which never reads it; so a run's last batch is released by the report's
 full passes.  Quadratic problems keep no batch memo.
 
-Any other CSR batch is gathered with numpy from the matrix's
-indptr/indices/data arrays (columns, values and a row id per stored entry),
-and its margins and gradient sum are ``np.bincount`` over those, with no
-scipy object built.  bincount adds its weights in input order into a zeroed
-output; scipy's ``csr_matvec`` (margins) and ``csc_matvec`` on the
-transpose (gradient) add the same products in the same stored order, so
-the bits are equal, duplicate or unsorted entries included, as long as
-scipy's compiled loop rounds each product before adding it.  Densifying a
-batch (per_sample_grads) and summing the duplicates of a dataset not in
-canonical form wrap the gathered arrays in a csr_matrix.
+Every CSR pass runs scipy's compiled sparsetools loops on indptr/indices/
+data arrays, with no scipy object built: the dataset's own arrays for the
+whole set, and for any other batch a copy of its rows' entries filled by
+``csr_row_index`` (a _CsrBatch).  Margins are ``csr_matvec`` and gradient
+sums ``csc_matvec`` on those arrays: the loops scipy's X[idx], X @ x and
+X.T @ c run, so the bits are scipy's, duplicate or unsorted entries
+included.  ``scipy.sparse._sparsetools`` is private; the tests comparing
+every CSR pass bit for bit with scipy's public operators guard it.
+Densifying a batch (per_sample_grads) and summing the duplicates of a
+dataset not in canonical form wrap the gathered arrays in a csr_matrix.
 
 The logistic loss uses numpy's vectorized ``exp`` and ``log1p`` in the
 stable form max(-z, 0) + log1p(exp(-|z|)), and stays within 2 ulp of
@@ -84,6 +83,9 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+# scipy's compiled CSR loops, which its csr_matrix operators call; a private
+# module, guarded by the bitwise tests against those operators
+from scipy.sparse import _sparsetools
 
 __all__ = [
     "Dataset",
@@ -179,28 +181,29 @@ class Dataset:
 
 
 class _CsrBatch(NamedTuple):
-    """A gathered batch of m CSR rows in scipy's CSR arrays, built with
-    numpy alone: row i's stored entries are indices/data[indptr[i]:indptr[i+1]]
-    in the dataset's stored order, and rowid gives each entry's row."""
+    """A gathered batch of m CSR rows in scipy's CSR arrays: row i's stored
+    entries are indices/data[indptr[i]:indptr[i+1]], in the dataset's stored
+    order and index dtype."""
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    rowid: np.ndarray
     shape: Tuple[int, int]
 
     @classmethod
     def gather(cls, feats, idx: np.ndarray) -> "_CsrBatch":
-        """Rows idx of CSR `feats`, one copy of their stored entries."""
-        starts = feats.indptr[idx]
-        lens = feats.indptr[idx + 1] - starts
-        indptr = np.zeros(idx.size + 1, dtype=np.int64)
-        np.cumsum(lens, out=indptr[1:])
-        rowid = np.repeat(np.arange(idx.size), lens)
-        # entry k of row i sits at starts[i] + (k - indptr[i]) in feats
-        pos = np.arange(indptr[-1]) + (starts - indptr[:-1])[rowid]
-        return cls(indptr, feats.indices.take(pos), feats.data.take(pos), rowid,
-                   (idx.size, feats.shape[1]))
+        """Rows idx of CSR `feats`: one copy of their stored entries, filled
+        by csr_row_index as feats[idx] fills its own."""
+        # the loop takes every index array in one dtype
+        itype = np.promote_types(feats.indptr.dtype, feats.indices.dtype)
+        idx = idx.astype(itype, copy=False)
+        indptr = np.zeros(idx.size + 1, dtype=itype)
+        np.cumsum(feats.indptr[idx + 1] - feats.indptr[idx], out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=itype)
+        data = np.empty(indptr[-1], dtype=feats.data.dtype)
+        _sparsetools.csr_row_index(idx.size, idx, feats.indptr, feats.indices,
+                                   feats.data, indices, data)
+        return cls(indptr, indices, data, (idx.size, feats.shape[1]))
 
     def tocsr(self) -> sp.csr_matrix:
         """The batch as a csr_matrix on these arrays, for scipy's
@@ -221,6 +224,17 @@ class _QuadData:
     B: np.ndarray  # (N, n) rows b_i
     V: Optional[np.ndarray] = None  # (N, n) rows v_i
     w: Optional[np.ndarray] = None  # (N,) weights
+
+
+def _batch_indices(batch) -> np.ndarray:
+    """The batch as a flat int64 array; a float or boolean batch raises
+    TypeError rather than being read as the integers it casts to."""
+    idx = np.asarray(batch)
+    if idx.size == 0:
+        raise ValueError("empty batch")
+    if idx.dtype.kind not in "iu":
+        raise TypeError(f"batch indices must be integers, not {idx.dtype}")
+    return idx.astype(np.int64, copy=False).ravel()
 
 
 def _check_finite(x: np.ndarray) -> np.ndarray:
@@ -262,9 +276,7 @@ class FiniteSumProblem:
         order and takes no sort; any other batch is sorted, then checked."""
         if batch is _WHOLE_SET:
             return None, True
-        idx = np.asarray(batch, dtype=np.int64).ravel()
-        if idx.size == 0:
-            raise ValueError("empty batch")
+        idx = _batch_indices(batch)
         whole = idx.size == self.N and bool(np.all(idx[1:] > idx[:-1]))
         if not whole:
             idx = np.sort(idx)
@@ -276,10 +288,8 @@ class FiniteSumProblem:
     def _rows(self, idx: np.ndarray, whole: bool):
         """Feature rows and labels of a validated batch: the whole index set
         reads the dataset in place; any other batch gathers one copy, for
-        CSR features a _CsrBatch of the rows' stored entries.  The in-place
-        set goes to scipy's products, which run a whole set's entries
-        faster; a gathered batch goes to np.bincount, since building scipy
-        objects would cost a batch more than its arithmetic."""
+        CSR features a _CsrBatch of the rows' stored entries.  Either kind
+        of CSR rows goes to the same sparsetools loops."""
         ds = self.dataset
         if whole:
             return ds.features, ds.labels
@@ -294,7 +304,7 @@ class FiniteSumProblem:
         if batch is _WHOLE_SET:
             object.__setattr__(self, "_batch_memo", None)
             return (None, *self._rows(None, True))
-        idx = np.asarray(batch, dtype=np.int64).ravel()
+        idx = _batch_indices(batch)
         key = idx.tobytes()
         memo = self._batch_memo
         if memo is not None and memo[0] == key:
@@ -304,7 +314,8 @@ class FiniteSumProblem:
         if whole:
             object.__setattr__(self, "_batch_memo", None)
             return idx, rows, v
-        for arr in (idx, v, *(rows[:4] if isinstance(rows, _CsrBatch) else (rows,))):
+        arrays = (rows.indptr, rows.indices, rows.data) if isinstance(rows, _CsrBatch) else (rows,)
+        for arr in (idx, v, *arrays):
             arr.flags.writeable = False
         object.__setattr__(self, "_batch_memo", (key, (idx, rows, v)))
         return idx, rows, v
@@ -312,25 +323,28 @@ class FiniteSumProblem:
     def _margins_and_coefs(self, rows, v: np.ndarray, x: np.ndarray,
                            losses: bool, coefs: bool):
         """One margin pass: (pure per-sample losses, d loss_i / d z
-        coefficients); a value not asked for is None.  The whole set's
-        margins come from _margins_memo when x has its key's bytes, and
-        replace it otherwise; a gathered batch leaves the memo alone."""
-        if rows is self.dataset.features:
-            key = x.tobytes()
-            memo = self._margins_memo
-            if memo is not None and memo[0] == key:
-                z = memo[1]
+        coefficients); a value not asked for is None.  The margins are
+        v * (rows @ x); CSR rows, the dataset's or a _CsrBatch, go to
+        csr_matvec, which adds each row's products in stored order into a
+        zero.  The whole set's margins come from _margins_memo when x has
+        its key's bytes, and replace it otherwise; a gathered batch leaves
+        the memo alone."""
+        whole = rows is self.dataset.features
+        key = x.tobytes() if whole else None
+        memo = self._margins_memo
+        if whole and memo is not None and memo[0] == key:
+            z = memo[1]
+        else:
+            if isinstance(rows, np.ndarray):
+                z = v * np.asarray(rows @ x)
             else:
-                z = v * np.asarray(rows @ x).ravel()
+                z = np.zeros(v.size)
+                _sparsetools.csr_matvec(v.size, self.n, rows.indptr, rows.indices,
+                                        rows.data, x, z)
+                z *= v
+            if whole:
                 z.flags.writeable = False
                 object.__setattr__(self, "_margins_memo", (key, z))
-        elif isinstance(rows, _CsrBatch):
-            # each margin adds its row's products in stored order into a
-            # zero, as scipy's csr_matvec does
-            z = v * np.bincount(rows.rowid, weights=rows.data * x.take(rows.indices),
-                                minlength=v.size)
-        else:
-            z = v * np.asarray(rows @ x).ravel()
         if self.kind == "sigmoid-svm":
             t = np.tanh(z)
             return (1.0 - t if losses else None,
@@ -365,17 +379,16 @@ class FiniteSumProblem:
         """(1/m) sum_i coef_i * row_i + 2 lam x over the batch's m rows.
 
         Each coordinate is a sequential ascending-row sum; a dense BLAS gemv
-        would split it across threads and change its bits.  A gathered CSR
-        batch adds coef_i * u_ij into coordinate j entry by entry in stored
-        order (rows ascending), the order in which scipy's csc_matvec runs
-        the in-place transpose product, so the two forms agree bit for bit."""
-        if isinstance(rows, _CsrBatch):
-            base = np.bincount(rows.indices, weights=rows.data * coef.take(rows.rowid),
-                               minlength=self.n)
-        elif sp.issparse(rows):
-            base = np.asarray(rows.T @ coef).ravel()
-        else:
+        would split it across threads and change its bits.  CSR rows (the
+        dataset's or a _CsrBatch) go to csc_matvec on their arrays read as
+        the transpose, which adds coef_i * u_ij into coordinate j entry by
+        entry in stored order, rows ascending: the loop rows.T @ coef runs."""
+        if isinstance(rows, np.ndarray):
             base = np.einsum("i,ij->j", coef, rows)
+        else:
+            base = np.zeros(self.n)
+            _sparsetools.csc_matvec(self.n, coef.size, rows.indptr, rows.indices,
+                                    rows.data, coef, base)
         return base / coef.size + (2.0 * self.lam) * x
 
     # -- operations --------------------------------------------------------

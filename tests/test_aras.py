@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from stochopt import (
     ArasParams,
     ArasState,
+    Dataset,
     PflugState,
     SamplerState,
     adaptive_batch_size,
     aras_run,
+    make_logistic,
     make_noisy_quadratic,
     make_quadratic,
     pflug_triggered,
@@ -439,3 +441,65 @@ class TestArasRun:
             ArasParams(burn_in=0)
         with pytest.raises(ValueError):
             ArasParams(n_epochs=0)
+
+
+class TestAbortRule:
+    """ARAS aborts as the epoch-loop algorithms do: a non-finite new iterate
+    ends the run with aborted=True, a reason naming the epoch and iteration,
+    and x the last finite iterate; the step that found it changes nothing."""
+
+    def test_run_aborts_at_first_step(self, rng):
+        # sigma0 = sigma_min = 1e-310 overflows the very first step
+        X = rng.standard_normal((40, 3))
+        y = np.where(rng.standard_normal(40) >= 0, 1.0, -1.0)
+        prob = make_logistic(Dataset(features=X, labels=y), 0.01)
+        params = ArasParams(sigma0=1e-310, sigma_min=1e-310, m0=8, m_max=40, n_epochs=3)
+        with np.errstate(over="ignore"):
+            res = aras_run(prob, params, seed=0)
+        assert res.aborted
+        assert res.abort_reason == "non-finite iterate at epoch 0, iteration 0"
+        assert res.iterations == 0 and res.trace == []
+        np.testing.assert_array_equal(res.x, np.zeros(prob.n))
+
+    @pytest.mark.parametrize("sigma, epoch, k", [(1e-200, 1, 1), (1e-150, 2, 2)])
+    def test_run_aborts_after_finite_steps(self, sigma, epoch, k):
+        # one full-batch step per epoch; the iterate grows by about 1/sigma
+        # a step until it overflows
+        prob = make_quadratic(np.diag([1.0, 3.0]), np.zeros(2))
+        params = ArasParams(sigma0=sigma, sigma_min=sigma, m0=2, m_max=2, n_epochs=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = aras_run(prob, params, seed=0, x0=np.ones(2))
+        assert res.aborted
+        assert res.abort_reason == f"non-finite iterate at epoch {epoch}, iteration {k}"
+        assert res.iterations == len(res.trace) == k
+        assert np.isfinite(res.x).all()
+        np.testing.assert_array_equal(res.x, res.trace[-1].x)
+
+    def test_finished_run_is_not_aborted(self):
+        res = aras_run(pure_noise_problem(), ArasParams(m0=1, n_epochs=2), seed=0)
+        assert not res.aborted and res.abort_reason is None
+
+    def test_transient_step_makes_no_second_pass(self):
+        # the stub holds one loss and one gradient: a pass at the
+        # non-finite point would fail on the empty script
+        prob = _StubProblem(grads=[(1e300, 0.0)], losses=[0.0])
+        state = fresh_state(problem_N=prob.N, m=2, sigma=1e-10)
+        before = (state.x.copy(), state.sigma, state.k, state.pflug.S, state.pflug.k)
+        with np.errstate(over="ignore"):
+            assert transient_step(state, prob, DEFAULTS) is None
+        np.testing.assert_array_equal(state.x, before[0])
+        assert (state.sigma, state.k, state.pflug.S, state.pflug.k) == before[1:]
+
+    def test_stationary_step_leaves_the_state(self):
+        # the norm test fails and resizes to 8 (as in TestStationaryStep),
+        # then the re-drawn gradient is infinite: neither the iterate nor
+        # the batch size moves
+        prob = _StubProblem(grads=[(2.0, 0.0), (np.inf, 0.0)],
+                            grad_rows=[[(4.0, 0.0), (0.0, 0.0)]])
+        state = fresh_state(problem_N=prob.N, m=2, sigma=2.0, transient=False)
+        before = (state.x.copy(), state.sigma, state.k, state.t, state.m)
+        with np.errstate(over="ignore"):
+            assert stationary_step(state, prob, DEFAULTS) is None
+        assert prob._grads == []  # the re-draw's pass ran
+        np.testing.assert_array_equal(state.x, before[0])
+        assert (state.sigma, state.k, state.t, state.m) == before[1:]

@@ -1031,6 +1031,20 @@ class TestCli:
         assert proc.stdout.strip() == "ok"
         assert "RuntimeWarning" not in proc.stderr
 
+    def test_diverging_aras_run_aborts_and_exits_0(self, tmp_path, capsys):
+        """sigma0 = sigma_min = 1e-310 overflows ARAS's first step: the run
+        ends aborted, as the epoch-loop algorithms do, instead of exiting 2
+        on a non-finite point."""
+        text = BASE_SGD.replace("algorithm = sgd", "algorithm = aras").replace(
+            "[sgd]\n    alpha = 0.1\n    m = 16\n",
+            "[aras]\n    sigma0 = 1e-310\n    sigma_min = 1e-310\n")
+        cfg = write_config(tmp_path, text)
+        with np.errstate(over="ignore"):
+            assert main(["run", "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        assert manifest["aborted"] is True
+
     def test_run_without_simd_dispatch_targets(self, tmp_path):
         """With every dispatch target above the baseline switched off, numpy
         reports no "found" SIMD extensions; the run still writes its

@@ -224,6 +224,30 @@ class TestBatchOps:
         with pytest.raises(ValueError, match="^non-finite point x$"):
             prob.grad_variance_l1([0, 1], bad_x)
 
+    def test_non_integer_batch_rejected(self, rng):
+        """A float or boolean batch raises TypeError naming its dtype on
+        every entry point, before the batch memo is read: a float batch
+        whose bytes are the memo's key hits nothing."""
+        csr = _csr_variants(rng)["canonical-int32"]
+        y = np.where(rng.standard_normal(csr.shape[0]) >= 0, 1.0, -1.0)
+        for prob in [*_all_problems(rng), make_logistic(Dataset(features=csr, labels=y), 0.05)]:
+            x = rng.standard_normal(prob.n)
+            prob.batch_grad([1, 2], x)
+            for batch, dtype in (([1.7, 2.2], "float64"),
+                                 ([True, False, True, False], "bool"),
+                                 (np.array([1, 2], dtype=np.float32), "float32"),
+                                 (np.array([1, 2]).view(np.float64), "float64")):
+                message = f"^batch indices must be integers, not {dtype}$"
+                for call in (prob.batch_grad, prob.batch_loss, prob.loss_and_grad,
+                             prob.per_sample_grads, prob.grad_variance_l1):
+                    with pytest.raises(TypeError, match=message):
+                        call(batch, x)
+            with pytest.raises(TypeError, match="not float64$"):
+                prob.eval_loss_i(1.0, x)
+            for dtype in (np.int8, np.uint16, np.int32, np.uint64):
+                batch = np.array([2, 1], dtype=dtype)
+                assert np.array_equal(prob.batch_grad(batch, x), prob.batch_grad([1, 2], x))
+
     def test_per_sample_grads_rows(self, rng):
         for prob in _all_problems(rng):
             x = rng.standard_normal(prob.n)
@@ -341,21 +365,36 @@ class TestWholeSetTakesNoSort:
                 assert not np.array_equal(gd, g)
 
 
-def _count_products(prob):
-    """Swap prob's feature matrix for a subclass of it that records the
-    rows of every product rows @ x (a gathered dense batch keeps the
-    subclass); returns that list.  Dataset.__post_init__ would drop a
+def _count_products(prob, monkeypatch):
+    """Record the rows of every margin product prob makes over its own
+    feature matrix; returns that list.  Dense features become a subclass
+    that records rows @ x (a gathered dense batch keeps the subclass).  CSR
+    features become a copy of their own, and the module's csr_matvec calls
+    on that copy's arrays are recorded.  Dataset.__post_init__ would drop a
     subclass, hence object.__setattr__."""
     products = []
     feats = prob.dataset.features
-    base = sp.csr_matrix if sp.issparse(feats) else np.ndarray
+    if sp.issparse(feats):
+        counted = feats.copy()
+        kernels = problems._sparsetools
 
-    class Counting(base):
-        def __matmul__(self, other):
-            products.append(self.shape[0])
-            return base.__matmul__(self, other)
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(kernels, name)
 
-    counted = Counting(feats) if sp.issparse(feats) else feats.view(Counting)
+            def csr_matvec(self, m, n, indptr, *args):
+                if indptr is counted.indptr:
+                    products.append(m)
+                return kernels.csr_matvec(m, n, indptr, *args)
+
+        monkeypatch.setattr(problems, "_sparsetools", Spy())
+    else:
+        class Counting(np.ndarray):
+            def __matmul__(self, other):
+                products.append(self.shape[0])
+                return np.ndarray.__matmul__(self, other)
+
+        counted = feats.view(Counting)
     object.__setattr__(prob.dataset, "features", counted)
     return products
 
@@ -376,10 +415,10 @@ class TestWholeSetMarginMemo:
                 yield lambda data=data, make=make: make(
                     Dataset(features=data.features, labels=data.labels), 0.05)
 
-    def test_full_grad_after_full_loss_reuses_the_margins(self, rng):
+    def test_full_grad_after_full_loss_reuses_the_margins(self, rng, monkeypatch):
         for build in self._cases(rng):
             prob = build()
-            products = _count_products(prob)
+            products = _count_products(prob, monkeypatch)
             x = rng.standard_normal(prob.n)
             f = prob.full_loss(x)
             g = prob.full_grad(x)
@@ -394,10 +433,10 @@ class TestWholeSetMarginMemo:
             gv_ref, var_ref = build().grad_variance_l1(np.arange(prob.N), x)
             assert np.array_equal(_bits(gv), _bits(gv_ref)) and _bits(var) == _bits(var_ref)
 
-    def test_x_changed_in_place_is_recomputed(self, rng):
+    def test_x_changed_in_place_is_recomputed(self, rng, monkeypatch):
         for build in self._cases(rng):
             prob = build()
-            products = _count_products(prob)
+            products = _count_products(prob, monkeypatch)
             x = rng.standard_normal(prob.n)
             prob.full_loss(x)
             x[1] += 0.5
@@ -405,10 +444,10 @@ class TestWholeSetMarginMemo:
             assert products == [prob.N, prob.N]
             assert np.array_equal(_bits(g), _bits(build().full_grad(x)))
 
-    def test_negative_zero_is_another_point(self, rng):
+    def test_negative_zero_is_another_point(self, rng, monkeypatch):
         for build in self._cases(rng):
             prob = build()
-            products = _count_products(prob)
+            products = _count_products(prob, monkeypatch)
             x = rng.standard_normal(prob.n)
             x[2] = 0.0
             prob.full_loss(x)
@@ -418,10 +457,10 @@ class TestWholeSetMarginMemo:
             assert products == [prob.N, prob.N]
             assert np.array_equal(_bits(g), _bits(build().full_grad(y)))
 
-    def test_gathered_batch_neither_reads_nor_writes_the_memo(self, rng):
+    def test_gathered_batch_neither_reads_nor_writes_the_memo(self, rng, monkeypatch):
         for build in self._cases(rng):
             prob = build()
-            products = _count_products(prob)
+            products = _count_products(prob, monkeypatch)
             x, z = rng.standard_normal(prob.n), rng.standard_normal(prob.n)
             prob.full_loss(x)
             memo = prob._margins_memo
@@ -450,11 +489,11 @@ class TestWholeSetMarginMemo:
             assert prob._margins_memo is None and prob._batch_memo is None
 
     @pytest.mark.parametrize("mode", ["exact", "inexact-g"])
-    def test_arig_makes_one_margin_product_per_iterate(self, rng, mode):
+    def test_arig_makes_one_margin_product_per_iterate(self, rng, monkeypatch, mode):
         X = rng.standard_normal((200, 5))
         y = np.where(X @ rng.standard_normal(5) + 0.5 * rng.standard_normal(200) > 0, 1.0, -1.0)
         prob = make_logistic(Dataset(features=X, labels=y), lam=0.01)
-        products = _count_products(prob)
+        products = _count_products(prob, monkeypatch)
         # sigma0 this small makes the exact run reject some trial points
         params = stochopt.RegParams(eps=1e-6, sigma0=0.01, sigma_min=0.01)
         res = stochopt.arig_run(prob, params, mode=mode, seed=3)
@@ -504,8 +543,8 @@ def _bits(a):
 
 class TestCsrGatheredBatch:
     """A CSR batch that is not the whole index set is gathered from the
-    matrix's arrays and reduced with bincount; its bits equal scipy's row
-    gather and transpose product (oracles.csr_batch_reference)."""
+    matrix's arrays and reduced by scipy's compiled loops; its bits equal
+    scipy's row gather and transpose product (oracles.csr_batch_reference)."""
 
     BATCHES = {
         "sorted": [0, 1, 3, 4, 8],
@@ -570,6 +609,54 @@ class TestCsrGatheredBatch:
             assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
             assert got[2][0] == expected[2][0] and np.array_equal(got[2][1], expected[2][1])
             assert np.array_equal(got[3][0], expected[3][0]) and got[3][1] == expected[3][1]
+
+
+    def test_gather_equals_scipy_row_indexing(self, rng):
+        """_CsrBatch.gather fills the arrays feats[idx] holds, in the
+        dataset's index dtype, for any index order and repeats."""
+        for name, feats in _csr_variants(rng).items():
+            for batch in self.BATCHES.values():
+                idx = np.asarray(batch, dtype=np.int64)
+                got, want = problems._CsrBatch.gather(feats, idx), feats[idx]
+                where = (name, batch)
+                assert got.shape == want.shape, where
+                for attr in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got, attr), getattr(want, attr)), (where, attr)
+                assert got.indptr.dtype == got.indices.dtype == feats.indices.dtype, where
+                assert got.data.dtype == feats.data.dtype, where
+
+    @pytest.mark.parametrize("kind", ["logistic", "sigmoid-svm"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_other_value_dtypes_equal_scipy_form(self, rng, kind, dtype):
+        """CSR values stored as int64 or float32: every pass, the whole set
+        included, has the bits of scipy's public operators."""
+        y = np.where(rng.standard_normal(9) >= 0, 1.0, -1.0)
+        lam = 0.05
+        make = make_logistic if kind == "logistic" else make_sigmoid_svm
+        for name, base in _csr_variants(rng).items():
+            feats = base.copy()
+            vals = np.round(3.0 * feats.data) if dtype == np.int64 else feats.data
+            # copy() narrows the index arrays; keep the variant's
+            feats.data, feats.indices, feats.indptr = vals.astype(dtype), base.indices, base.indptr
+            prob = make(Dataset(features=feats, labels=y), lam)
+            assert prob.dataset.features.dtype == dtype
+            assert prob.dataset.features.indices.dtype == base.indices.dtype
+            for batch in self.BATCHES.values():
+                x = 3.0 * rng.standard_normal(prob.n)
+                f_ref, g_ref, G_ref = csr_batch_reference(feats, y, kind, lam, batch, x)
+                where = (name, batch)
+                f, g = prob.loss_and_grad(batch, x)
+                assert _bits(f) == _bits(f_ref), where
+                assert np.array_equal(_bits(g), _bits(g_ref)), where
+                assert np.array_equal(_bits(prob.per_sample_grads(batch, x)), _bits(G_ref)), where
+                if len(batch) > 1:
+                    gv, var = prob.grad_variance_l1(batch, x)
+                    var_ref = csr_variance_l1_reference(feats, y, kind, lam, batch, x, g_ref)
+                    assert np.array_equal(_bits(gv), _bits(g_ref)), where
+                    assert _bits(var) == _bits(var_ref), where
+            f_ref, g_ref, _ = csr_batch_reference(feats, y, kind, lam, range(9), x)
+            assert _bits(prob.full_loss(x)) == _bits(f_ref), name
+            assert np.array_equal(_bits(prob.full_grad(x)), _bits(g_ref)), name
 
 
 class TestGatheredBatchMemo:
@@ -645,7 +732,8 @@ class TestGatheredBatchMemo:
             prob.loss_and_grad([3, 1, 4, 1], x)
             key, (idx, rows, labels) = prob._batch_memo
             assert key == np.array([3, 1, 4, 1], dtype=np.int64).tobytes()
-            arrays = [idx, labels, *(rows[:4] if isinstance(rows, problems._CsrBatch) else [rows])]
+            csr = isinstance(rows, problems._CsrBatch)
+            arrays = [idx, labels, *([rows.indptr, rows.indices, rows.data] if csr else [rows])]
             for arr in arrays:
                 assert not arr.flags.writeable, name
                 with pytest.raises(ValueError):
