@@ -23,7 +23,9 @@ the selected rows are evaluation, kept out of the optimizer's time and
 oracle counts.  Where the run already computed the exact loss and gradient
 norm at a row's iterate (ARIG's full passes), the record carries them and
 the report makes no second pass; where it computed only the gradient
-(a VARCHEN/SVRG anchor), the report makes a loss-only pass.
+(a VARCHEN/SVRG anchor), the report makes a loss-only pass.  The passes
+the report makes are handed to the problem several points per call
+(full_losses), which evaluates CSR rows one pass per call.
 
 Every output file is replaced by a new file rather than truncated in place
 (see _open_fresh): on ext4, truncating the previous run's not-yet-flushed
@@ -68,6 +70,7 @@ from .aras import ArasParams, aras_run
 from .baselines import BaselineParams, sgd_momentum_run, sgd_run, svrg_run
 from .problems import (
     DENSE_DIM_LIMIT,
+    FULL_PASS_CHUNK,
     Dataset,
     block_rows,
     make_logistic,
@@ -919,35 +922,47 @@ def _trace_to_metrics(
 
     A record that carries the exact loss and grad_norm at its x (ARIG with
     exact function values, see record.py) gives them to its row as they
-    are.  A record with grad_norm alone (the last step of a VARCHEN/SVRG
-    epoch that another epoch's anchor followed) costs a full_loss pass, and
-    one with neither a loss_and_grad pass, both over all N samples."""
+    are.  The report first selects its rows, then evaluates the iterates of
+    the rest with problem.full_losses, FULL_PASS_CHUNK points per call:
+    those of records with grad_norm alone (the last step of a VARCHEN/SVRG
+    epoch that another epoch's anchor followed) loss-only, and those of
+    records with neither with their gradients.  Each value has the bits of
+    a full_loss or loss_and_grad pass over all N samples; CSR rows take one
+    pass per call."""
     trace = result.trace
     cadence = config.cadence
-    N = problem.N
-    rows: List[MetricsRecord] = []
+    selected = []  # (record, cumulative samples)
     cum_samples = 0
     for i, rec in enumerate(trace):
         cum_samples += rec.samples
         last = i == len(trace) - 1
         if cadence > 0:
-            selected = last or rec.k % cadence == 0
+            keep = last or rec.k % cadence == 0
         else:
-            selected = last or trace[i + 1].epoch != rec.epoch
-        if not selected:
-            continue
+            keep = last or trace[i + 1].epoch != rec.epoch
+        if keep:
+            selected.append((rec, cum_samples))
 
-        loss, grad_norm = rec.loss, rec.grad_norm
-        if grad_norm is None:
-            loss, grad = problem.loss_and_grad(np.arange(N), rec.x)
-            grad_norm = float(np.linalg.norm(grad))
-        elif loss is None:
-            loss = problem.full_loss(rec.x)
+    values = [(rec.loss, rec.grad_norm) for rec, _ in selected]
+    need_both = [j for j, (_, grad_norm) in enumerate(values) if grad_norm is None]
+    need_loss = [j for j, (loss, grad_norm) in enumerate(values)
+                 if loss is None and grad_norm is not None]
+    # one chunk of points per call, its gradients dropped before the next
+    # call: the report holds one chunk's gradients at a time
+    for grad, need in ((True, need_both), (False, need_loss)):
+        for lo in range(0, len(need), FULL_PASS_CHUNK):
+            part = need[lo:lo + FULL_PASS_CHUNK]
+            for j, (loss, g) in zip(part, problem.full_losses(
+                    [selected[j][0].x for j in part], grad=grad)):
+                values[j] = (loss, float(np.linalg.norm(g)) if grad else values[j][1])
+
+    rows: List[MetricsRecord] = []
+    for (rec, samples), (loss, grad_norm) in zip(selected, values):
         rows.append(
             MetricsRecord(
                 epoch=rec.epoch,
                 iteration=rec.k,
-                samples=cum_samples,
+                samples=samples,
                 wall_ms=rec.wall_ms,
                 loss=loss,
                 grad_norm=grad_norm,
@@ -1007,7 +1022,7 @@ def _run(config: ExperimentConfig, resolved: Tuple[Dataset, Optional[Dataset], s
         "seed": config.seed,
         "dataset_sha256": ds_hash,
         "problem_fingerprint": _problem_fingerprint(config, ds_hash),
-        "aborted": bool(getattr(result, "aborted", False)),
+        "aborted": result.aborted,
         "numeric_env": _numeric_env(),
     }
     with _open_fresh(str(out_path) + ".manifest.json") as fh:

@@ -21,13 +21,18 @@ order; full_grad and full_loss build no index array, and a batch that is
 the whole index set in order is recognised by one scan and not sorted.
 Losses are averaged with numpy's pairwise summation; the gradient sum over
 rows, sum_i c_i u_i, is a sequential ascending-row accumulation (``einsum``
-for dense rows, scipy's ``csc_matvec`` for CSR rows).  Results do not
-depend on the BLAS thread count: the only BLAS call is the dense margin
-product rows @ x, where a thread split hands out whole rows and each margin
-stays one dot product, while the reductions over rows stay out of BLAS,
-whose gemv would split their sums across threads and change the bits.  A
-batch that is the whole index set reads the feature matrix in place instead
-of gathering a copy; the arithmetic is the same, so batch_grad over the full
+for dense rows, scipy's ``csc_matvec`` for CSR rows).  The reductions over
+rows stay out of BLAS, whose gemv would split their sums across threads.
+The only BLAS call is the dense margin product rows @ x, and its bits can
+follow the BLAS thread count: with OpenBLAS at n = 100, N = 12,345 gives
+other bytes in margin rows 6,172 and 12,344 at two threads than at one
+(N = 10,000 gives the same bytes).  Judging from which rows differ, a
+thread's share whose row count is not a multiple of 4 computes its last
+rows in another kernel; that is inferred, not read in OpenBLAS's source.
+So a dense problem's bits are those of one BLAS thread setting, which the
+harness records in each manifest.  CSR passes make no BLAS call.  A batch
+that is the whole index set reads the feature matrix in place instead of
+gathering a copy; the arithmetic is the same, so batch_grad over the full
 index set equals full_grad exactly.
 
 Whole-set passes at one x share their margins: the problem keeps the signed
@@ -60,12 +65,20 @@ every CSR pass bit for bit with scipy's public operators guard it.
 Densifying a batch (per_sample_grads) and summing the duplicates of a
 dataset not in canonical form wrap the gathered arrays in a csr_matrix.
 
+full_losses evaluates several points over the whole set, as the metrics
+report asks.  CSR rows take FULL_PASS_CHUNK points per pass of the
+multi-vector loops ``csr_matvecs`` and ``csc_matvecs`` over one (N, k)
+block, which add each point's products in csr_matvec's and csc_matvec's
+order, so every value has the single-point pass's bits; these passes
+neither read nor write the margin memo.  Dense and quadratic problems make
+one pass per point: a gemm would change the bits, and gemv's bits already
+follow how the rows are split.
+
 The logistic loss uses numpy's vectorized ``exp`` and ``log1p`` in the
 stable form max(-z, 0) + log1p(exp(-|z|)), and stays within 2 ulp of
-``np.logaddexp(0, -z)`` per sample.  Its bits do not depend on the BLAS
-thread count, but they can depend on the SIMD level numpy dispatches to on
-the machine, which the harness records in each run's manifest
-(``numeric_env``).
+``np.logaddexp(0, -z)`` per sample.  The kernel makes no BLAS call, but
+its bits can depend on the SIMD level numpy dispatches to on the machine,
+which the harness records in each run's manifest (``numeric_env``).
 
 ``grad_variance_l1`` returns the batch gradient, bitwise ``batch_grad``,
 together with the l1 norm of the per-sample gradients' sample variance, the
@@ -104,6 +117,11 @@ DENSE_DIM_LIMIT = 512
 # time, so its transient memory stays this size, not a copy of the dataset.
 BLOCK_BYTES = 1 << 20
 
+
+# Points per sparsetools pass when full_losses evaluates CSR rows (see
+# _csr_chunk); the multi-vector loops read the index and value arrays once
+# for all of a chunk's points.
+FULL_PASS_CHUNK = 8
 
 # The batch full_grad and full_loss hand to _pass: the whole set, no indices.
 _WHOLE_SET = object()
@@ -237,8 +255,12 @@ def _batch_indices(batch) -> np.ndarray:
     return idx.astype(np.int64, copy=False).ravel()
 
 
-def _check_finite(x: np.ndarray) -> np.ndarray:
+def _check_point(x: np.ndarray, n: int) -> np.ndarray:
+    """x as a flat float array of n finite coordinates.  The length check
+    guards the CSR passes: sparsetools reads x by column index unchecked."""
     x = np.asarray(x, dtype=float).ravel()
+    if x.size != n:
+        raise ValueError(f"point x has {x.size} coordinates, not {n}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite point x")
     return x
@@ -345,6 +367,12 @@ class FiniteSumProblem:
             if whole:
                 z.flags.writeable = False
                 object.__setattr__(self, "_margins_memo", (key, z))
+        return self._loss_terms(z, v, losses, coefs)
+
+    def _loss_terms(self, z: np.ndarray, v: np.ndarray, losses: bool, coefs: bool):
+        """(pure per-sample losses, d loss_i / d z coefficients) at the
+        signed margins z, the loss formulas of every pass; a value not asked
+        for is None."""
         if self.kind == "sigmoid-svm":
             t = np.tanh(z)
             return (1.0 - t if losses else None,
@@ -359,7 +387,7 @@ class FiniteSumProblem:
     def _pass(self, batch, x: np.ndarray, loss: bool, grad: bool):
         """(mean loss, mean gradient) over the batch from one margin pass;
         a value not asked for is None."""
-        x = _check_finite(x)
+        x = _check_point(x, self.n)
         if self.kind == "quadratic":
             idx, _ = self._batch_array(batch)
             if idx is None:
@@ -368,12 +396,16 @@ class FiniteSumProblem:
                     self._quad_batch_grad(idx, x) if grad else None)
         _, rows, v = self._gather(batch)
         losses, coef = self._margins_and_coefs(rows, v, x, losses=loss, coefs=grad)
-        f = g = None
-        if loss:
-            f = float(np.mean(losses) + self.lam * (x @ x))
-        if grad:
-            g = self._mean_grad(rows, coef, x)
-        return f, g
+        return (self._mean_loss(losses, x) if loss else None,
+                self._mean_grad(rows, coef, x) if grad else None)
+
+    def _mean_loss(self, losses: np.ndarray, x: np.ndarray) -> float:
+        """Mean of the pure per-sample losses plus lam ||x||^2."""
+        return float(np.mean(losses) + self.lam * (x @ x))
+
+    def _grad_from_sum(self, base: np.ndarray, m: int, x: np.ndarray) -> np.ndarray:
+        """(1/m) base + 2 lam x, where base = sum_i coef_i * row_i over m rows."""
+        return base / m + (2.0 * self.lam) * x
 
     def _mean_grad(self, rows, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
         """(1/m) sum_i coef_i * row_i + 2 lam x over the batch's m rows.
@@ -389,7 +421,7 @@ class FiniteSumProblem:
             base = np.zeros(self.n)
             _sparsetools.csc_matvec(self.n, coef.size, rows.indptr, rows.indices,
                                     rows.data, coef, base)
-        return base / coef.size + (2.0 * self.lam) * x
+        return self._grad_from_sum(base, coef.size, x)
 
     # -- operations --------------------------------------------------------
 
@@ -424,9 +456,57 @@ class FiniteSumProblem:
         """f(x) over all N samples."""
         return self._pass(_WHOLE_SET, x, loss=True, grad=False)[0]
 
+    def full_losses(self, xs, grad: bool = False):
+        """[(f(x), grad f(x)) for x in xs] over all N samples, the gradient
+        None unless asked: each pair is bitwise full_loss(x) or
+        loss_and_grad(np.arange(N), x).
+
+        CSR rows are evaluated FULL_PASS_CHUNK points per pass (see
+        _csr_chunk), and a chunk of one point takes the single-point pass;
+        dense and quadratic problems make one pass per point."""
+        xs = [_check_point(x, self.n) for x in xs]
+        csr = self.kind != "quadratic" and sp.issparse(self.dataset.features)
+        step = FULL_PASS_CHUNK if csr else 1
+        out = []
+        for lo in range(0, len(xs), step):
+            chunk = xs[lo:lo + step]
+            out += (self._csr_chunk(chunk, grad) if len(chunk) > 1
+                    else [self._pass(_WHOLE_SET, chunk[0], loss=True, grad=grad)])
+        return out
+
+    def _csr_chunk(self, xs, grad: bool):
+        """full_losses over k >= 2 points of CSR rows, in one (N, k) block:
+        csr_matvecs puts point j's margins in column j, each column's losses
+        and coefficients come from _loss_terms on a contiguous copy of it,
+        the coefficients overwrite the column, and csc_matvecs reduces the
+        block into the k gradient sums.  The two loops add each point's
+        products in csr_matvec's and csc_matvec's order, so every value has
+        the single-point pass's bits.  The margin memo is neither read nor
+        written."""
+        _, rows, v = self._gather(_WHOLE_SET)
+        N, n, k = self.N, self.n, len(xs)
+        Z = np.zeros((N, k))
+        # the (n, k) block of points, point j in column j, is freed after
+        # this pass, so the column loop's temporaries do not add to it
+        _sparsetools.csr_matvecs(N, n, k, rows.indptr, rows.indices, rows.data,
+                                 np.stack(xs, axis=1), Z)
+        Z *= v[:, None]
+        fs = []
+        for j, x in enumerate(xs):
+            losses, coef = self._loss_terms(Z[:, j].copy(), v, losses=True, coefs=grad)
+            fs.append(self._mean_loss(losses, x))
+            if grad:
+                Z[:, j] = coef
+            del losses, coef  # before the next column's temporaries
+        if not grad:
+            return [(f, None) for f in fs]
+        G = np.zeros((n, k))
+        _sparsetools.csc_matvecs(n, N, k, rows.indptr, rows.indices, rows.data, Z, G)
+        return [(f, self._grad_from_sum(G[:, j], N, x)) for j, (f, x) in enumerate(zip(fs, xs))]
+
     def per_sample_grads(self, batch, x: np.ndarray) -> np.ndarray:
         """Dense (m, n) matrix of grad f_i(x) for i in the sorted batch."""
-        x = _check_finite(x)
+        x = _check_point(x, self.n)
         if self.kind == "quadratic":
             return self._quad_per_sample_grads(self._batch_array(batch)[0], x)
         _, rows, v = self._gather(batch)
@@ -464,7 +544,7 @@ class FiniteSumProblem:
         m = idx.size
         if m < 2:
             raise ValueError("variance estimate needs a batch of at least 2")
-        x = _check_finite(x)
+        x = _check_point(x, self.n)
         if self.kind == "quadratic":
             g = self._quad_batch_grad(idx, x)
             G = self._quad_per_sample_grads(idx, x)

@@ -11,6 +11,11 @@ Function values may also be inexact: an absolute-error oracle
 |fbar(x, w) - f(x)| <= w is queried at w = eta0 * predicted decrease, which
 keeps the acceptance test meaningful (an accepted step then guarantees an
 actual decrease ratio of at least eta1 - 2*eta0).
+
+A run aborts as the other algorithms do: a trial iterate that is not finite
+is not evaluated, and REJECTION_LIMIT consecutive rejected steps end the
+run too; either way the run returns aborted=True, an abort_reason naming
+the iteration, and x the last accepted (finite) iterate.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ GradOracle = Callable[[np.ndarray, float], Tuple[np.ndarray, float, Optional[flo
 # Function oracle: oracle(x, w_req) -> (fbar, w) with |fbar - f(x)| <= w.
 FunOracle = Callable[[np.ndarray, float], Tuple[float, float]]
 
-REJECTION_LIMIT = 100  # consecutive rejected steps before aborting
+REJECTION_LIMIT = 100  # consecutive rejected steps before arig_run aborts
 
 ARIG_MODES = ("exact", "inexact-g", "inexact-g-and-f")  # arig_run's oracle pairs
 
@@ -119,6 +124,8 @@ class ArigResult:
     sigma_final: float
     sigma_max_observed: float
     trace: List[StepRecord] = field(default_factory=list)
+    aborted: bool = False
+    abort_reason: Optional[str] = None
 
     @property
     def n_reject(self) -> int:
@@ -185,7 +192,7 @@ def complexity_budget(
 
 @dataclass(frozen=True)
 class StepOutcome:
-    status: str  # "terminated" | "accepted" | "rejected"
+    status: str  # "terminated" | "accepted" | "rejected" | "non-finite"
     gnorm: float
     rho: Optional[float] = None
     f_old: Optional[float] = None
@@ -201,6 +208,9 @@ def arig_step(
 
     A fresh gradient is requested at threshold 1/sigma only when no stale
     gradient is pending; the termination test runs only on fresh gradients.
+    A trial iterate that is not finite ends the step as "non-finite" before
+    any function-oracle call, with the state as it was (apart from the
+    gradient the step asked for).
     """
     if state.pending_g is None:
         omega_req = 1.0 / state.sigma
@@ -221,12 +231,14 @@ def arig_step(
     gnorm_sq = gnorm * gnorm
     model_dec = model_decrease(sigma, gnorm_sq)
 
+    x_new = state.x + s
+    if not np.all(np.isfinite(x_new)):
+        return StepOutcome(status="non-finite", gnorm=gnorm)
     omega_f_req = 0.0 if params.eta0 is None else params.eta0 * model_dec
     if state.exact_f is not None and state.exact_f[0] is state.x:
         f_old, omega_f = state.exact_f[1], 0.0
     else:
         f_old, omega_f = fun_oracle(state.x, omega_f_req)
-    x_new = state.x + s
     f_new, omega_f_hat = fun_oracle(x_new, omega_f_req)
     if params.eta0 is not None and not check_inexact_decrease(
         omega_f, omega_f_hat, params.eta0, model_dec
@@ -249,11 +261,6 @@ def arig_step(
         state.consec_rejects += 1
         state.pending_g = g
         status = "rejected"
-        if state.consec_rejects >= REJECTION_LIMIT:
-            raise RuntimeError(
-                f"{REJECTION_LIMIT} consecutive rejected steps; "
-                "gradient or function oracle looks misconfigured"
-            )
 
     state.exact_f = (state.x, f_kept) if omega_kept == 0.0 else None
     state.sigma = update_sigma(sigma, rho, params)
@@ -268,7 +275,9 @@ def arig_run(
     seed: int = 0,
     x0: Optional[np.ndarray] = None,
 ) -> ArigResult:
-    """Iterate arig_step until termination or the iteration budget runs out.
+    """Iterate arig_step until termination, the iteration budget runs out,
+    or the run aborts: at a non-finite trial iterate, or after
+    REJECTION_LIMIT consecutive rejected steps.
 
     mode selects the oracle pair: "exact" (full gradient and loss),
     "inexact-g" (gradient error injected at exactly the requested 1/sigma),
@@ -280,8 +289,9 @@ def arig_run(
     oracle (state.exact_f), and ||grad f|| is what the gradient oracle
     reports at that iterate, in the next step or the termination test.  So
     the record is built one step late, with wall_ms stamped at the end of its
-    own step.  The last record of a run that exhausts max_iters, and every
-    record in "inexact-g-and-f" mode, carry neither.
+    own step.  The last record of a run that exhausts max_iters or
+    REJECTION_LIMIT, and every record in "inexact-g-and-f" mode, carry
+    neither.
     """
     if mode not in ARIG_MODES:
         raise ValueError(f"unknown oracle mode {mode!r}")
@@ -303,6 +313,7 @@ def arig_run(
     state = RegState(x=x0.copy(), sigma=params.sigma0)
     trace: List[StepRecord] = []
     terminated = False
+    reason = None
     sigma_max_obs = state.sigma
     # the last step's record fields and exact f, awaiting ||grad f|| at its x
     pending: Optional[Tuple[dict, Optional[float]]] = None
@@ -316,6 +327,9 @@ def arig_run(
             pending = None
         if out.status == "terminated":
             terminated = True
+            break
+        if out.status == "non-finite":
+            reason = f"non-finite trial iterate at iteration {state.k}"
             break
         sigma_max_obs = max(sigma_max_obs, sigma_used, state.sigma)
         fields = dict(
@@ -332,6 +346,9 @@ def arig_run(
             f_val=out.f_old,
         )
         pending = (fields, state.exact_f[1] if state.exact_f is not None else None)
+        if state.consec_rejects >= REJECTION_LIMIT:
+            reason = f"{REJECTION_LIMIT} consecutive rejected steps at iteration {state.k}"
+            break
     if pending is not None:
         trace.append(_record(*pending, None))
 
@@ -343,6 +360,8 @@ def arig_run(
         sigma_final=state.sigma,
         sigma_max_observed=sigma_max_obs,
         trace=trace,
+        aborted=reason is not None,
+        abort_reason=reason,
     )
 
 

@@ -174,7 +174,7 @@ def test_probe_reads_the_rows_of_every_counted_problem_method(probe_module):
     gen = np.random.default_rng(0)
     prob = make_logistic(Dataset(features=gen.standard_normal((5, 2)),
                                  labels=np.array([1.0, -1.0, 1.0, 1.0, -1.0])), lam=0.1)
-    values = {"batch": [0, 2, 3], "i": 1, "x": np.zeros(2)}
+    values = {"batch": [0, 2, 3], "i": 1, "x": np.zeros(2), "xs": [np.zeros(2)], "grad": True}
     counted = [name for name, fn in vars(FiniteSumProblem).items()
                if not name.startswith("_") and callable(fn)
                and ("grad" in name or "loss" in name)]

@@ -978,7 +978,10 @@ def write_csr_libsvm(path, N=150, n=700, nnz=10, seed=4):
 class TestCsrRuns:
     """Every algorithm runs end to end on a dataset that loads as CSR.  A
     batch other than the whole index set is gathered (problems._CsrBatch);
-    ARIG's passes are all over the whole set, which scipy reads in place."""
+    ARIG's passes are all over the whole set, which scipy reads in place.
+    The report evaluates the iterates of its rows several per pass
+    (problems.FiniteSumProblem._csr_chunk); ARIG's rows carry their values
+    and cost it no pass."""
 
     @pytest.mark.parametrize("algorithm", sorted(CSR_ALGORITHM_SECTIONS))
     def test_run_on_csr_is_deterministic(self, tmp_path, capsys, monkeypatch, algorithm):
@@ -997,15 +1000,24 @@ class TestCsrRuns:
             kinds.append(type(out[0]))
             return out
 
+        chunks = []
+        csr_chunk = problems.FiniteSumProblem._csr_chunk
+
+        def recording_chunk(self, xs, grad):
+            chunks.append(len(xs))
+            return csr_chunk(self, xs, grad)
+
         monkeypatch.setattr(problems.FiniteSumProblem, "_rows", recording_rows)
+        monkeypatch.setattr(problems.FiniteSumProblem, "_csr_chunk", recording_chunk)
         assert main(["run", "--config", cfg]) == 0
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 0
         capsys.readouterr()
         assert sp.csr_matrix in kinds
         if algorithm == "arig":
-            assert set(kinds) == {sp.csr_matrix}
+            assert set(kinds) == {sp.csr_matrix} and chunks == []
         else:
             assert problems._CsrBatch in kinds and np.ndarray not in kinds
+            assert chunks and all(2 <= k <= problems.FULL_PASS_CHUNK for k in chunks)
         manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
         assert manifest["aborted"] is False
         first = strip_wall(tmp_path / "a.csv")
@@ -1044,6 +1056,27 @@ class TestCli:
         assert capsys.readouterr().err == ""
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
         assert manifest["aborted"] is True
+
+    def test_diverging_arig_run_aborts_and_exits_0(self, tmp_path, capsys):
+        """Features scaled by 1e154 make ARIG reject every step: the run ends
+        aborted at the rejection limit, as the other algorithms do, instead
+        of exiting 2; its last row is evaluated at the finite x0."""
+        gen = np.random.default_rng(0)
+        X = 1e154 * gen.standard_normal((50, 3))
+        y = np.where(gen.standard_normal(50) >= 0, 1.0, -1.0)
+        save_libsvm(tmp_path / "huge.libsvm", Dataset(features=X, labels=y))
+        cfg = write_config(tmp_path, ini_text({
+            "problem": {"kind": "logistic", "lam": 0.0, "dataset": "huge.libsvm"},
+            "run": {"algorithm": "arig", "seed": 1, "out": "run.csv"},
+            "arig": {"eps": 1e-6},
+        }))
+        with np.errstate(over="ignore"):
+            assert main(["run", "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        assert manifest["aborted"] is True
+        rows = read_metrics_csv(tmp_path / "run.csv")
+        assert rows[-1].iteration == 100 and math.isfinite(rows[-1].loss)
 
     def test_run_without_simd_dispatch_targets(self, tmp_path):
         """With every dispatch target above the baseline switched off, numpy

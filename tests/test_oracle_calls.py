@@ -26,6 +26,7 @@ from stochopt import (
     varchen_run,
 )
 from stochopt.harness import _trace_to_metrics, gen_synthetic, load_config
+from stochopt.problems import FULL_PASS_CHUNK
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -33,6 +34,8 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 class CountingProblem:
     """Delegates to a real problem and counts the calls made on it by name,
     and the sample rows they read (N for a full pass, else the batch size).
+    full_losses also counts its points, by what it returns for them and
+    the bytes of each: ("full_loss" or "loss_and_grad", x.tobytes()).
 
     Calls the wrapped problem makes on itself (full_grad -> batch_grad) are
     not counted: only what the algorithm asks for."""
@@ -41,6 +44,7 @@ class CountingProblem:
         self._inner = inner
         self.calls = Counter()
         self.rows = Counter()
+        self.points = Counter()
 
     def __getattr__(self, name):
         attr = getattr(self._inner, name)
@@ -50,6 +54,10 @@ class CountingProblem:
         def counted(*args, **kwargs):
             self.calls[name] += 1
             self.rows[name] += self._inner.N if name.startswith("full_") else np.size(args[0])
+            if name == "full_losses":
+                grad = kwargs.get("grad", args[1] if len(args) > 1 else False)
+                kind = "loss_and_grad" if grad else "full_loss"
+                self.points.update((kind, np.asarray(x).tobytes()) for x in args[0])
             return attr(*args, **kwargs)
 
         return counted
@@ -60,6 +68,28 @@ def _problem(seed=0, N=40, n=4):
     X = gen.standard_normal((N, n))
     y = np.where(X @ gen.standard_normal(n) + 0.5 * gen.standard_normal(N) > 0, 1.0, -1.0)
     return CountingProblem(make_logistic(Dataset(features=X, labels=y), lam=0.01))
+
+
+def _report_passes(prob, trace, rows):
+    """The report's full passes by kind, one per point full_losses
+    evaluated.  Checks that the report made no other problem call, one
+    full_losses call per FULL_PASS_CHUNK points of a kind, and that the
+    points are exactly the iterates of the rows whose record lacks a value,
+    each once: loss-only where the record carries grad_norm alone, with the
+    gradient where it carries neither."""
+    by_k = {rec.k: rec for rec in trace}
+    want = Counter()
+    for row in rows:
+        rec = by_k[row.iteration]
+        if rec.grad_norm is None:
+            want["loss_and_grad", rec.x.tobytes()] += 1
+        elif rec.loss is None:
+            want["full_loss", rec.x.tobytes()] += 1
+    assert prob.points == want
+    passes = Counter(kind for kind, _ in want.elements())
+    assert set(prob.calls) <= {"full_losses"}
+    assert prob.calls["full_losses"] == sum(-(-k // FULL_PASS_CHUNK) for k in passes.values())
+    return dict(passes)
 
 
 N_EPOCHS = 2
@@ -137,13 +167,14 @@ class TestAnchorNormOnEpochEnd:
                                      cadence=cadence)
         prob.calls.clear()
         rows = _trace_to_metrics(config, prob, None, res)
+        passes = _report_passes(prob, res.trace, rows)
         carried = sum(rec.grad_norm is not None and (cadence == 0 or rec.k % cadence == 0)
                       for rec in res.trace)
         if cadence == 0:
             assert len(rows) == ANCHORED_EPOCHS and carried == ANCHORED_EPOCHS - 1
         else:
             assert 0 < carried < len(rows)
-        assert dict(prob.calls) == {"full_loss": carried, "loss_and_grad": len(rows) - carried}
+        assert passes == {"full_loss": carried, "loss_and_grad": len(rows) - carried}
         # every row has the bits of a full pass on a fresh problem
         fresh = _problem()._inner
         by_k = {rec.k: rec for rec in res.trace}
@@ -236,14 +267,14 @@ class TestArasCountedRows:
 
 class TestArigReportCalls:
     """_trace_to_metrics on an ARIG result: rows whose record carries the
-    exact f and ||grad f|| cost no problem call; every other row costs one
-    loss_and_grad pass."""
+    exact f and ||grad f|| cost no problem call; every other row's iterate
+    is evaluated once, with its gradient."""
 
     # sigma0 below the curvature makes exact mode reject steps, so records
     # whose x is unchanged (a stale-gradient re-entry follows) are covered
     PARAMS = RegParams(eps=1e-6, sigma0=0.01, sigma_min=0.005, eta0=0.1)
 
-    def report_calls(self, mode, cadence, max_iters=None):
+    def report_passes(self, mode, cadence, max_iters=None):
         prob = _problem()
         params = self.PARAMS
         if max_iters is not None:
@@ -254,26 +285,26 @@ class TestArigReportCalls:
         prob.calls.clear()
         rows = _trace_to_metrics(config, prob, None, res)
         assert len(rows) > 1
-        return res, rows, dict(prob.calls)
+        return res, rows, _report_passes(prob, res.trace, rows)
 
     @pytest.mark.parametrize("cadence", [0, 1, 3])
     @pytest.mark.parametrize("mode", ["exact", "inexact-g"])
     def test_exact_f_modes_make_no_report_pass(self, mode, cadence):
-        res, rows, calls = self.report_calls(mode, cadence)
+        res, rows, passes = self.report_passes(mode, cadence)
         assert res.terminated
         if mode == "exact":
             assert res.n_reject > 0
-        assert calls == {}
+        assert passes == {}
 
     @pytest.mark.parametrize("cadence", [0, 1, 3])
     def test_noisy_f_mode_makes_one_pass_per_row(self, cadence):
-        res, rows, calls = self.report_calls("inexact-g-and-f", cadence)
+        res, rows, passes = self.report_passes("inexact-g-and-f", cadence)
         assert res.terminated
-        assert calls == {"loss_and_grad": len(rows)}
+        assert passes == {"loss_and_grad": len(rows)}
 
     @pytest.mark.parametrize("cadence", [0, 1, 3])
     def test_exhausted_run_makes_one_pass_for_its_last_row(self, cadence):
-        res, rows, calls = self.report_calls("exact", cadence, max_iters=7)
+        res, rows, passes = self.report_passes("exact", cadence, max_iters=7)
         assert not res.terminated and res.iterations == 7
-        assert calls == {"loss_and_grad": 1}
+        assert passes == {"loss_and_grad": 1}
         assert [rec.loss is None for rec in res.trace] == [False] * 6 + [True]

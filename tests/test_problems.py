@@ -248,6 +248,21 @@ class TestBatchOps:
                 batch = np.array([2, 1], dtype=dtype)
                 assert np.array_equal(prob.batch_grad(batch, x), prob.batch_grad([1, 2], x))
 
+    def test_point_of_wrong_length_rejected(self, rng):
+        """CSR passes read x by column index in compiled code, so a point
+        of another length must fail before it, as dense ones do."""
+        csr = _csr_variants(rng)["canonical-int32"]
+        y = np.where(rng.standard_normal(csr.shape[0]) >= 0, 1.0, -1.0)
+        for prob in [*_all_problems(rng), make_logistic(Dataset(features=csr, labels=y), 0.05)]:
+            for x in (np.zeros(prob.n - 1), np.zeros(prob.n + 1)):
+                for call in (prob.full_loss, prob.full_grad,
+                             lambda x: prob.loss_and_grad([0, 1], x),
+                             lambda x: prob.per_sample_grads([0, 1], x),
+                             lambda x: prob.grad_variance_l1([0, 1], x),
+                             lambda x: prob.full_losses([x, x], grad=True)):
+                    with pytest.raises(ValueError, match="coordinates"):
+                        call(x)
+
     def test_per_sample_grads_rows(self, rng):
         for prob in _all_problems(rng):
             x = rng.standard_normal(prob.n)
@@ -780,6 +795,96 @@ class TestGatheredBatchMemo:
                 with pytest.raises(ValueError):
                     prob.batch_grad([], x)
             assert prob._batch_memo is None, name
+
+
+class TestFullLosses:
+    """full_losses evaluates several points over the whole set; each value
+    has the bits of a single-point pass on a fresh problem.  CSR points go
+    through one (N, k) block, FULL_PASS_CHUNK at a time."""
+
+    COUNTS = (1, 7, 8, 9, 31)
+
+    @staticmethod
+    def _csr_features(rng):
+        """{name: CSR features}: every _csr_variants matrix, its values
+        stored as float64, float32 and int64."""
+        out = {}
+        for name, base in _csr_variants(rng).items():
+            for dtype in (np.float64, np.float32, np.int64):
+                feats = base.copy()
+                vals = np.round(3.0 * feats.data) if dtype == np.int64 else feats.data
+                # copy() narrows the index arrays; keep the variant's
+                feats.data, feats.indices, feats.indptr = vals.astype(dtype), base.indices, base.indptr
+                out[f"{name}-{np.dtype(dtype).name}"] = feats
+        return out
+
+    @staticmethod
+    def _assert_single_point_bits(build, xs, grad, where):
+        got = build().full_losses(xs, grad=grad)
+        assert len(got) == len(xs), where
+        N = build().N
+        for x, (f, g) in zip(xs, got):
+            if grad:
+                f_ref, g_ref = build().loss_and_grad(np.arange(N), x)
+                assert np.array_equal(_bits(g), _bits(g_ref)), where
+            else:
+                f_ref = build().full_loss(x)
+                assert g is None, where
+            assert _bits(f) == _bits(f_ref), where
+
+    @pytest.mark.parametrize("grad", [False, True])
+    @pytest.mark.parametrize("kind", ["logistic", "sigmoid-svm"])
+    def test_csr_points_have_single_point_bits(self, rng, kind, grad):
+        y = np.where(rng.standard_normal(9) >= 0, 1.0, -1.0)
+        make = make_logistic if kind == "logistic" else make_sigmoid_svm
+        for name, feats in self._csr_features(rng).items():
+            def build(feats=feats):
+                prob = make(Dataset(features=feats, labels=y), 0.05)
+                assert prob.dataset.features.dtype == feats.dtype
+                assert prob.dataset.features.indices.dtype == feats.indices.dtype
+                return prob
+
+            for count in self.COUNTS:
+                xs = [3.0 * rng.standard_normal(6) for _ in range(count)]
+                self._assert_single_point_bits(build, xs, grad, (name, count))
+
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_dense_and_quadratic_points_have_single_point_bits(self, rng, grad):
+        for prob in _all_problems(rng):
+            xs = [rng.standard_normal(prob.n) for _ in range(9)]
+            self._assert_single_point_bits(lambda prob=prob: prob, xs, grad, prob.kind)
+
+    def test_csr_chunk_neither_reads_nor_writes_the_margin_memo(self, rng):
+        feats = _csr_variants(rng)["canonical-int32"]
+        y = np.where(rng.standard_normal(9) >= 0, 1.0, -1.0)
+        xs = [rng.standard_normal(6) for _ in range(problems.FULL_PASS_CHUNK)]
+        for make in (make_logistic, make_sigmoid_svm):
+            prob = make(Dataset(features=feats, labels=y), 0.05)
+            prob.batch_grad([1, 4], xs[0])
+            # wrong margins under the first point's key: read, they would show
+            stale = (xs[0].tobytes(), np.zeros(prob.N))
+            object.__setattr__(prob, "_margins_memo", stale)
+            got = prob.full_losses(xs, grad=True)
+            assert prob._margins_memo is stale and prob._batch_memo is None
+            fresh = make(Dataset(features=feats, labels=y), 0.05).full_losses(xs, grad=True)
+            for (f, g), (f_ref, g_ref) in zip(got, fresh):
+                assert _bits(f) == _bits(f_ref) and np.array_equal(_bits(g), _bits(g_ref))
+
+    @pytest.mark.parametrize("grad", [False, True])
+    @pytest.mark.parametrize("make", [make_logistic, make_sigmoid_svm])
+    def test_csr_chunk_holds_one_block(self, traced_peak, make, grad):
+        """A chunk keeps one (N, k) block of margins, then coefficients,
+        beside O(N) vectors and O(n k) points and gradients."""
+        N, n, k = 20_000, 600, problems.FULL_PASS_CHUNK
+        gen = np.random.default_rng(3)
+        feats = sp.random(N, n, density=0.01, format="csr", random_state=gen)
+        y = np.where(gen.standard_normal(N) >= 0, 1.0, -1.0)
+        prob = make(Dataset(features=feats, labels=y), 0.01)
+        xs = [gen.standard_normal(n) for _ in range(k)]
+        out, peak = traced_peak(prob.full_losses, xs, grad=grad)
+        assert len(out) == k
+        # a single-point pass holds about 7 N-vectors at its peak
+        assert peak <= 8 * N * k + 8 * 10 * N + 8 * 3 * n * k, peak
 
 
 _THREAD_PROBE = """

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from stochopt import (
     ArigResult,
+    Dataset,
     RegParams,
     RegState,
     adversarial_grad_oracle,
@@ -18,6 +19,7 @@ from stochopt import (
     complexity_budget,
     exact_fun_oracle,
     exact_grad_oracle,
+    make_logistic,
     make_quadratic,
     model_decrease,
     noisy_fun_oracle,
@@ -310,13 +312,34 @@ class TestArigStep:
         assert state.consec_rejects == 0
 
     def test_rejection_limit_aborts(self):
+        """arig_step counts consecutive rejections past the limit; arig_run
+        is what stops at it, returning the iterate it started from."""
         grad = lambda x, w: (np.array([1.0]), 0.0, None)
         fun = lambda x, w: (0.0, 0.0)
         state = RegState(x=np.array([3.0]), sigma=1.0)
-        with pytest.raises(RuntimeError, match="consecutive rejected"):
-            for _ in range(REJECTION_LIMIT + 1):
-                arig_step(state, DEFAULTS, grad, fun)
-        assert state.consec_rejects == REJECTION_LIMIT
+        for _ in range(REJECTION_LIMIT + 1):
+            assert arig_step(state, DEFAULTS, grad, fun).status == "rejected"
+        assert state.consec_rejects == REJECTION_LIMIT + 1 and state.x.tolist() == [3.0]
+        res = arig_run(_FlatProblem(), DEFAULTS, x0=np.array([3.0]))
+        assert res.aborted and not res.terminated
+        assert res.abort_reason == (f"{REJECTION_LIMIT} consecutive rejected steps "
+                                    f"at iteration {REJECTION_LIMIT}")
+        assert res.iterations == len(res.trace) == res.n_reject == REJECTION_LIMIT
+        assert res.x.tolist() == [3.0]
+
+    def test_non_finite_trial_point_is_not_evaluated(self):
+        seen = []
+
+        def fun(x, w):
+            seen.append(x)
+            return 0.5 * float(x @ x), 0.0
+
+        grad = lambda x, w: (np.array([1e300, 0.0]), 0.0, 1e300)
+        state = RegState(x=np.array([1.0, 2.0]), sigma=1e-10)
+        with np.errstate(over="ignore"):
+            out = arig_step(state, DEFAULTS, grad, fun)
+        assert out.status == "non-finite" and seen == []
+        assert state.k == 0 and state.pending_g is None and state.x.tolist() == [1.0, 2.0]
 
     def test_dishonest_function_oracle_detected(self):
         grad, _ = half_norm_squared_oracles()
@@ -339,6 +362,27 @@ class TestArigStep:
         arig_step(state, params, grad, recording_fun)
         # model decrease = ||g||^2/sigma = 4/2 = 2; request eta0 * 2 = 0.2
         assert seen == [pytest.approx(0.2)] * 2
+
+
+class _FlatProblem:
+    """One coordinate, gradient 1 and loss 0 everywhere: no step decreases
+    f, so every step is rejected."""
+
+    n = N = 1
+
+    def full_grad(self, x):
+        return np.array([1.0])
+
+    def full_loss(self, x):
+        return 0.0
+
+
+def _overflowing_logistic(scale):
+    gen = np.random.default_rng(0)
+    X = gen.standard_normal((50, 3))
+    y = np.where(gen.standard_normal(50) >= 0, 1.0, -1.0)
+    with np.errstate(over="ignore"):  # the row norms behind L overflow
+        return make_logistic(Dataset(features=X * scale, labels=y), lam=0.0)
 
 
 class TestArigRun:
@@ -397,6 +441,32 @@ class TestArigRun:
         # sigma stays above the floor throughout
         assert all(r.sigma >= DEFAULTS.sigma_min for r in res.trace)
         assert res.sigma_final >= DEFAULTS.sigma_min
+
+    def test_rejection_limit_on_huge_features_aborts(self):
+        """Features scaled by 1e154 make every trial point's loss too large
+        to decrease: the run ends aborted at x0 instead of raising."""
+        res = arig_run(_overflowing_logistic(1e154), RegParams(eps=1e-6), mode="exact")
+        assert res.aborted and not res.terminated
+        assert res.abort_reason.startswith(f"{REJECTION_LIMIT} consecutive rejected steps")
+        assert res.iterations == REJECTION_LIMIT and res.n_success == 0
+        assert np.all(np.isfinite(res.x))
+
+    def test_non_finite_trial_point_aborts(self):
+        """A gradient of order 1e300 over sigma 1e-10 overflows the first
+        trial point: the run ends aborted at x0 before evaluating it."""
+        prob = _LossCounter(_overflowing_logistic(1e300))
+        params = RegParams(eps=1e-6, sigma0=1e-10, sigma_min=1e-10)
+        with np.errstate(over="ignore"):
+            res = arig_run(prob, params, mode="exact")
+        assert res.aborted and not res.terminated
+        assert res.abort_reason == "non-finite trial iterate at iteration 0"
+        assert res.iterations == 0 and res.trace == [] and prob.loss_calls == 0
+        assert res.x.tolist() == [0.0, 0.0, 0.0]
+
+    def test_converging_run_is_not_aborted(self):
+        prob = diag_quadratic([1.0, 2.0])
+        res = arig_run(prob, RegParams(eps=1e-8), mode="exact", x0=np.ones(2))
+        assert res.terminated and not res.aborted and res.abort_reason is None
 
     def test_budget_exhaustion_is_flagged_not_fatal(self):
         prob = diag_quadratic([1.0, 3.0], b=[1.0, 1.0])
