@@ -794,6 +794,11 @@ def load_config(path) -> ExperimentConfig:
             arig_mode = values.pop("mode", arig_mode)
             if arig_mode not in ARIG_MODES:
                 errors.append(f"[arig] mode must be one of {ARIG_MODES}")
+            elif (arig_mode == "inexact-g-and-f") != (values.get("eta0") is not None):
+                # arig_run raises without it in that mode and drops it in the
+                # others, where the manifest would still record it
+                errors.append("[arig] eta0 is required by mode = inexact-g-and-f "
+                              "and read by no other mode")
         try:
             if algorithm == "varchen":
                 schedule = {key: values.pop(key) for key in _SCHEDULE_NAMES if key in values}
@@ -1056,8 +1061,11 @@ def compare(config_paths: Sequence[str]) -> List[Dict]:
              + ", ".join(f"{Path(p).name}={fp}" for p, fp in zip(config_paths, fingerprints))]
         )
 
-    outs = {Path(cfg.out) for cfg in configs}
-    if len(outs) != len(configs):
+    # every file the runs write, CSV and manifest, by its real path: two
+    # spellings of one file ('..', a symbolic link) would overwrite it
+    outs = [os.path.realpath(path) for cfg in configs
+            for path in (cfg.out, cfg.out + ".manifest.json")]
+    if len(set(outs)) != len(outs):
         raise ConfigError(["compare configs share an output path; outputs must be distinct"])
 
     runs = [_run(cfg, res) for cfg, res in zip(configs, resolved)]

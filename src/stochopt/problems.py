@@ -39,7 +39,7 @@ Whole-set passes at one x share their margins: the problem keeps the signed
 margins v*(U x) of its last whole-set pass, keyed by the exact bytes of x,
 so full_grad(x) right after full_loss(x), as ARIG asks at each accepted
 trial point, makes no second product (the same holds for a whole-set
-loss_and_grad, per_sample_grads or grad_variance_l1 at that x).  The memo
+loss_and_grad or grad_variance_l1 at that x).  The memo
 holds N floats, is replaced as one tuple, and is never read or written by a
 gathered batch.  Like ``L``, it assumes the dataset is not changed in place
 after the problem is built.
@@ -62,8 +62,8 @@ sums ``csc_matvec`` on those arrays: the loops scipy's X[idx], X @ x and
 X.T @ c run, so the bits are scipy's, duplicate or unsorted entries
 included.  ``scipy.sparse._sparsetools`` is private; the tests comparing
 every CSR pass bit for bit with scipy's public operators guard it.
-Densifying a batch (per_sample_grads) and summing the duplicates of a
-dataset not in canonical form wrap the gathered arrays in a csr_matrix.
+Summing the duplicates of a dataset not in canonical form wraps the
+gathered arrays in a csr_matrix.
 
 full_losses evaluates several points over the whole set, as the metrics
 report asks.  CSR rows take FULL_PASS_CHUNK points per pass of the
@@ -225,7 +225,7 @@ class _CsrBatch(NamedTuple):
 
     def tocsr(self) -> sp.csr_matrix:
         """The batch as a csr_matrix on these arrays, for scipy's
-        duplicate-summing toarray() and sum_duplicates()."""
+        sum_duplicates()."""
         return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
 
 
@@ -290,15 +290,12 @@ class FiniteSumProblem:
 
     # -- internal helpers -------------------------------------------------
 
-    def _batch_array(self, batch):
-        """(idx, whole): the batch's indices, validated and in ascending
-        order (which keeps every reduction deterministic), and whether they
-        are the whole index set.  _WHOLE_SET gives (None, True).  A size-N
-        batch that is strictly ascending and in range is the whole set in
-        order and takes no sort; any other batch is sorted, then checked."""
-        if batch is _WHOLE_SET:
-            return None, True
-        idx = _batch_indices(batch)
+    def _batch_array(self, idx: np.ndarray):
+        """(idx, whole): indices from _batch_indices in ascending order
+        (which keeps every reduction deterministic) and range-checked, and
+        whether they are the whole index set.  A size-N batch that is
+        strictly ascending and in range is the whole set in order and takes
+        no sort; any other batch is sorted, then checked."""
         whole = idx.size == self.N and bool(np.all(idx[1:] > idx[:-1]))
         if not whole:
             idx = np.sort(idx)
@@ -307,36 +304,33 @@ class FiniteSumProblem:
             raise IndexError("sample index out of range")
         return idx, whole
 
-    def _rows(self, idx: np.ndarray, whole: bool):
-        """Feature rows and labels of a validated batch: the whole index set
-        reads the dataset in place; any other batch gathers one copy, for
-        CSR features a _CsrBatch of the rows' stored entries.  Either kind
-        of CSR rows goes to the same sparsetools loops."""
-        ds = self.dataset
-        if whole:
-            return ds.features, ds.labels
-        if sp.issparse(ds.features):
-            return _CsrBatch.gather(ds.features, idx), ds.labels[idx]
-        return ds.features[idx], ds.labels[idx]
-
     def _gather(self, batch):
-        """(idx, rows, labels) of a batch of the two losses, through _rows
-        (idx is None for _WHOLE_SET).  A gathered batch is kept in
-        _batch_memo with read-only arrays; a whole-set pass drops it."""
+        """(idx, rows, labels) of a batch of the two losses (idx is None for
+        _WHOLE_SET).  The whole index set reads the dataset in place; any
+        other batch gathers one copy, for CSR features a _CsrBatch of the
+        rows' stored entries, which goes to the same sparsetools loops as
+        the dataset's own.  A gathered batch is kept in _batch_memo with
+        read-only arrays; a whole-set pass drops it."""
+        ds = self.dataset
         if batch is _WHOLE_SET:
             object.__setattr__(self, "_batch_memo", None)
-            return (None, *self._rows(None, True))
+            return None, ds.features, ds.labels
         idx = _batch_indices(batch)
         key = idx.tobytes()
         memo = self._batch_memo
         if memo is not None and memo[0] == key:
             return memo[1]
         idx, whole = self._batch_array(idx)
-        rows, v = self._rows(idx, whole)
         if whole:
             object.__setattr__(self, "_batch_memo", None)
-            return idx, rows, v
-        arrays = (rows.indptr, rows.indices, rows.data) if isinstance(rows, _CsrBatch) else (rows,)
+            return idx, ds.features, ds.labels
+        if sp.issparse(ds.features):
+            rows = _CsrBatch.gather(ds.features, idx)
+            arrays = (rows.indptr, rows.indices, rows.data)
+        else:
+            rows = ds.features[idx]
+            arrays = (rows,)
+        v = ds.labels[idx]
         for arr in (idx, v, *arrays):
             arr.flags.writeable = False
         object.__setattr__(self, "_batch_memo", (key, (idx, rows, v)))
@@ -389,9 +383,8 @@ class FiniteSumProblem:
         a value not asked for is None."""
         x = _check_point(x, self.n)
         if self.kind == "quadratic":
-            idx, _ = self._batch_array(batch)
-            if idx is None:
-                idx = np.arange(self.N)
+            idx = (np.arange(self.N) if batch is _WHOLE_SET
+                   else self._batch_array(_batch_indices(batch))[0])
             return (float(np.mean(self._quad_losses(idx, x))) if loss else None,
                     self._quad_batch_grad(idx, x) if grad else None)
         _, rows, v = self._gather(batch)
@@ -424,14 +417,6 @@ class FiniteSumProblem:
         return self._grad_from_sum(base, coef.size, x)
 
     # -- operations --------------------------------------------------------
-
-    def eval_loss_i(self, i: int, x: np.ndarray) -> float:
-        """f_i(x), including the full lam*||x||^2 term."""
-        return self.batch_loss([i], x)
-
-    def eval_grad_i(self, i: int, x: np.ndarray) -> np.ndarray:
-        """Exact analytic gradient of f_i at x."""
-        return self.per_sample_grads([i], x)[0]
 
     def batch_loss(self, batch, x: np.ndarray) -> float:
         """Mean of f_i over the batch."""
@@ -504,19 +489,6 @@ class FiniteSumProblem:
         _sparsetools.csc_matvecs(n, N, k, rows.indptr, rows.indices, rows.data, Z, G)
         return [(f, self._grad_from_sum(G[:, j], N, x)) for j, (f, x) in enumerate(zip(fs, xs))]
 
-    def per_sample_grads(self, batch, x: np.ndarray) -> np.ndarray:
-        """Dense (m, n) matrix of grad f_i(x) for i in the sorted batch."""
-        x = _check_point(x, self.n)
-        if self.kind == "quadratic":
-            return self._quad_per_sample_grads(self._batch_array(batch)[0], x)
-        _, rows, v = self._gather(batch)
-        _, coef = self._margins_and_coefs(rows, v, x, losses=False, coefs=True)
-        if isinstance(rows, _CsrBatch):
-            rows = rows.tocsr()
-        if sp.issparse(rows):
-            rows = rows.toarray()
-        return coef[:, None] * rows + (2.0 * self.lam) * x
-
     def grad_variance_l1(self, batch, x: np.ndarray):
         """(g, var_l1): g is batch_grad(batch, x), bitwise, and
 
@@ -538,7 +510,7 @@ class FiniteSumProblem:
         below zero, so it is clamped at 0.
         """
         if self.kind == "quadratic":
-            idx, _ = self._batch_array(batch)
+            idx, _ = self._batch_array(_batch_indices(batch))
         else:
             idx, rows, v = self._gather(batch)
         m = idx.size
@@ -547,7 +519,7 @@ class FiniteSumProblem:
         x = _check_point(x, self.n)
         if self.kind == "quadratic":
             g = self._quad_batch_grad(idx, x)
-            G = self._quad_per_sample_grads(idx, x)
+            G = self._quad_sample_grads(idx, x)
         else:
             _, coef = self._margins_and_coefs(rows, v, x, losses=False, coefs=True)
             g = self._mean_grad(rows, coef, x)
@@ -593,7 +565,7 @@ class FiniteSumProblem:
             return ((q.w[idx] * proj)[:, None] * Vb).sum(axis=0) / m - b_mean
         return q.A @ x - b_mean
 
-    def _quad_per_sample_grads(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def _quad_sample_grads(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         q = self.quad
         if q.V is not None:
             Vb = q.V[idx]

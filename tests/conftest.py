@@ -47,14 +47,20 @@ def traced_peak():
 
 @pytest.fixture
 def gathers(monkeypatch):
-    """A spy on FiniteSumProblem._rows: the list of its calls' whole flags,
-    in order (False: the call gathered a copy of the batch's rows)."""
+    """A spy on FiniteSumProblem._gather: in order, True for each call that
+    read the dataset's rows in place and False for each that gathered a
+    copy of the batch's rows; a call served by the batch memo adds nothing."""
     calls = []
-    rows = problems.FiniteSumProblem._rows
+    gather = problems.FiniteSumProblem._gather
 
-    def spy(self, idx, whole):
-        calls.append(whole)
-        return rows(self, idx, whole)
+    def spy(self, batch):
+        memo = self._batch_memo
+        out = gather(self, batch)
+        if out[1] is self.dataset.features:
+            calls.append(True)
+        elif self._batch_memo is not memo:
+            calls.append(False)
+        return out
 
-    monkeypatch.setattr(problems.FiniteSumProblem, "_rows", spy)
+    monkeypatch.setattr(problems.FiniteSumProblem, "_gather", spy)
     return calls

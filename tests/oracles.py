@@ -4,7 +4,8 @@ Everything here is deliberately written from the mathematical definitions,
 not by calling back into the package: finite differences for gradients, a
 dense matrix build of the damped L-BFGS operator, a dense build of the
 single-pair update, a looped two-pass variance, the norm-test variance as
-two separate passes (gradient, then variance) compute it, a line-by-line
+two separate passes (gradient, then variance) compute it, a batch's
+per-sample gradients written out per problem kind, a line-by-line
 libsvm parser, a cell-by-cell CSV parser, the largest squared row norm over
 the whole matrix, the metrics report's column rules spelled out per
 algorithm, its loss and gradient norm from a fresh full pass per row (the
@@ -78,6 +79,33 @@ def looped_variance_l1(per_sample_grads: np.ndarray, g: np.ndarray) -> float:
     return total
 
 
+def per_sample_grads_reference(problem, batch, x: np.ndarray) -> np.ndarray:
+    """(m, n) rows grad f_i(x) for i in the sorted batch, from the
+    definitions: c_i u_i + 2 lam x for the two losses, c_i = d loss_i / d z
+    at the margins of one product over the batch's rows (CSR rows
+    densified first), and M_i x - b_i for quadratics.  Dense rows and
+    quadratics get the bits of the library's pass over the whole batch;
+    stacked singleton batch_grad([i], x) rows would not, because a one-row
+    matrix-vector product can round a margin otherwise."""
+    idx = np.sort(np.asarray(batch, dtype=np.int64))
+    if problem.kind == "quadratic":
+        q = problem.quad
+        if q.V is None:  # M_i = A
+            return (q.A @ x)[None, :] - q.B[idx]
+        Vb = q.V[idx]  # M_i = w_i v_i v_i'
+        return (q.w[idx] * (Vb @ x))[:, None] * Vb - q.B[idx]
+    rows = problem.dataset.features[idx]
+    rows = rows.toarray() if sp.issparse(rows) else rows
+    v = problem.dataset.labels[idx]
+    z = v * (rows @ x)
+    if problem.kind == "sigmoid-svm":  # d/dz (1 - tanh z) = -(1 - tanh^2 z)
+        t = np.tanh(z)
+        coef = -v * (1.0 - t * t)
+    else:  # logistic: d/dz log(1 + exp(-z)) = -1 / (1 + exp(z))
+        coef = -v / (1.0 + np.exp(z))
+    return coef[:, None] * rows + (2.0 * problem.lam) * x
+
+
 def two_pass_variance_l1(per_sample_grads: np.ndarray, g: np.ndarray) -> float:
     """Two-pass sample variance summed over coordinates, as numpy reduces
     it: squared deviations summed down the rows, divided by m-1, summed
@@ -118,12 +146,11 @@ def csr_variance_l1_reference(features, labels, kind: str, lam: float, batch,
 
 def csr_batch_reference(features, labels, kind: str, lam: float, batch,
                         x: np.ndarray):
-    """(mean loss, mean gradient, dense per-sample gradients) of a CSR batch
-    in scipy's form: the sorted batch's rows gathered by csr_matrix indexing,
-    margins rows @ x, the gradient sum rows.T @ coef and the per-sample rows
-    densified by toarray().  A non-canonical matrix keeps its stored order
-    and duplicates, which the products add as they come and toarray() sums.
-    The library's gathered CSR batch must agree bit for bit."""
+    """(mean loss, mean gradient) of a CSR batch in scipy's form: the sorted
+    batch's rows gathered by csr_matrix indexing, margins rows @ x and the
+    gradient sum rows.T @ coef.  A non-canonical matrix keeps its stored
+    order and duplicates, which the products add as they come.  The
+    library's gathered CSR batch must agree bit for bit."""
     idx = np.sort(np.asarray(batch, dtype=np.int64).ravel())
     rows = sp.csr_matrix(features)[idx]
     v = np.asarray(labels, dtype=float)[idx]
@@ -136,8 +163,7 @@ def csr_batch_reference(features, labels, kind: str, lam: float, batch,
         coef = -v / (1.0 + np.exp(z))
     loss = float(np.mean(losses) + lam * (x @ x))
     grad = np.asarray(rows.T @ coef).ravel() / idx.size + (2.0 * lam) * x
-    per_sample = coef[:, None] * rows.toarray() + (2.0 * lam) * x
-    return loss, grad, per_sample
+    return loss, grad
 
 
 def logistic_losses_reference(z) -> np.ndarray:

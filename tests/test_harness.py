@@ -949,6 +949,19 @@ class TestCompare:
         with pytest.raises(ConfigError, match="outputs must be distinct"):
             compare([c1, c2])
 
+    def test_compare_rejects_outputs_that_resolve_to_one_file(self, tmp_path):
+        """Paths that differ as text but name one file: through '..',
+        through a symbolic link, and one run's CSV at the other's manifest."""
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.csv").symlink_to(tmp_path / "run.csv")
+        c1 = write_config(tmp_path, BASE_SGD, name="a.ini")
+        for alias in ("sub/../run.csv", "link.csv", "run.csv.manifest.json"):
+            c2 = write_config(tmp_path, BASE_SGD.replace("seed = 1", "seed = 2").replace(
+                "out = run.csv", f"out = {alias}"), name="b.ini")
+            with pytest.raises(ConfigError, match="outputs must be distinct"):
+                compare([c1, c2])
+        assert not (tmp_path / "run.csv").exists()
+
 
 CSR_ALGORITHM_SECTIONS = {
     "arig": {"eps": 1e-5, "max_iters": 40},
@@ -993,11 +1006,11 @@ class TestCsrRuns:
             algorithm: CSR_ALGORITHM_SECTIONS[algorithm],
         }))
         kinds = []
-        rows = problems.FiniteSumProblem._rows
+        gather = problems.FiniteSumProblem._gather
 
-        def recording_rows(self, idx, whole):
-            out = rows(self, idx, whole)
-            kinds.append(type(out[0]))
+        def recording_gather(self, batch):
+            out = gather(self, batch)
+            kinds.append(type(out[1]))
             return out
 
         chunks = []
@@ -1007,7 +1020,7 @@ class TestCsrRuns:
             chunks.append(len(xs))
             return csr_chunk(self, xs, grad)
 
-        monkeypatch.setattr(problems.FiniteSumProblem, "_rows", recording_rows)
+        monkeypatch.setattr(problems.FiniteSumProblem, "_gather", recording_gather)
         monkeypatch.setattr(problems.FiniteSumProblem, "_csr_chunk", recording_chunk)
         assert main(["run", "--config", cfg]) == 0
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 0
@@ -1109,6 +1122,23 @@ class TestCli:
             assert main([verb, "--config", cfg]) == 1
             err = capsys.readouterr().err
             assert "[varchen]" in err and "must contain the starting scaling" in err
+
+    @pytest.mark.parametrize("section", [
+        "mode = exact\n    eta0 = 0.1",
+        "mode = inexact-g\n    eta0 = 0.1",
+        "mode = inexact-g-and-f",
+    ], ids=["exact", "inexact-g", "inexact-g-and-f-without-eta0"])
+    def test_arig_eta0_mismatched_with_mode_fails_at_load(self, tmp_path, capsys, section):
+        """arig_run reads eta0 only in mode inexact-g-and-f, which needs it;
+        in another mode the manifest would record a value the run never
+        used."""
+        block = "[sgd]\n    alpha = 0.1\n    m = 16\n    n_epochs = 3\n"
+        text = BASE_SGD.replace("algorithm = sgd", "algorithm = arig").replace(
+            block, f"[arig]\n    {section}\n")
+        cfg = write_config(tmp_path, text)
+        for verb in ("validate-config", "run"):
+            assert main([verb, "--config", cfg]) == 1
+            assert "[arig] eta0 is required by mode = inexact-g-and-f" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "old, new, message",

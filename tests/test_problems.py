@@ -25,6 +25,7 @@ from oracles import (
     enumerate_batches,
     fd_gradient,
     logistic_losses_reference,
+    per_sample_grads_reference,
     ulp_distance,
 )
 
@@ -60,13 +61,13 @@ class TestEvalLoss:
         prob = make_sigmoid_svm(_random_dataset(rng), lam=0.0)
         x = np.zeros(prob.n)
         for i in range(prob.N):
-            assert prob.eval_loss_i(i, x) == pytest.approx(1.0, abs=0)
+            assert prob.batch_loss([i], x) == pytest.approx(1.0, abs=0)
 
     def test_logistic_at_zero(self, rng):
         prob = make_logistic(_random_dataset(rng), lam=0.0)
         x = np.zeros(prob.n)
         for i in range(prob.N):
-            assert prob.eval_loss_i(i, x) == pytest.approx(np.log(2.0), rel=1e-15)
+            assert prob.batch_loss([i], x) == pytest.approx(np.log(2.0), rel=1e-15)
 
     def test_quadratic_identity_mean(self):
         # f(x) = 0.5 x'x at x = (3, 4): the mean over summands is 12.5
@@ -78,14 +79,14 @@ class TestEvalLoss:
     def test_index_out_of_range(self, rng):
         prob = make_logistic(_random_dataset(rng), lam=0.0)
         with pytest.raises((IndexError, ValueError)):
-            prob.eval_loss_i(prob.N, np.zeros(prob.n))
+            prob.batch_loss([prob.N], np.zeros(prob.n))
 
     def test_non_finite_x_rejected(self, rng):
         prob = make_logistic(_random_dataset(rng), lam=0.0)
         x = np.zeros(prob.n)
         x[0] = np.nan
         with pytest.raises(ValueError):
-            prob.eval_loss_i(0, x)
+            prob.batch_loss([0], x)
 
 
 class TestEvalGrad:
@@ -95,7 +96,7 @@ class TestEvalGrad:
         x = np.zeros(prob.n)
         for i in range(prob.N):
             expected = -ds.labels[i] * ds.features[i]
-            np.testing.assert_allclose(prob.eval_grad_i(i, x), expected, rtol=1e-14)
+            np.testing.assert_allclose(prob.batch_grad([i], x), expected, rtol=1e-14)
 
     def test_logistic_grad_at_zero(self, rng):
         ds = _random_dataset(rng)
@@ -103,15 +104,15 @@ class TestEvalGrad:
         x = np.zeros(prob.n)
         for i in range(prob.N):
             expected = -0.5 * ds.labels[i] * ds.features[i]
-            np.testing.assert_allclose(prob.eval_grad_i(i, x), expected, rtol=1e-14)
+            np.testing.assert_allclose(prob.batch_grad([i], x), expected, rtol=1e-14)
 
     def test_finite_differences_all_kinds(self, rng):
         for prob in _all_problems(rng):
             for _ in range(10):
                 i = int(rng.integers(prob.N))
                 x = rng.standard_normal(prob.n)
-                g = prob.eval_grad_i(i, x)
-                g_fd = fd_gradient(lambda z: prob.eval_loss_i(i, z), x, h_scale=1e-5)
+                g = prob.batch_grad([i], x)
+                g_fd = fd_gradient(lambda z: prob.batch_loss([i], z), x, h_scale=1e-5)
                 err = np.linalg.norm(g - g_fd) / max(1.0, np.linalg.norm(g))
                 assert err <= 1e-6, f"{prob.kind}: FD mismatch {err:.2e}"
 
@@ -129,10 +130,10 @@ class TestBatchOps:
             x = rng.standard_normal(prob.n)
             i = int(rng.integers(prob.N))
             np.testing.assert_array_equal(
-                prob.batch_grad(np.array([i]), x), prob.eval_grad_i(i, x)
+                prob.batch_grad(np.array([i]), x), per_sample_grads_reference(prob, [i], x)[0]
             )
             assert prob.batch_loss(np.array([i]), x) == pytest.approx(
-                prob.eval_loss_i(i, x), rel=1e-14
+                prob.batch_loss([i], x), rel=1e-14
             )
 
     def test_batch_mean_unbiased(self, rng):
@@ -148,14 +149,14 @@ class TestBatchOps:
         for prob in _all_problems(rng):
             x = rng.standard_normal(prob.n)
             batch = np.array([0, 2, 3])
-            direct = np.mean([prob.eval_loss_i(int(i), x) for i in batch])
+            direct = np.mean([prob.batch_loss([i], x) for i in batch])
             assert prob.batch_loss(batch, x) == pytest.approx(direct, rel=1e-12)
 
     def test_batch_grad_is_mean_of_sample_grads(self, rng):
         for prob in _all_problems(rng):
             x = rng.standard_normal(prob.n)
             batch = np.sort(rng.choice(prob.N, size=min(3, prob.N), replace=False))
-            direct = np.mean([prob.eval_grad_i(int(i), x) for i in batch], axis=0)
+            direct = np.mean([prob.batch_grad([i], x) for i in batch], axis=0)
             np.testing.assert_allclose(prob.batch_grad(batch, x), direct, atol=1e-12)
 
     def test_loss_and_grad_equals_separate_calls_bitwise(self, rng):
@@ -239,11 +240,11 @@ class TestBatchOps:
                                  (np.array([1, 2]).view(np.float64), "float64")):
                 message = f"^batch indices must be integers, not {dtype}$"
                 for call in (prob.batch_grad, prob.batch_loss, prob.loss_and_grad,
-                             prob.per_sample_grads, prob.grad_variance_l1):
+                             prob.grad_variance_l1):
                     with pytest.raises(TypeError, match=message):
                         call(batch, x)
             with pytest.raises(TypeError, match="not float64$"):
-                prob.eval_loss_i(1.0, x)
+                prob.batch_loss([1.0], x)
             for dtype in (np.int8, np.uint16, np.int32, np.uint64):
                 batch = np.array([2, 1], dtype=dtype)
                 assert np.array_equal(prob.batch_grad(batch, x), prob.batch_grad([1, 2], x))
@@ -257,20 +258,10 @@ class TestBatchOps:
             for x in (np.zeros(prob.n - 1), np.zeros(prob.n + 1)):
                 for call in (prob.full_loss, prob.full_grad,
                              lambda x: prob.loss_and_grad([0, 1], x),
-                             lambda x: prob.per_sample_grads([0, 1], x),
                              lambda x: prob.grad_variance_l1([0, 1], x),
                              lambda x: prob.full_losses([x, x], grad=True)):
                     with pytest.raises(ValueError, match="coordinates"):
                         call(x)
-
-    def test_per_sample_grads_rows(self, rng):
-        for prob in _all_problems(rng):
-            x = rng.standard_normal(prob.n)
-            batch = np.array([0, 2])
-            G = prob.per_sample_grads(batch, x)
-            assert G.shape == (2, prob.n)
-            np.testing.assert_allclose(G[0], prob.eval_grad_i(0, x), atol=1e-12)
-            np.testing.assert_allclose(G[1], prob.eval_grad_i(2, x), atol=1e-12)
 
 
 # margins that probe the logistic loss's branches, underflow and overflow:
@@ -312,7 +303,7 @@ class TestLogisticLossKernel:
         assert int(ulp_distance(losses[finite], ref[finite]).max()) <= 2
         # a single sample takes the same kernel
         for i in np.flatnonzero(finite)[::97]:
-            d = ulp_distance(prob.eval_loss_i(int(i), np.ones(1)), ref[i])
+            d = ulp_distance(prob.batch_loss([i], np.ones(1)), ref[i])
             assert int(d) <= 2, z[i]
 
     def test_full_loss_within_4_eps_of_reference_mean(self, rng):
@@ -438,13 +429,11 @@ class TestWholeSetMarginMemo:
             f = prob.full_loss(x)
             g = prob.full_grad(x)
             f2, g2 = prob.loss_and_grad(np.arange(prob.N), x)
-            G = prob.per_sample_grads(np.arange(prob.N), x)
             gv, var = prob.grad_variance_l1(np.arange(prob.N), x)
             assert products == [prob.N]
             assert np.array_equal(_bits(g), _bits(build().full_grad(x)))
             assert _bits(f) == _bits(build().full_loss(x))
             assert _bits(f2) == _bits(f) and np.array_equal(_bits(g2), _bits(g))
-            assert np.array_equal(_bits(G), _bits(build().per_sample_grads(np.arange(prob.N), x)))
             gv_ref, var_ref = build().grad_variance_l1(np.arange(prob.N), x)
             assert np.array_equal(_bits(gv), _bits(gv_ref)) and _bits(var) == _bits(var_ref)
 
@@ -500,7 +489,6 @@ class TestWholeSetMarginMemo:
             prob.loss_and_grad(np.arange(prob.N), x)
             prob.batch_grad([1, 0], x)
             prob.grad_variance_l1([1, 0], x)
-            prob.per_sample_grads([1, 0], x)
             assert prob._margins_memo is None and prob._batch_memo is None
 
     @pytest.mark.parametrize("mode", ["exact", "inexact-g"])
@@ -585,15 +573,13 @@ class TestCsrGatheredBatch:
             for batch in self.BATCHES.values():
                 for _ in range(3):
                     x = 3.0 * rng.standard_normal(prob.n)
-                    f_ref, g_ref, G_ref = csr_batch_reference(feats, y, kind, lam, batch, x)
+                    f_ref, g_ref = csr_batch_reference(feats, y, kind, lam, batch, x)
                     where = (name, batch)
                     assert _bits(prob.batch_loss(batch, x)) == _bits(f_ref), where
                     assert np.array_equal(_bits(prob.batch_grad(batch, x)), _bits(g_ref)), where
                     f, g = prob.loss_and_grad(batch, x)
                     assert _bits(f) == _bits(f_ref), where
                     assert np.array_equal(_bits(g), _bits(g_ref)), where
-                    G = prob.per_sample_grads(batch, x)
-                    assert np.array_equal(_bits(G), _bits(G_ref)), where
                     if len(batch) < 2:
                         continue
                     gv, var = prob.grad_variance_l1(batch, x)
@@ -658,18 +644,17 @@ class TestCsrGatheredBatch:
             assert prob.dataset.features.indices.dtype == base.indices.dtype
             for batch in self.BATCHES.values():
                 x = 3.0 * rng.standard_normal(prob.n)
-                f_ref, g_ref, G_ref = csr_batch_reference(feats, y, kind, lam, batch, x)
+                f_ref, g_ref = csr_batch_reference(feats, y, kind, lam, batch, x)
                 where = (name, batch)
                 f, g = prob.loss_and_grad(batch, x)
                 assert _bits(f) == _bits(f_ref), where
                 assert np.array_equal(_bits(g), _bits(g_ref)), where
-                assert np.array_equal(_bits(prob.per_sample_grads(batch, x)), _bits(G_ref)), where
                 if len(batch) > 1:
                     gv, var = prob.grad_variance_l1(batch, x)
                     var_ref = csr_variance_l1_reference(feats, y, kind, lam, batch, x, g_ref)
                     assert np.array_equal(_bits(gv), _bits(g_ref)), where
                     assert _bits(var) == _bits(var_ref), where
-            f_ref, g_ref, _ = csr_batch_reference(feats, y, kind, lam, range(9), x)
+            f_ref, g_ref = csr_batch_reference(feats, y, kind, lam, range(9), x)
             assert _bits(prob.full_loss(x)) == _bits(f_ref), name
             assert np.array_equal(_bits(prob.full_grad(x)), _bits(g_ref)), name
 
@@ -697,7 +682,7 @@ class TestGatheredBatchMemo:
         """Every gathering entry point on one batch, at two points, each on
         the problem get() returns."""
         return [get().batch_grad(batch, x), get().batch_loss(batch, z),
-                *get().loss_and_grad(batch, x), get().per_sample_grads(batch, z),
+                *get().loss_and_grad(batch, x),
                 *get().grad_variance_l1(batch, x), get().batch_grad(batch, z)]
 
     def _assert_bits_equal(self, got, want, where):
@@ -986,11 +971,9 @@ class TestDatasetValidation:
         x = rng.standard_normal(5)
         np.testing.assert_allclose(sparse.full_grad(x), dense.full_grad(x), atol=1e-12)
         assert sparse.full_loss(x) == pytest.approx(dense.full_loss(x), rel=1e-12)
-        np.testing.assert_allclose(
-            sparse.per_sample_grads(np.array([0, 3]), x),
-            dense.per_sample_grads(np.array([0, 3]), x),
-            atol=1e-12,
-        )
+        for i in (0, 3):
+            np.testing.assert_allclose(sparse.batch_grad([i], x), dense.batch_grad([i], x),
+                                       atol=1e-12)
 
 
 class TestLipschitzBounds:
@@ -1025,7 +1008,7 @@ def test_property_batch_decomposition(seed, lam, kind):
     x = rng.standard_normal(prob.n)
     m = int(rng.integers(1, prob.N + 1))
     batch = np.sort(rng.choice(prob.N, size=m, replace=False))
-    direct_g = np.mean([prob.eval_grad_i(int(i), x) for i in batch], axis=0)
+    direct_g = np.mean([prob.batch_grad([i], x) for i in batch], axis=0)
     np.testing.assert_allclose(prob.batch_grad(batch, x), direct_g, atol=1e-10)
-    direct_l = np.mean([prob.eval_loss_i(int(i), x) for i in batch])
+    direct_l = np.mean([prob.batch_loss([i], x) for i in batch])
     assert prob.batch_loss(batch, x) == pytest.approx(direct_l, rel=1e-10, abs=1e-12)

@@ -18,7 +18,12 @@ from stochopt import (
     sample_variance_l1,
 )
 
-from oracles import csr_variance_l1_reference, looped_variance_l1, two_pass_variance_l1
+from oracles import (
+    csr_variance_l1_reference,
+    looped_variance_l1,
+    per_sample_grads_reference,
+    two_pass_variance_l1,
+)
 
 
 class TestDrawBatch:
@@ -108,7 +113,7 @@ def _variance_scale(prob, batch, x, g):
     """(m ||w||^2 + sum_i c_i^2 ||u_i||^2) / (m-1) with w = g - 2 lam x: the
     size of the terms the sparse identity adds up."""
     m = len(batch)
-    C = prob.per_sample_grads(batch, x) - 2.0 * prob.lam * x  # rows c_i u_i
+    C = per_sample_grads_reference(prob, batch, x) - 2.0 * prob.lam * x  # rows c_i u_i
     w = g - 2.0 * prob.lam * x
     return (m * float(w @ w) + float((C * C).sum())) / (m - 1)
 
@@ -156,7 +161,7 @@ class TestSampleVariance:
         g = prob.batch_grad(batch, x)
         g_fused, ours = sample_variance_l1(prob, batch, x)
         np.testing.assert_array_equal(g_fused, g)
-        ref = looped_variance_l1(prob.per_sample_grads(batch, x), g)
+        ref = looped_variance_l1(per_sample_grads_reference(prob, batch, x), g)
         assert ours == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["csr", "csr-duplicates"])
@@ -168,7 +173,7 @@ class TestSampleVariance:
         g = prob.batch_grad(batch, x)
         g_fused, ours = sample_variance_l1(prob, batch, x)
         np.testing.assert_array_equal(g_fused, g)
-        ref = looped_variance_l1(prob.per_sample_grads(batch, x), g)
+        ref = looped_variance_l1(per_sample_grads_reference(prob, batch, x), g)
         assert abs(ours - ref) <= 1e-12 * _variance_scale(prob, batch, x, g)
 
     def test_near_cancellation_csr(self):
@@ -185,7 +190,7 @@ class TestSampleVariance:
             g = prob.batch_grad(batch, x)
             g_fused, ours = sample_variance_l1(prob, batch, x)
             np.testing.assert_array_equal(g_fused, g)
-            ref = looped_variance_l1(prob.per_sample_grads(batch, x), g)
+            ref = looped_variance_l1(per_sample_grads_reference(prob, batch, x), g)
             assert ours >= 0.0
             assert abs(ours - ref) <= 1e-12 * _variance_scale(prob, batch, x, g)
 
@@ -236,7 +241,7 @@ class TestFusedGradVariance:
         if ds is not None and sp.issparse(ds.features):
             return csr_variance_l1_reference(
                 ds.features, ds.labels, prob.kind, prob.lam, batch, x, g)
-        return two_pass_variance_l1(prob.per_sample_grads(batch, x), g)
+        return two_pass_variance_l1(per_sample_grads_reference(prob, batch, x), g)
 
     def test_bitwise_equal_to_separate_passes(self):
         gen = np.random.default_rng(3)
