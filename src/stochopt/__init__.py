@@ -10,13 +10,14 @@ Public surface:
 - lbfgs_core: damped L-BFGS memory with eigenvalue-bound control
 - varchen: VARCHEN (variance-reduced stochastic damped L-BFGS)
 - baselines: SGD, SGD with momentum, SVRG
-- record: StepRecord, the per-step trace entry of every optimizer
+- record: StepRecord, the per-step trace entry of every optimizer, and
+  RunResult, every run's outcome (ARIG adds terminated and sigma_final; its
+  step counts and max sigma, and ARAS's trigger, are read from the trace)
 - harness: configs, dataset IO, metrics CSV, CLI
 """
 
 from .aras import (
     ArasParams,
-    ArasResult,
     ArasState,
     PflugState,
     aras_run,
@@ -69,9 +70,8 @@ from .problems import (
     make_quadratic,
     make_sigmoid_svm,
 )
-from .record import StepRecord
+from .record import RunResult, StepRecord
 from .regularization import (
-    ArigResult,
     RegParams,
     RegState,
     adversarial_grad_oracle,
@@ -97,7 +97,6 @@ from .varchen import (
     AnchorState,
     StepSchedule,
     VarchenParams,
-    VarchenResult,
     harmonic_schedule_from_L,
     power_schedule_from_L,
     step_size,

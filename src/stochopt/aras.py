@@ -20,13 +20,12 @@ abort_reason naming the epoch and iteration, and x the last finite iterate.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .record import StepRecord
+from .record import RunResult, Stamp, StepRecord, no_clock, run_start
 from .sampling import (
     SamplerState,
     adaptive_batch_size,
@@ -38,7 +37,6 @@ __all__ = [
     "PflugState",
     "ArasParams",
     "ArasState",
-    "ArasResult",
     "pflug_update",
     "pflug_triggered",
     "update_sigma_two_branch",
@@ -127,42 +125,24 @@ class ArasState:
     transient: bool = True
     trigger_k: Optional[int] = None
     sigma_trigger: Optional[float] = None
-    t0: float = field(default_factory=time.perf_counter)  # clock origin of wall_ms
 
 
-@dataclass(frozen=True)
-class ArasResult:
-    x: np.ndarray
-    iterations: int
-    trigger_k: Optional[int]
-    sigma_trigger: Optional[float]
-    sigma_final: float
-    trace: List[StepRecord] = field(default_factory=list)
-    aborted: bool = False
-    abort_reason: Optional[str] = None
-
-    @property
-    def triggered(self) -> bool:
-        return self.trigger_k is not None
-
-
-def _record(state: ArasState, epoch: int, m_used: int, phase: str, sigma_pre: float,
-            gnorm: float, rho: Optional[float] = None,
+def _record(state: ArasState, stamp: Stamp, epoch: int, m_used: int, phase: str,
+            sigma_pre: float, gnorm: float, rho: Optional[float] = None,
             triggered_now: bool = False) -> StepRecord:
     """The step's record, read from the state after the step."""
     return StepRecord(
-        k=state.k, epoch=epoch, m_used=m_used, samples=m_used, x=state.x.copy(),
-        wall_ms=(time.perf_counter() - state.t0) * 1e3, phase=phase,
-        sigma=sigma_pre, sigma_after=state.sigma, m=state.m, S=state.pflug.S,
+        k=state.k, epoch=epoch, m_used=m_used, samples=m_used, **stamp(state.x),
+        phase=phase, sigma=sigma_pre, sigma_after=state.sigma, m=state.m, S=state.pflug.S,
         gnorm=gnorm, rho=rho, triggered_now=triggered_now,
     )
 
 
 def transient_step(state: ArasState, problem, params: ArasParams,
-                   epoch: int = 0) -> Optional[StepRecord]:
+                   epoch: int = 0, stamp: Stamp = no_clock) -> Optional[StepRecord]:
     """One always-accepted step with ratio-driven sigma and Pflug update;
     None, with the state unchanged but the sampler, when the new iterate
-    would not be finite."""
+    would not be finite.  stamp gives the record's x and wall_ms."""
     if not state.transient:
         raise RuntimeError("transient_step called in stationary phase")
     sigma_pre = state.sigma
@@ -173,7 +153,7 @@ def transient_step(state: ArasState, problem, params: ArasParams,
     if gnorm_sq == 0.0:
         # degenerate batch: leave iterate, sigma and the diagnostic alone
         state.k += 1
-        return _record(state, epoch, batch.size, "transient", sigma_pre, 0.0)
+        return _record(state, stamp, epoch, batch.size, "transient", sigma_pre, 0.0)
 
     s = -g_old / sigma_pre
     x_new = state.x + s
@@ -189,22 +169,21 @@ def transient_step(state: ArasState, problem, params: ArasParams,
     state.x = x_new
     state.k += 1
 
-    triggered_now = False
-    if pflug_triggered(state.pflug):
+    triggered_now = pflug_triggered(state.pflug)
+    if triggered_now:
         state.transient = False
         state.trigger_k = state.k
         state.sigma_trigger = state.sigma
-        triggered_now = True
 
-    return _record(state, epoch, batch.size, "transient", sigma_pre,
+    return _record(state, stamp, epoch, batch.size, "transient", sigma_pre,
                    float(np.sqrt(gnorm_sq)), rho_bar, triggered_now)
 
 
 def stationary_step(state: ArasState, problem, params: ArasParams,
-                    epoch: int = 0) -> Optional[StepRecord]:
+                    epoch: int = 0, stamp: Stamp = no_clock) -> Optional[StepRecord]:
     """One step with norm-test batch resizing and linear sigma growth; None,
     with the state unchanged but the sampler, when the new iterate would not
-    be finite."""
+    be finite.  stamp gives the record's x and wall_ms."""
     if state.transient:
         raise RuntimeError("stationary_step called in transient phase")
     sigma_pre = state.sigma
@@ -237,7 +216,7 @@ def stationary_step(state: ArasState, problem, params: ArasParams,
     state.t += 1
     state.k += 1
 
-    return _record(state, epoch, batch.size, "stationary", sigma_pre,
+    return _record(state, stamp, epoch, batch.size, "stationary", sigma_pre,
                    float(np.sqrt(gnorm_sq)))
 
 
@@ -246,14 +225,14 @@ def aras_run(
     params: ArasParams,
     seed: int = 0,
     x0: Optional[np.ndarray] = None,
-) -> ArasResult:
+) -> RunResult:
     """Run n_epochs epochs; an epoch ends once the steps taken in it have
     consumed at least N samples (a resized batch counts its final size)."""
     N = problem.N
     m0 = min(params.m0, N)  # m0 <= m_max holds by ArasParams
-    x0 = np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float)
+    x, stamp = run_start(problem, x0)
     state = ArasState(
-        x=x0.copy(),
+        x=x,
         sigma=params.sigma0,
         m=m0,
         pflug=PflugState(burn_in=params.burn_in),
@@ -266,20 +245,11 @@ def aras_run(
         consumed = 0
         while consumed < N and reason is None:
             step = transient_step if state.transient else stationary_step
-            rec = step(state, problem, params, epoch=epoch)
+            rec = step(state, problem, params, epoch=epoch, stamp=stamp)
             if rec is None:
                 reason = f"non-finite iterate at epoch {epoch}, iteration {state.k}"
             else:
                 consumed += rec.m_used
                 trace.append(rec)
 
-    return ArasResult(
-        x=state.x,
-        iterations=state.k,
-        trigger_k=state.trigger_k,
-        sigma_trigger=state.sigma_trigger,
-        sigma_final=state.sigma,
-        trace=trace,
-        aborted=reason is not None,
-        abort_reason=reason,
-    )
+    return RunResult(x=state.x, iterations=state.k, trace=trace, abort_reason=reason)

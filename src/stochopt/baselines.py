@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .varchen import StepSchedule, VarchenParams, VarchenResult, _epoch_loop, varchen_run
+from .record import RunResult
+from .varchen import StepSchedule, VarchenParams, _epoch_loop, varchen_run
 
 __all__ = [
     "BaselineParams",
@@ -47,7 +48,7 @@ class BaselineParams:
 
 def sgd_run(
     problem, params: BaselineParams, seed: int = 0, x0: Optional[np.ndarray] = None
-) -> VarchenResult:
+) -> RunResult:
     """x <- x - alpha * batch gradient."""
 
     def step(x, batch, k, first):
@@ -58,7 +59,7 @@ def sgd_run(
 
 def sgd_momentum_run(
     problem, params: BaselineParams, seed: int = 0, x0: Optional[np.ndarray] = None
-) -> VarchenResult:
+) -> RunResult:
     """Heavy ball: v <- momentum*v - alpha*g; x <- x + v."""
     v = np.zeros(problem.n)
 
@@ -72,7 +73,7 @@ def sgd_momentum_run(
 
 def svrg_run(
     problem, params: BaselineParams, seed: int = 0, x0: Optional[np.ndarray] = None
-) -> VarchenResult:
+) -> RunResult:
     """Variance-reduced gradient steps with identity H: the zero-memory,
     constant-step case of the quasi-Newton driver."""
     vr_params = VarchenParams(

@@ -1028,6 +1028,7 @@ def _run(config: ExperimentConfig, resolved: Tuple[Dataset, Optional[Dataset], s
         "dataset_sha256": ds_hash,
         "problem_fingerprint": _problem_fingerprint(config, ds_hash),
         "aborted": result.aborted,
+        "abort_reason": result.abort_reason,
         "numeric_env": _numeric_env(),
     }
     with _open_fresh(str(out_path) + ".manifest.json") as fh:

@@ -22,19 +22,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .record import StepRecord
+from .record import RunResult, StepRecord, run_start
 
 __all__ = [
     "ARIG_MODES",
     "RegParams",
     "RegState",
-    "ArigResult",
     "model_decrease",
     "rho_ratio",
     "update_sigma",
@@ -113,23 +111,6 @@ class RegState:
     def n_reject(self) -> int:
         """Rejected steps: every step counted in k is accepted or rejected."""
         return self.k - self.n_success
-
-
-@dataclass(frozen=True)
-class ArigResult:
-    x: np.ndarray
-    terminated: bool
-    iterations: int
-    n_success: int
-    sigma_final: float
-    sigma_max_observed: float
-    trace: List[StepRecord] = field(default_factory=list)
-    aborted: bool = False
-    abort_reason: Optional[str] = None
-
-    @property
-    def n_reject(self) -> int:
-        return self.iterations - self.n_success
 
 
 def model_decrease(sigma: float, gnorm_sq: float) -> float:
@@ -274,7 +255,7 @@ def arig_run(
     mode: str = "exact",
     seed: int = 0,
     x0: Optional[np.ndarray] = None,
-) -> ArigResult:
+) -> RunResult:
     """Iterate arig_step until termination, the iteration budget runs out,
     or the run aborts: at a non-finite trial iterate, or after
     REJECTION_LIMIT consecutive rejected steps.
@@ -309,15 +290,13 @@ def arig_run(
     else:
         f_oracle = exact_fun_oracle(problem)
 
-    x0 = np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float)
-    state = RegState(x=x0.copy(), sigma=params.sigma0)
+    x, stamp = run_start(problem, x0)
+    state = RegState(x=x, sigma=params.sigma0)
     trace: List[StepRecord] = []
     terminated = False
     reason = None
-    sigma_max_obs = state.sigma
     # the last step's record fields and exact f, awaiting ||grad f|| at its x
     pending: Optional[Tuple[dict, Optional[float]]] = None
-    t0 = time.perf_counter()
 
     while state.k < params.max_iters:
         sigma_used = state.sigma
@@ -331,14 +310,12 @@ def arig_run(
         if out.status == "non-finite":
             reason = f"non-finite trial iterate at iteration {state.k}"
             break
-        sigma_max_obs = max(sigma_max_obs, sigma_used, state.sigma)
         fields = dict(
             k=state.k,
             epoch=state.k,
             m_used=problem.N,
             samples=problem.N,
-            x=state.x.copy(),
-            wall_ms=(time.perf_counter() - t0) * 1e3,
+            **stamp(state.x),
             sigma=sigma_used,
             gnorm=out.gnorm,
             rho=out.rho,
@@ -352,17 +329,8 @@ def arig_run(
     if pending is not None:
         trace.append(_record(*pending, None))
 
-    return ArigResult(
-        x=state.x,
-        terminated=terminated,
-        iterations=state.k,
-        n_success=state.n_success,
-        sigma_final=state.sigma,
-        sigma_max_observed=sigma_max_obs,
-        trace=trace,
-        aborted=reason is not None,
-        abort_reason=reason,
-    )
+    return RunResult(x=state.x, iterations=state.k, trace=trace, abort_reason=reason,
+                     terminated=terminated, sigma_final=state.sigma)
 
 
 def _record(fields: dict, loss: Optional[float], grad_norm: Optional[float]) -> StepRecord:

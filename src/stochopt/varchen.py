@@ -27,21 +27,19 @@ iterate at epoch e, iteration k" and x the last finite iterate.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
 
 from .lbfgs_core import LBFGSMemory, enforce_bounds, push_pair, two_loop_apply
-from .record import StepRecord
+from .record import RunResult, StepRecord, run_start
 from .sampling import SamplerState
 
 __all__ = [
     "StepSchedule",
     "VarchenParams",
     "AnchorState",
-    "VarchenResult",
     "step_size",
     "harmonic_schedule_from_L",
     "power_schedule_from_L",
@@ -128,20 +126,6 @@ class AnchorState:
     full_grad_anchor: np.ndarray
 
 
-@dataclass(frozen=True)
-class VarchenResult:
-    """Outcome of VARCHEN and of the baselines (SGD, momentum, SVRG).
-
-    On abort, x is the last finite iterate (x0 when no step was taken) and
-    abort_reason names the epoch and the iteration that diverged."""
-
-    x: np.ndarray
-    iterations: int
-    aborted: bool
-    abort_reason: Optional[str]
-    trace: List[StepRecord] = field(default_factory=list)
-
-
 def _svrg_terms(problem, batch, x: np.ndarray, anchor: AnchorState):
     """(g(x, xi), g(x, xi) - g(x_anchor, xi) + full_grad(x_anchor))."""
     x = np.asarray(x, dtype=float)
@@ -158,7 +142,7 @@ def svrg_gradient(problem, batch, x: np.ndarray, anchor: AnchorState) -> np.ndar
 
 
 def _epoch_loop(problem, m: int, n_epochs: int, seed: int,
-                x0: Optional[np.ndarray], step, anchor_norm=None) -> VarchenResult:
+                x0: Optional[np.ndarray], step, anchor_norm=None) -> RunResult:
     """Walk n_epochs shuffles of the samples in chunks of min(m, N), one
     step(x, batch, k, first) -> (x_new, finish) per chunk (first: the epoch's
     first chunk).  finish() runs only once x_new is known to be finite; it
@@ -171,11 +155,10 @@ def _epoch_loop(problem, m: int, n_epochs: int, seed: int,
     N = problem.N
     m_eff = min(m, N)
     sampler = SamplerState(N=N, seed=seed)
-    x = (np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float)).copy()
+    x, stamp = run_start(problem, x0)
 
     trace: List[StepRecord] = []
     k = 0
-    t0 = time.perf_counter()
     for epoch in range(n_epochs):
         sampler.start_epoch()
         if anchor_norm is not None:
@@ -189,15 +172,13 @@ def _epoch_loop(problem, m: int, n_epochs: int, seed: int,
             x_new, finish = step(x, batch, k, consumed == 0)
             if not np.all(np.isfinite(x_new)):
                 reason = f"non-finite iterate at epoch {epoch}, iteration {k}"
-                return VarchenResult(x=x, iterations=k, aborted=True,
-                                     abort_reason=reason, trace=trace)
+                return RunResult(x=x, iterations=k, trace=trace, abort_reason=reason)
             fields = finish()
             x = x_new
             k += 1
             consumed += m_k
-            trace.append(StepRecord(k=k, epoch=epoch, m_used=m_k, x=x.copy(),
-                                    wall_ms=(time.perf_counter() - t0) * 1e3, **fields))
-    return VarchenResult(x=x, iterations=k, aborted=False, abort_reason=None, trace=trace)
+            trace.append(StepRecord(k=k, epoch=epoch, m_used=m_k, **stamp(x), **fields))
+    return RunResult(x=x, iterations=k, trace=trace)
 
 
 def varchen_run(
@@ -205,7 +186,7 @@ def varchen_run(
     params: VarchenParams,
     seed: int = 0,
     x0: Optional[np.ndarray] = None,
-) -> VarchenResult:
+) -> RunResult:
     """Run n_epochs epochs of anchored, bound-controlled quasi-Newton steps."""
     N = problem.N
     memory = params.new_memory()

@@ -1,8 +1,9 @@
 """The names benchmarks/probe.py patches on stochopt, and what it reads from
 a run, stay in place: install and uninstall leave the package as it was,
 an entry the probe records holds a trace of StepRecords with iterates, the
-ARAS spans and row counts follow the stationary step's one fused pass, and
-the probe can read the rows of every problem method it counts."""
+ARAS spans and row counts follow the stationary step's one fused pass, the
+probe can read the rows of every problem method it counts, and every
+algorithm entry returns a RunResult with what the benchmark reads of it."""
 
 import importlib.util
 import inspect
@@ -21,7 +22,7 @@ import stochopt.regularization
 import stochopt.sampling
 import stochopt.varchen
 from stochopt.problems import FiniteSumProblem
-from stochopt.record import StepRecord
+from stochopt.record import RunResult, StepRecord
 
 PROBE_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "probe.py"
 
@@ -190,3 +191,72 @@ def test_probe_reads_the_rows_of_every_counted_problem_method(probe_module):
         else:
             expected = values["batch"] if "batch" in params else [values["i"]]
             assert list(rows) == expected, name
+
+
+def test_every_entry_returns_a_run_result_the_benchmark_can_read(probe_module, monkeypatch):
+    """The six entries, called through the probe's wrappers, return a
+    RunResult with every attribute benchmarks/workloads.py and probe.py
+    read, and the ARIG and ARAS facts a RunResult reads from its trace agree
+    with a count made apart from it: sigma from every update_sigma call, the
+    trigger from where the phase column turns stationary."""
+    from stochopt import (ArasParams, BaselineParams, Dataset, RegParams, StepSchedule,
+                          VarchenParams, make_logistic)
+
+    gen = np.random.default_rng(0)
+    X = gen.standard_normal((40, 4))
+    y = np.where(X @ np.ones(4) + 0.5 * gen.standard_normal(40) >= 0, 1.0, -1.0)
+    prob = make_logistic(Dataset(features=X, labels=y), lam=0.01)
+    arig_params = RegParams(eps=1e-6, sigma0=0.05, sigma_min=0.01)
+    sigmas = [arig_params.sigma0]
+
+    def update_sigma(*args):
+        sigmas.append(original(*args))
+        return sigmas[-1]
+
+    original = stochopt.regularization.update_sigma
+    monkeypatch.setattr(stochopt.regularization, "update_sigma", update_sigma)
+    baseline = BaselineParams(alpha=0.5, momentum=0.5, m=8, n_epochs=2)
+    calls = {
+        "arig": lambda: stochopt.harness.arig_run(prob, arig_params, seed=1),
+        "aras": lambda: stochopt.harness.aras_run(
+            prob, ArasParams(sigma0=2.0, m0=4, m_max=8, burn_in=1, n_epochs=6), seed=3),
+        "varchen": lambda: stochopt.harness.varchen_run(
+            prob, VarchenParams(p=3, m=8, schedule=StepSchedule("constant", c=0.5),
+                                n_epochs=2), seed=2),
+        "sgd": lambda: stochopt.harness.sgd_run(prob, baseline, seed=4),
+        "sgd-momentum": lambda: stochopt.harness.sgd_momentum_run(prob, baseline, seed=5),
+        "svrg": lambda: stochopt.harness.svrg_run(prob, baseline, seed=6),
+    }
+    probe = probe_module.Probe().install()
+    try:
+        for call in calls.values():
+            call()
+    finally:
+        probe.uninstall()
+
+    results = {entry.algorithm: entry.result for entry in probe.entries}
+    assert list(results) == list(calls)
+    for algorithm, res in results.items():
+        assert type(res) is RunResult, algorithm
+        assert isinstance(res.x, np.ndarray) and res.x.shape == (4,)
+        assert res.iterations == len(res.trace) > 0
+        for rec in res.trace:
+            assert isinstance(rec, StepRecord) and rec.x.shape == (4,)
+        assert res.aborted is False and res.abort_reason is None
+        assert res.terminated is (algorithm == "arig")
+        assert res.triggered is (algorithm == "aras")
+        assert (res.trigger_k is None) is (algorithm != "aras")
+
+    arig = results["arig"]
+    accepted = sum(1 for rec in arig.trace if rec.accepted is True)
+    assert 0 < accepted < arig.iterations
+    assert arig.n_success == accepted and arig.n_reject == arig.iterations - accepted
+    assert arig.sigma_final == sigmas[-1]
+    assert arig.sigma_max_observed == max(sigmas) > max(sigmas[0], sigmas[-1])
+
+    aras = results["aras"]
+    phases = [rec.phase for rec in aras.trace]
+    first = phases.index("stationary")
+    assert 0 < first and set(phases[first:]) == {"stationary"}
+    assert aras.trigger_k == aras.trace[first - 1].k
+    assert aras.sigma_trigger == aras.trace[first].sigma

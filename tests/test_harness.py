@@ -628,8 +628,9 @@ class TestRunExperiment:
         out = run_experiment(load_config(write_config(tmp_path, BASE_SGD)))
         manifest = json.loads(Path(out + ".manifest.json").read_text())
         # the keys written before numeric_env existed stay as they were
-        assert set(manifest) == {"config", "seed", "dataset_sha256",
-                                 "problem_fingerprint", "aborted", "numeric_env"}
+        assert set(manifest) == {"config", "seed", "dataset_sha256", "problem_fingerprint",
+                                 "aborted", "abort_reason", "numeric_env"}
+        assert manifest["abort_reason"] is None
         info = np.show_config(mode="dicts")
         blas = info["Build Dependencies"]["blas"]
         assert manifest["numeric_env"] == {
@@ -1069,6 +1070,7 @@ class TestCli:
         assert capsys.readouterr().err == ""
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
         assert manifest["aborted"] is True
+        assert manifest["abort_reason"] == "non-finite iterate at epoch 0, iteration 0"
 
     def test_diverging_arig_run_aborts_and_exits_0(self, tmp_path, capsys):
         """Features scaled by 1e154 make ARIG reject every step: the run ends
@@ -1088,8 +1090,24 @@ class TestCli:
         assert capsys.readouterr().err == ""
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
         assert manifest["aborted"] is True
+        assert manifest["abort_reason"] == "100 consecutive rejected steps at iteration 100"
         rows = read_metrics_csv(tmp_path / "run.csv")
         assert rows[-1].iteration == 100 and math.isfinite(rows[-1].loss)
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "sgd-momentum", "svrg", "varchen"])
+    def test_diverging_epoch_loop_run_aborts_and_exits_0(self, tmp_path, algorithm):
+        """A step of 1e308 takes the first step to a finite iterate and
+        overflows the second: the run ends aborted at iteration 1 and the
+        CLI exits 0, the rule ARAS and ARIG follow too."""
+        step = "step_c" if algorithm == "varchen" else "alpha"
+        text = BASE_SGD.replace("algorithm = sgd", f"algorithm = {algorithm}").replace(
+            "[sgd]\n    alpha = 0.1\n", f"[{algorithm}]\n    {step} = 1e308\n")
+        cfg = write_config(tmp_path, text)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", cfg]) == 0
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        assert manifest["aborted"] is True
+        assert manifest["abort_reason"] == "non-finite iterate at epoch 0, iteration 1"
 
     def test_run_without_simd_dispatch_targets(self, tmp_path):
         """With every dispatch target above the baseline switched off, numpy

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochopt import (
-    ArigResult,
     Dataset,
     RegParams,
     RegState,
+    RunResult,
     adversarial_grad_oracle,
     arig_run,
     arig_step,
@@ -426,7 +426,7 @@ class TestArigRun:
     def test_trace_consistency(self):
         prob = diag_quadratic([0.5, 5.0], b=[2.0, 1.0])
         res = arig_run(prob, RegParams(eps=1e-7), mode="exact", x0=np.zeros(2))
-        assert isinstance(res, ArigResult)
+        assert isinstance(res, RunResult)
         assert len(res.trace) == res.iterations
         ks = [r.k for r in res.trace]
         assert ks == list(range(1, res.iterations + 1))
@@ -450,6 +450,14 @@ class TestArigRun:
         assert res.abort_reason.startswith(f"{REJECTION_LIMIT} consecutive rejected steps")
         assert res.iterations == REJECTION_LIMIT and res.n_success == 0
         assert np.all(np.isfinite(res.x))
+
+    def test_sigma_max_observed_counts_sigma_after_the_last_step(self):
+        """A rejected step doubles sigma, so a run that ends on rejected steps
+        holds its largest sigma after the last step, which no record shows."""
+        params = RegParams(eps=1e-6, max_iters=3)
+        res = arig_run(_overflowing_logistic(1e154), params, mode="exact")
+        assert [rec.sigma for rec in res.trace] == [1.0, 2.0, 4.0] and res.n_reject == 3
+        assert res.sigma_max_observed == res.sigma_final == 8.0
 
     def test_non_finite_trial_point_aborts(self):
         """A gradient of order 1e300 over sigma 1e-10 overflows the first
