@@ -12,7 +12,8 @@ Public surface:
 - baselines: SGD, SGD with momentum, SVRG
 - record: StepRecord, the per-step trace entry of every optimizer, and
   RunResult, every run's outcome (ARIG adds terminated and sigma_final; its
-  step counts and max sigma, and ARAS's trigger, are read from the trace)
+  step counts and max sigma, and ARAS's trigger, are read from the trace),
+  and Recorder, the trace a harness run keeps x in only on report rows
 - harness: configs, dataset IO, metrics CSV, CLI
 """
 

@@ -21,11 +21,11 @@ abort_reason naming the epoch and iteration, and x the last finite iterate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from .record import RunResult, Stamp, StepRecord, no_clock, run_start
+from .record import Recorder, RunResult, Stamp, StepRecord, no_clock, run_start
 from .sampling import (
     SamplerState,
     adaptive_batch_size,
@@ -123,8 +123,6 @@ class ArasState:
     k: int = 0
     t: int = 2  # stationary-phase counter
     transient: bool = True
-    trigger_k: Optional[int] = None
-    sigma_trigger: Optional[float] = None
 
 
 def _record(state: ArasState, stamp: Stamp, epoch: int, m_used: int, phase: str,
@@ -172,8 +170,6 @@ def transient_step(state: ArasState, problem, params: ArasParams,
     triggered_now = pflug_triggered(state.pflug)
     if triggered_now:
         state.transient = False
-        state.trigger_k = state.k
-        state.sigma_trigger = state.sigma
 
     return _record(state, stamp, epoch, batch.size, "transient", sigma_pre,
                    float(np.sqrt(gnorm_sq)), rho_bar, triggered_now)
@@ -225,12 +221,14 @@ def aras_run(
     params: ArasParams,
     seed: int = 0,
     x0: Optional[np.ndarray] = None,
+    recorder: Optional[Recorder] = None,
 ) -> RunResult:
     """Run n_epochs epochs; an epoch ends once the steps taken in it have
-    consumed at least N samples (a resized batch counts its final size)."""
+    consumed at least N samples (a resized batch counts its final size).
+    The steps are recorded in `recorder` when given (see record.Recorder)."""
     N = problem.N
     m0 = min(params.m0, N)  # m0 <= m_max holds by ArasParams
-    x, stamp = run_start(problem, x0)
+    x, stamp, trace = run_start(problem, x0, recorder)
     state = ArasState(
         x=x,
         sigma=params.sigma0,
@@ -239,7 +237,6 @@ def aras_run(
         sampler=SamplerState(N=N, seed=seed),
     )
 
-    trace: List[StepRecord] = []
     reason = None
     for epoch in range(params.n_epochs):
         consumed = 0

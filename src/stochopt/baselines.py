@@ -1,8 +1,9 @@
 """Reference optimizers: SGD, SGD with momentum, and SVRG.
 
 All three run VARCHEN's epoch loop (varchen._epoch_loop), so runs with the
-same seed visit the same without-replacement chunks, and all three abort as
-VARCHEN does: a non-finite iterate ends the run with aborted=True, an
+same seed visit the same without-replacement chunks, record their steps in
+the recorder a caller passes as VARCHEN does, and all three abort as VARCHEN
+does: a non-finite iterate ends the run with aborted=True, an
 abort_reason naming the epoch and iteration, and x the last finite iterate.
 SGD and momentum supply their update rule on the chunk's batch gradient.
 SVRG is the identity-H special case of the variance-reduced quasi-Newton
@@ -17,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .record import RunResult
+from .record import Recorder, RunResult
 from .varchen import StepSchedule, VarchenParams, _epoch_loop, varchen_run
 
 __all__ = [
@@ -47,18 +48,20 @@ class BaselineParams:
 
 
 def sgd_run(
-    problem, params: BaselineParams, seed: int = 0, x0: Optional[np.ndarray] = None
+    problem, params: BaselineParams, seed: int = 0, x0: Optional[np.ndarray] = None,
+    recorder: Optional[Recorder] = None,
 ) -> RunResult:
     """x <- x - alpha * batch gradient."""
 
     def step(x, batch, k, first):
         return x - params.alpha * problem.batch_grad(batch, x), lambda: {"samples": batch.size}
 
-    return _epoch_loop(problem, params.m, params.n_epochs, seed, x0, step)
+    return _epoch_loop(problem, params.m, params.n_epochs, seed, x0, recorder, step)
 
 
 def sgd_momentum_run(
-    problem, params: BaselineParams, seed: int = 0, x0: Optional[np.ndarray] = None
+    problem, params: BaselineParams, seed: int = 0, x0: Optional[np.ndarray] = None,
+    recorder: Optional[Recorder] = None,
 ) -> RunResult:
     """Heavy ball: v <- momentum*v - alpha*g; x <- x + v."""
     v = np.zeros(problem.n)
@@ -68,11 +71,12 @@ def sgd_momentum_run(
         v = params.momentum * v - params.alpha * problem.batch_grad(batch, x)
         return x + v, lambda: {"samples": batch.size}
 
-    return _epoch_loop(problem, params.m, params.n_epochs, seed, x0, step)
+    return _epoch_loop(problem, params.m, params.n_epochs, seed, x0, recorder, step)
 
 
 def svrg_run(
-    problem, params: BaselineParams, seed: int = 0, x0: Optional[np.ndarray] = None
+    problem, params: BaselineParams, seed: int = 0, x0: Optional[np.ndarray] = None,
+    recorder: Optional[Recorder] = None,
 ) -> RunResult:
     """Variance-reduced gradient steps with identity H: the zero-memory,
     constant-step case of the quasi-Newton driver."""
@@ -82,4 +86,4 @@ def svrg_run(
         schedule=StepSchedule(kind="constant", c=params.alpha),
         n_epochs=params.n_epochs,
     )
-    return varchen_run(problem, vr_params, seed=seed, x0=x0)
+    return varchen_run(problem, vr_params, seed=seed, x0=x0, recorder=recorder)

@@ -10,17 +10,22 @@ each parameter class checks its fields (VarchenParams by building the
 L-BFGS memory it describes) and load_config checks [problem] and [run].  A
 run writes one CSV of MetricsRecord rows (fixed column order, empty cells
 for metrics an algorithm does not produce) plus a JSON manifest holding the
-resolved config, the seed, a content hash of the dataset and the numeric
-environment the bits can depend on (numpy, BLAS, SIMD level, BLAS threads).
+resolved config, the seed, a content hash of the dataset, the run's events
+(ARIG's accepted and rejected steps and final and largest sigma, ARAS's
+trigger step and sigma, VARCHEN's and SVRG's flush count; see _EVENTS) and
+the numeric environment the bits can depend on (numpy, BLAS, SIMD level,
+BLAS threads).
 Everything a run writes is byte-identical across reruns on one machine
 except the wall_ms column.
 
 Every optimizer traces its steps as StepRecords (see record.py), so the
 report (_trace_to_metrics) reads each row's columns and sample charge from
-the record, with no reference to the algorithm.  It runs after the
-algorithm entry returns: the full-pass loss, gradient norm and accuracy of
-the selected rows are evaluation, kept out of the optimizer's time and
-oracle counts.  Where the run already computed the exact loss and gradient
+the record, with no reference to the algorithm.  A run records into a
+record.Recorder, which keeps a record's iterate only when the report will
+read it, so a run holds one iterate per report row, not one per step.  The
+report runs after the algorithm entry returns: the full-pass loss, gradient
+norm and accuracy of the selected rows are evaluation, kept out of the
+optimizer's time and oracle counts.  Where the run already computed the exact loss and gradient
 norm at a row's iterate (ARIG's full passes), the record carries them and
 the report makes no second pass; where it computed only the gradient
 (a VARCHEN/SVRG anchor), the report makes a loss-only pass.  The passes
@@ -76,6 +81,7 @@ from .problems import (
     make_logistic,
     make_sigmoid_svm,
 )
+from .record import Recorder, is_report_row
 from .regularization import ARIG_MODES, RegParams, arig_run
 from .varchen import StepSchedule, VarchenParams, varchen_run
 
@@ -855,8 +861,33 @@ def _dataset_hash(dataset: Dataset) -> str:
 def _load_dataset_file(path: str, label_column: int, header: bool,
                        n_features: Optional[int] = None) -> Dataset:
     if path.endswith(".csv"):
-        return load_csv(path, label_column=label_column, header=header)
-    return load_libsvm(path, n_features=n_features)
+        dataset = load_csv(path, label_column=label_column, header=header)
+    else:
+        dataset = load_libsvm(path, n_features=n_features)
+    # both problem kinds take -1/+1 labels: a file with others fails here,
+    # naming its line, not in the problem's build
+    bad = np.flatnonzero(np.abs(dataset.labels) != 1)
+    if bad.size:
+        raise ValueError(_label_location(path, int(bad[0]), label_column, header))
+    return dataset
+
+
+def _label_location(path: str, row: int, label_column: int, header: bool) -> str:
+    """The message naming the label of data row `row` (0-based) of a file
+    its loader has read: by line in libsvm (a blank line holds no row), by
+    row and column in CSV (counting the header and blank rows, as load_csv
+    does)."""
+    if path.endswith(".csv"):
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            records = enumerate(csv.reader(fh), start=1)
+            rowno, raw = next(islice(((no, raw) for no, raw in records
+                                      if raw and not (header and no == 1)), row, None))
+        col = label_column % len(raw)
+        return f"{path}: row {rowno}, column {col + 1}: label {raw[col]!r} is not -1 or +1"
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = ((no, line.split()) for no, line in enumerate(fh, start=1))
+        lineno, tokens = next(islice(((no, t) for no, t in lines if t), row, None))
+    return f"{path}: line {lineno}: label {tokens[0]!r} is not -1 or +1"
 
 
 def _resolve_datasets(config: ExperimentConfig) -> Tuple[Dataset, Optional[Dataset], str]:
@@ -922,8 +953,10 @@ def _trace_to_metrics(
     config: ExperimentConfig, problem, test: Optional[Dataset], result
 ) -> List[MetricsRecord]:
     """Downsample a trace of StepRecords at the configured cadence (0: the
-    last step of each epoch), computing the N-cost metrics (full loss, full
-    gradient norm, test accuracy) only at the selected rows.
+    last step of each epoch; record.is_report_row, the rule by which the
+    run's Recorder kept x on these records only), computing the N-cost
+    metrics (full loss, full gradient norm, test accuracy) only at the
+    selected rows.
 
     A record that carries the exact loss and grad_norm at its x (ARIG with
     exact function values, see record.py) gives them to its row as they
@@ -935,17 +968,11 @@ def _trace_to_metrics(
     a full_loss or loss_and_grad pass over all N samples; CSR rows take one
     pass per call."""
     trace = result.trace
-    cadence = config.cadence
     selected = []  # (record, cumulative samples)
     cum_samples = 0
-    for i, rec in enumerate(trace):
+    for rec, nxt in zip(trace, [*trace[1:], None]):
         cum_samples += rec.samples
-        last = i == len(trace) - 1
-        if cadence > 0:
-            keep = last or rec.k % cadence == 0
-        else:
-            keep = last or trace[i + 1].epoch != rec.epoch
-        if keep:
+        if is_report_row(rec, nxt, config.cadence):
             selected.append((rec, cum_samples))
 
     values = [(rec.loss, rec.grad_norm) for rec, _ in selected]
@@ -994,28 +1021,29 @@ def _dataset_source(config: ExperimentConfig) -> Tuple:
     return (train, config.test_dataset, config.label_column, config.header)
 
 
+# the RunResult facts each algorithm's manifest records under "events"
+_EVENTS = {
+    "arig": ("n_success", "n_reject", "sigma_final", "sigma_max_observed"),
+    "aras": ("trigger_k", "sigma_trigger"),
+    "varchen": ("n_flush",),
+    "svrg": ("n_flush",),
+}
+
+
 def _run(config: ExperimentConfig, resolved: Tuple[Dataset, Optional[Dataset], str]
          ) -> Tuple[str, List[MetricsRecord]]:
     """run_experiment on datasets already resolved for this config; returns
     the metrics CSV path and the rows written to it."""
     train, test, ds_hash = resolved
     problem = _build_problem(config, train)
-    params = config.algo_params
-
-    if config.algorithm == "arig":
-        result = arig_run(problem, params, mode=config.arig_mode, seed=config.seed)
-    elif config.algorithm == "aras":
-        result = aras_run(problem, params, seed=config.seed)
-    elif config.algorithm == "varchen":
-        result = varchen_run(problem, params, seed=config.seed)
-    elif config.algorithm == "sgd":
-        result = sgd_run(problem, params, seed=config.seed)
-    elif config.algorithm == "sgd-momentum":
-        result = sgd_momentum_run(problem, params, seed=config.seed)
-    elif config.algorithm == "svrg":
-        result = svrg_run(problem, params, seed=config.seed)
-    else:  # pragma: no cover - load_config already rejects this
-        raise ConfigError([f"unknown algorithm {config.algorithm!r}"])
+    # the entries are looked up here, at call time, where a wrapper patched
+    # onto the module's names (benchmarks/probe.py) sees the call
+    run = {"arig": arig_run, "aras": aras_run, "varchen": varchen_run, "sgd": sgd_run,
+           "sgd-momentum": sgd_momentum_run, "svrg": svrg_run}[config.algorithm]
+    kwargs = {"mode": config.arig_mode} if config.algorithm == "arig" else {}
+    # the run keeps x only on the records the report reads
+    result = run(problem, config.algo_params, seed=config.seed,
+                 recorder=Recorder(config.cadence), **kwargs)
 
     rows = _trace_to_metrics(config, problem, test, result)
     out_path = Path(config.out)
@@ -1029,6 +1057,7 @@ def _run(config: ExperimentConfig, resolved: Tuple[Dataset, Optional[Dataset], s
         "problem_fingerprint": _problem_fingerprint(config, ds_hash),
         "aborted": result.aborted,
         "abort_reason": result.abort_reason,
+        "events": {name: getattr(result, name) for name in _EVENTS.get(config.algorithm, ())},
         "numeric_env": _numeric_env(),
     }
     with _open_fresh(str(out_path) + ".manifest.json") as fh:

@@ -22,8 +22,16 @@ All six run loops return a RunResult: the final x, the step count, the
 trace, and the abort_reason of a run that diverged (aborted is its
 presence).  A result stores only what its trace cannot give: ARIG's
 terminated and sigma_final.  The per-algorithm facts are read from the trace:
-ARIG's n_success, n_reject and sigma_max_observed, and ARAS's triggered,
-trigger_k and sigma_trigger.
+ARIG's n_success, n_reject and sigma_max_observed, ARAS's triggered,
+trigger_k and sigma_trigger, and VARCHEN's and SVRG's n_flush.
+
+The metrics report keeps a row for the records is_report_row names, and
+reads a record's x only there.  A library call keeps every record's x.  A
+harness run hands its run loop a Recorder, a trace that drops the x of a
+record once the next record shows it is no report row, so the run holds
+one iterate per row plus the newest, not one per step.  A dropped x is
+NO_X, and every record keeps its other fields, so the RunResult
+properties read the same from either trace.
 """
 
 from __future__ import annotations
@@ -34,14 +42,18 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["StepRecord", "RunResult", "run_start", "no_clock"]
+__all__ = ["StepRecord", "RunResult", "NO_X", "is_report_row", "Recorder", "run_start",
+           "no_clock"]
 
 # stamp(x) -> the x (a copy) and wall_ms fields of a StepRecord at x
 Stamp = Callable[[np.ndarray], dict]
 
 
-@dataclass(frozen=True)
+@dataclass
 class StepRecord:
+    """One step.  Not frozen: a Recorder rebinds x to NO_X, and VARCHEN sets
+    grad_norm on an epoch's last record once the next anchor gives it."""
+
     k: int
     epoch: int
     m_used: int
@@ -117,17 +129,59 @@ class RunResult:
         """ARAS: the run reached the stationary phase."""
         return self.trigger_k is not None
 
+    @property
+    def n_flush(self) -> int:
+        """VARCHEN/SVRG: steps that flushed the L-BFGS memory first."""
+        return sum(1 for rec in self.trace if rec.flushed)
 
-def run_start(problem, x0: Optional[np.ndarray]) -> Tuple[np.ndarray, Stamp]:
-    """A run's first iterate, a float copy of x0 (zeros when None), and the
-    run's clock: stamp(x) gives a record's x, copied, and its wall_ms, the
-    milliseconds since this call."""
+
+# The x of a record whose iterate was dropped: one shared, empty, read-only
+# array, so code that sums rec.x.nbytes over a trace counts what it holds.
+NO_X = np.empty(0)
+NO_X.flags.writeable = False
+
+
+def is_report_row(rec: StepRecord, nxt: Optional[StepRecord], cadence: int) -> bool:
+    """Whether the metrics report at `cadence` keeps a row for rec, whose
+    next record is nxt (None when rec is the last): the last record, every
+    k that is a multiple of cadence > 0, and at cadence 0 the last record
+    of each epoch."""
+    if nxt is None:
+        return True
+    if cadence > 0:
+        return rec.k % cadence == 0
+    return nxt.epoch != rec.epoch
+
+
+class Recorder(list):
+    """A run's trace that keeps x only where the report at `cadence` reads
+    it: appending a record sets the x of the one before it to NO_X unless
+    that one is a report row.  The newest record keeps its x, since it may
+    be the last."""
+
+    def __init__(self, cadence: int):
+        super().__init__()
+        self.cadence = cadence
+
+    def append(self, rec: StepRecord) -> None:
+        if self and not is_report_row(self[-1], rec, self.cadence):
+            self[-1].x = NO_X
+        super().append(rec)
+
+
+def run_start(problem, x0: Optional[np.ndarray], recorder: Optional[Recorder] = None
+              ) -> Tuple[np.ndarray, Stamp, List[StepRecord]]:
+    """A run's first iterate, a float copy of x0 (zeros when None), the
+    run's clock and its trace: stamp(x) gives a record's x, copied, and its
+    wall_ms, the milliseconds since this call; the trace is the recorder,
+    or a list that keeps every record as it is."""
     t0 = time.perf_counter()
 
     def stamp(x: np.ndarray) -> dict:
         return {"x": x.copy(), "wall_ms": (time.perf_counter() - t0) * 1e3}
 
-    return (np.zeros(problem.n) if x0 is None else np.array(x0, dtype=float)), stamp
+    x = np.zeros(problem.n) if x0 is None else np.array(x0, dtype=float)
+    return x, stamp, [] if recorder is None else recorder
 
 
 def no_clock(x: np.ndarray) -> dict:

@@ -23,11 +23,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .record import RunResult, StepRecord, run_start
+from .record import Recorder, RunResult, StepRecord, run_start
 
 __all__ = [
     "ARIG_MODES",
@@ -255,6 +255,7 @@ def arig_run(
     mode: str = "exact",
     seed: int = 0,
     x0: Optional[np.ndarray] = None,
+    recorder: Optional[Recorder] = None,
 ) -> RunResult:
     """Iterate arig_step until termination, the iteration budget runs out,
     or the run aborts: at a non-finite trial iterate, or after
@@ -272,7 +273,7 @@ def arig_run(
     the record is built one step late, with wall_ms stamped at the end of its
     own step.  The last record of a run that exhausts max_iters or
     REJECTION_LIMIT, and every record in "inexact-g-and-f" mode, carry
-    neither.
+    neither.  The records go to `recorder` when given (see record.Recorder).
     """
     if mode not in ARIG_MODES:
         raise ValueError(f"unknown oracle mode {mode!r}")
@@ -290,9 +291,8 @@ def arig_run(
     else:
         f_oracle = exact_fun_oracle(problem)
 
-    x, stamp = run_start(problem, x0)
+    x, stamp, trace = run_start(problem, x0, recorder)
     state = RegState(x=x, sigma=params.sigma0)
-    trace: List[StepRecord] = []
     terminated = False
     reason = None
     # the last step's record fields and exact f, awaiting ||grad f|| at its x

@@ -27,13 +27,13 @@ iterate at epoch e, iteration k" and x the last finite iterate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .lbfgs_core import LBFGSMemory, enforce_bounds, push_pair, two_loop_apply
-from .record import RunResult, StepRecord, run_start
+from .record import Recorder, RunResult, StepRecord, run_start
 from .sampling import SamplerState
 
 __all__ = [
@@ -141,8 +141,8 @@ def svrg_gradient(problem, batch, x: np.ndarray, anchor: AnchorState) -> np.ndar
     return _svrg_terms(problem, batch, x, anchor)[1]
 
 
-def _epoch_loop(problem, m: int, n_epochs: int, seed: int,
-                x0: Optional[np.ndarray], step, anchor_norm=None) -> RunResult:
+def _epoch_loop(problem, m: int, n_epochs: int, seed: int, x0: Optional[np.ndarray],
+                recorder: Optional[Recorder], step, anchor_norm=None) -> RunResult:
     """Walk n_epochs shuffles of the samples in chunks of min(m, N), one
     step(x, batch, k, first) -> (x_new, finish) per chunk (first: the epoch's
     first chunk).  finish() runs only once x_new is known to be finite; it
@@ -155,16 +155,15 @@ def _epoch_loop(problem, m: int, n_epochs: int, seed: int,
     N = problem.N
     m_eff = min(m, N)
     sampler = SamplerState(N=N, seed=seed)
-    x, stamp = run_start(problem, x0)
+    x, stamp, trace = run_start(problem, x0, recorder)
 
-    trace: List[StepRecord] = []
     k = 0
     for epoch in range(n_epochs):
         sampler.start_epoch()
         if anchor_norm is not None:
             grad_norm = anchor_norm(x)
             if trace:
-                trace[-1] = replace(trace[-1], grad_norm=grad_norm)
+                trace[-1].grad_norm = grad_norm
         consumed = 0
         while consumed < N:
             m_k = min(m_eff, N - consumed)
@@ -186,8 +185,10 @@ def varchen_run(
     params: VarchenParams,
     seed: int = 0,
     x0: Optional[np.ndarray] = None,
+    recorder: Optional[Recorder] = None,
 ) -> RunResult:
-    """Run n_epochs epochs of anchored, bound-controlled quasi-Newton steps."""
+    """Run n_epochs epochs of anchored, bound-controlled quasi-Newton steps,
+    recorded in `recorder` when given (see record.Recorder)."""
     N = problem.N
     memory = params.new_memory()
     anchor: Optional[AnchorState] = None
@@ -211,4 +212,5 @@ def varchen_run(
 
         return x_new, finish
 
-    return _epoch_loop(problem, params.m, params.n_epochs, seed, x0, step, anchor_norm)
+    return _epoch_loop(problem, params.m, params.n_epochs, seed, x0, recorder, step,
+                       anchor_norm)

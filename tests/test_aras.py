@@ -195,8 +195,8 @@ class TestTransientStep:
         assert state.pflug.S == -1.0
         rec2 = transient_step(state, prob, params)
         assert rec2.triggered_now and not state.transient
-        assert state.trigger_k == 2
-        assert state.sigma_trigger == state.sigma
+        assert rec2.k == 2
+        assert rec2.sigma_after == state.sigma
         assert state.pflug.S == -2.0
 
     def test_zero_gradient_is_inert(self):

@@ -1,9 +1,10 @@
 """The names benchmarks/probe.py patches on stochopt, and what it reads from
 a run, stay in place: install and uninstall leave the package as it was,
-an entry the probe records holds a trace of StepRecords with iterates, the
-ARAS spans and row counts follow the stationary step's one fused pass, the
-probe can read the rows of every problem method it counts, and every
-algorithm entry returns a RunResult with what the benchmark reads of it."""
+an entry the probe records holds a trace of StepRecords with iterates on
+the report's rows and empty ones elsewhere, the ARAS spans and row counts
+follow the stationary step's one fused pass, the probe can read the rows
+of every problem method it counts, and every algorithm entry returns a
+RunResult with what the benchmark reads of it."""
 
 import importlib.util
 import inspect
@@ -110,12 +111,15 @@ def test_run_under_probe_records_step_records(probe_module, tmp_path):
     (entry,) = probe.entries
     assert entry.algorithm == "svrg"
     assert entry.result.iterations == len(entry.result.trace) == 8
-    for rec in entry.result.trace:
-        assert isinstance(rec, StepRecord)
-        assert isinstance(rec.x, np.ndarray) and rec.x.shape == (3,)
+    # at cadence 0 the report reads x on the last step of each of the 2
+    # epochs, and the run keeps it there only
     rows = stochopt.harness.read_metrics_csv(tmp_path / "svrg.csv")
+    assert [row.iteration for row in rows] == [4, 8]
+    for rec in entry.result.trace:
+        assert isinstance(rec, StepRecord) and isinstance(rec.x, np.ndarray)
+        assert rec.x.shape == ((3,) if rec.k in (4, 8) else (0,))
     metrics = probe.layer_metrics(rows[-1].samples)
-    assert metrics["harness.trace_bytes"] == 8 * 3 * 8
+    assert metrics["harness.trace_bytes"] == 2 * 3 * 8
     assert metrics["baselines.svrg_run.steps"] == 8
 
 

@@ -266,6 +266,11 @@ class TestLibsvmIO:
         with pytest.raises(ValueError, match="exceeds declared width"):
             load_libsvm(path, n_features=3)
 
+    def test_any_finite_label_loads(self, tmp_path):
+        path = tmp_path / "d.libsvm"
+        path.write_text("2 1:1\n0 1:2\n")
+        np.testing.assert_array_equal(load_libsvm(path).labels, [2.0, 0.0])
+
 
 class TestCsvIO:
     def make_ds(self):
@@ -629,7 +634,7 @@ class TestRunExperiment:
         manifest = json.loads(Path(out + ".manifest.json").read_text())
         # the keys written before numeric_env existed stay as they were
         assert set(manifest) == {"config", "seed", "dataset_sha256", "problem_fingerprint",
-                                 "aborted", "abort_reason", "numeric_env"}
+                                 "aborted", "abort_reason", "events", "numeric_env"}
         assert manifest["abort_reason"] is None
         info = np.show_config(mode="dicts")
         blas = info["Build Dependencies"]["blas"]
@@ -1246,6 +1251,60 @@ class TestCli:
         assert main(["run", "--config", cfg]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text, options, where", [
+        ("bad.libsvm", "1 1:2.0\n2 1:3.0\n", "", "line 2: label '2' is not -1 or +1"),
+        # blank lines hold no row, but count as lines
+        ("bad.libsvm", "1 1:2\n\n  \n+1 1:1\r\n-1.0 2:1\n-0 1:3\n", "",
+         "line 6: label '-0' is not -1 or +1"),
+        ("bad.csv", "1.0,2.0\n\n0,3.0\n", "", "row 3, column 1: label '0' is not -1 or +1"),
+        # the header and blank rows count as rows; a negative label column
+        ("bad.csv", "x,y\n2,1\n\n2,-1\n2,3\n", "label_column = -1\nheader = true",
+         "row 5, column 2: label '3' is not -1 or +1"),
+        # malformed input is reported before a label outside -1/+1
+        ("bad.libsvm", "1 1:2\n0 1:1\n1 x\n", "", "line 3: expected index:value, got 'x'"),
+        ("bad.csv", "1,2\n0,x\n", "", "row 2, column 2: non-numeric 'x'"),
+    ])
+    def test_label_outside_pm1_fails_at_load_with_its_line(self, tmp_path, capsys,
+                                                           name, text, options, where):
+        """A dataset label other than -1 or +1 is a runtime error (exit 2)
+        that names the file and the line or row."""
+        (tmp_path / name).write_text(text, newline="")
+        cfg = write_config(tmp_path, f"""\
+            [problem]
+            kind = logistic
+            dataset = {name}
+            {textwrap.indent(options, " " * 12).lstrip()}
+
+            [run]
+            algorithm = sgd
+            """)
+        assert main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: {(tmp_path / name).resolve()}: {where}\n"
+
+    @pytest.mark.parametrize("name, text, where", [
+        ("test.libsvm", "-1 1:2.0\n1 1:3.0\n0 1:1.0\n", "line 3: label '0' is not -1 or +1"),
+        ("test.csv", "1,2.0\n-1,3.0\n0,1.0\n", "row 3, column 1: label '0' is not -1 or +1"),
+    ])
+    def test_test_set_label_outside_pm1_fails_at_load(self, tmp_path, capsys, name, text,
+                                                      where):
+        """The test set's labels must be -1 or +1 too: test accuracy
+        compares them with the sign of the margin."""
+        train = "train.csv" if name.endswith(".csv") else "train.libsvm"
+        (tmp_path / train).write_text(
+            "1,2.0\n-1,3.0\n" if name.endswith(".csv") else "1 1:2.0\n-1 1:3.0\n")
+        (tmp_path / name).write_text(text)
+        cfg = write_config(tmp_path, f"""\
+            [problem]
+            kind = logistic
+            dataset = {train}
+            test_dataset = {name}
+
+            [run]
+            algorithm = sgd
+            """)
+        assert main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: {(tmp_path / name).resolve()}: {where}\n"
+
     def test_non_finite_csv_dataset_exit_code(self, tmp_path, capsys):
         (tmp_path / "bad.csv").write_text("1.0,2.0\n-1.0,nan\n")
         text = """\
@@ -1340,3 +1399,36 @@ class TestDiffOutputs:
         assert diff.main([str(a), str(b), "--ulps", "1"]) == 1
         out = capsys.readouterr().out
         assert "run.csv.manifest.json  numeric_env.numpy  1 cells  non-numeric" in out
+
+    def test_dataset_path_counts_only_when_the_data_differ(self, tmp_path, capsys):
+        """Two checkouts of one run read the same dataset bytes from
+        different paths: no difference.  Different bytes: the path and the
+        hash both differ."""
+        diff = _load_diff_outputs()
+        text = """\
+            [problem]
+            kind = logistic
+            dataset = d.libsvm
+
+            [run]
+            algorithm = sgd
+            out = out/run.csv
+
+            [sgd]
+            m = 2
+            n_epochs = 1
+            """
+        a, b = tmp_path / "a", tmp_path / "b"
+        for d in (a, b):
+            d.mkdir()
+            (d / "d.libsvm").write_text("1 1:2.0\n-1 1:3.0\n")
+            assert main(["run", "--config", write_config(d, text)]) == 0
+        assert diff.main([str(a / "out"), str(b / "out")]) == 0
+
+        (b / "d.libsvm").write_text("1 1:2.0\n-1 1:3.5\n")
+        assert main(["run", "--config", str(b / "exp.ini")]) == 0
+        capsys.readouterr()
+        assert diff.main([str(a / "out"), str(b / "out")]) == 1
+        out = capsys.readouterr().out
+        assert "run.csv.manifest.json  config.problem.dataset  1 cells  non-numeric" in out
+        assert "run.csv.manifest.json  dataset_sha256  1 cells  non-numeric" in out
