@@ -45,7 +45,11 @@ another, so each run's wall_ms is its own optimizer time.
 Generation and hashing add at most one bounded block to the dataset:
 generation scales the features in place and the hash reads the arrays' own
 buffers.  load_csv keeps numbers only as float64 arrays and peaks near
-twice its result; load_libsvm peaks under twice a CSR result.
+twice its result.  load_libsvm counts the file's ':' bytes first and
+fills a CSR result's value and column arrays in place, block by block, so
+it peaks at the result plus one 256-line block's token strings: 4.74 MiB
+for a 2.93 MiB result on a 10,000-row file, and an RSS rise of 32.4 MiB
+for a 29.3 MiB result on a 100,000-row file.
 
 CLI verbs: run, compare, gen-data, validate-config.  Exit codes: 0 success,
 1 config error, 2 runtime error.
@@ -185,12 +189,16 @@ def _open_fresh(path, newline: Optional[str] = None):
 
 
 # Lines per load_libsvm parse block and per save_libsvm format block.  One
-# block's token strings are the transient memory and a block's fixed cost is
-# a few numpy calls, so blocks stay small: on a 10000-row CSR file with ~25
-# entries a row, 512-line blocks parse faster than 2048-line ones, at about
-# half the peak.
-_LIBSVM_BLOCK_LINES = 512
+# block's token strings (7 to 9 KiB a line of 30 entries) are the
+# transient memory beside the result, and a block's fixed cost is a few
+# numpy calls.  On a 10,000-row CSR file of up to 30 entries a row, 256-line
+# blocks peak 1.7 MiB under 512-line ones (tracemalloc; 0.44-0.48 MB less
+# peak RSS in a whole run) and parse 1-2% slower (1.2-2.7 ms of ~100 ms), a
+# difference the run's set-up time does not show.
+_LIBSVM_BLOCK_LINES = 256
 _INT32_MAX = np.iinfo(np.int32).max
+# Bytes per read of load_libsvm's ':' count.
+_COUNT_BUFFER_BYTES = 1 << 20
 
 # Every byte but NUL and ':', for bytes.translate to delete.
 _NOT_COLON_OR_NUL = bytes(b for b in range(256) if b not in b"\0:")
@@ -211,39 +219,63 @@ def load_libsvm(path, n_features: Optional[int] = None) -> Dataset:
     another Unicode digit parses as int() does), `float` mapped over the
     labels and values, and array checks (index >= 1, finite numbers, no
     index twice in a row).  Columns come out sorted within each row; rows
-    wider than DENSE_DIM_LIMIT stay CSR.
+    wider than DENSE_DIM_LIMIT stay CSR.  A UTF-8 byte-order mark at the
+    start of the file is skipped.
     Malformed input, including a non-finite label or value, raises
     ValueError naming the first offending line in file order; only the
     block holding it is scanned again, token by token, to word the message.
     An index beyond int64 raises OverflowError, but only once the rest of
     the file and the declared width have been checked, so a later bad line
     or a too-small n_features is reported first, as by a whole-file parse.
-    Parsed blocks hold an entry in 12 bytes (an int32 column where it fits
-    and a float64 value) until it is copied into the result, so a CSR
-    result peaks under twice its size plus one block's token strings.
+    A path that is not a regular file (a FIFO, a directory) raises
+    ValueError before it is opened.
+
+    A file that parses holds one ':' per entry, so a first pass counts the
+    file's ':' bytes (_count_colons) and the value and column arrays of the
+    result are allocated once at that size; each block writes its entries
+    at a running offset (the columns as int32, copied once to int64 if an
+    index needs it), and csr_matrix takes the two arrays as they are.  A
+    CSR result so peaks at its own size plus one block's token strings and
+    the N-long labels and row counts: on a 10,000-row file of up to 30
+    entries a row, 4.74 MiB for a 2.93 MiB result (tracemalloc), and on a
+    100,000-row one an RSS rise of 32.4 MiB for 29.3 MiB.  A dense result
+    is scattered from the two arrays one block's rows at a time, beside
+    them, so it peaks at 2.5x its size.
     """
-    label_parts, count_parts, col_parts, val_parts = [], [], [], []
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValueError(f"{path}: not a regular file")
+    changed = f"{path}: file changed while it was read"
+    size = _count_colons(path)
+    vals = np.empty(size)
+    cols = np.empty(size, np.int32)
+    end = 0  # entries written so far
+    label_parts, count_parts = [], []
     max_col = -1
     huge = 0  # largest index that overflowed int64, 0 if none did
     lineno = 1
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         while True:
             lines = list(islice(fh, _LIBSVM_BLOCK_LINES))
             if not lines:
                 break
             try:
-                labels, counts, cols, vals = _parse_libsvm_block(path, lines, lineno)
+                labels, counts, block_cols, block_vals = _parse_libsvm_block(
+                    path, lines, lineno)
             except _IndexOverflow as exc:
                 huge = max(huge, exc.args[0])
             else:
-                top = int(cols.max(initial=-1))
+                top = int(block_cols.max(initial=-1))
                 max_col = max(max_col, top)
+                if top > _INT32_MAX and cols.dtype == np.int32:
+                    cols = cols.astype(np.int64)
+                stop = end + block_vals.size
+                if stop > size:
+                    raise ValueError(changed)
+                cols[end:stop] = block_cols
+                vals[end:stop] = block_vals
+                end = stop
                 label_parts.append(labels)
                 count_parts.append(counts)
-                # int32 columns, where they fit, keep the blocks at 12 bytes
-                # an entry, the size of the CSR they become
-                col_parts.append(cols.astype(np.int32) if top <= _INT32_MAX else cols)
-                val_parts.append(vals)
             lineno += len(lines)
     N = sum(part.size for part in label_parts)
     if N == 0 and not huge:
@@ -258,32 +290,38 @@ def load_libsvm(path, n_features: Optional[int] = None) -> Dataset:
         raise ValueError(f"{path}: no features found")
     if huge:
         raise OverflowError(f"{path}: feature index {huge} does not fit in int64")
+    if end != size:
+        raise ValueError(changed)
 
-    # a block is dropped once it is joined (CSR) or scattered (dense), so
-    # the blocks and the result share the peak only one field at a time
     labels = np.concatenate(label_parts)
-    counts = np.concatenate(count_parts)
     if n > DENSE_DIM_LIMIT:
         # the index type scipy keeps: int32 unless a size needs int64
-        nnz = int(counts.sum())
-        index = np.int32 if max(N, n, nnz) <= _INT32_MAX else np.int64
-        vals = np.concatenate(val_parts)
-        val_parts.clear()
-        cols = np.concatenate(col_parts, dtype=index)
-        col_parts.clear()
+        index = np.int32 if max(N, n, size) <= _INT32_MAX else np.int64
         indptr = np.zeros(N + 1, dtype=index)
-        np.cumsum(counts, out=indptr[1:])
-        features = sp.csr_matrix((vals, cols, indptr), shape=(N, n))
+        np.cumsum(np.concatenate(count_parts), out=indptr[1:])
+        features = sp.csr_matrix((vals, cols.astype(index, copy=False), indptr),
+                                 shape=(N, n))
     else:
         features = np.zeros((N, n))
-        hi = N
-        while count_parts:
-            block_counts = count_parts.pop()
-            lo = hi - block_counts.size
+        lo = start = 0
+        for block_counts in count_parts:
+            hi = lo + block_counts.size
+            stop = start + int(block_counts.sum())
             rows = np.repeat(np.arange(lo, hi), block_counts)
-            features[rows, col_parts.pop()] = val_parts.pop()
-            hi = lo
+            features[rows, cols[start:stop]] = vals[start:stop]
+            lo, start = hi, stop
     return Dataset(features=features, labels=labels)
+
+
+def _count_colons(path) -> int:
+    """The number of ':' bytes in the file, read in binary through one
+    reused buffer of _COUNT_BUFFER_BYTES."""
+    buf = np.empty(_COUNT_BUFFER_BYTES, np.uint8)
+    total = 0
+    with open(path, "rb", buffering=0) as fh:
+        while k := fh.readinto(buf):
+            total += int(np.count_nonzero(buf[:k] == ord(":")))
+    return total
 
 
 def _parse_libsvm_block(path, lines: List[str], first_lineno: int):
@@ -431,11 +469,12 @@ def load_csv(path, label_column: int = 0, header: bool = False) -> Dataset:
     block that fails a check is scanned again cell by cell, so the error
     names the first bad row or cell in file order.  A csv.Error (such as a
     field over the csv module's size limit) is raised once the records
-    before it have been checked."""
+    before it have been checked.  A UTF-8 byte-order mark at the start of
+    the file, as Excel's "CSV UTF-8" export writes, is skipped."""
     label_parts: List[np.ndarray] = []
     feature_parts: List[np.ndarray] = []
     width = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         rowno = 1
         if header:
@@ -878,13 +917,13 @@ def _label_location(path: str, row: int, label_column: int, header: bool) -> str
     row and column in CSV (counting the header and blank rows, as load_csv
     does)."""
     if path.endswith(".csv"):
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             records = enumerate(csv.reader(fh), start=1)
             rowno, raw = next(islice(((no, raw) for no, raw in records
                                       if raw and not (header and no == 1)), row, None))
         col = label_column % len(raw)
         return f"{path}: row {rowno}, column {col + 1}: label {raw[col]!r} is not -1 or +1"
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = ((no, line.split()) for no, line in enumerate(fh, start=1))
         lineno, tokens = next(islice(((no, t) for no, t in lines if t), row, None))
     return f"{path}: line {lineno}: label {tokens[0]!r} is not -1 or +1"

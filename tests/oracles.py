@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import stat
 
 import numpy as np
 import scipy.sparse as sp
@@ -202,13 +204,16 @@ def load_libsvm_reference(path, n_features=None):
     """Line-by-line, token-by-token libsvm parser: the reference for
     harness.load_libsvm's Dataset and error messages.  Checks each line in
     token order: label, then per pair the colon, the index and value
-    parses, index >= 1, a finite value, and a repeated index."""
+    parses, index >= 1, a finite value, and a repeated index.  A path that
+    is not a regular file is refused unopened."""
     from stochopt.problems import DENSE_DIM_LIMIT, Dataset
 
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValueError(f"{path}: not a regular file")
     labels = []
     rows = []
     max_col = -1
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -292,7 +297,7 @@ def load_csv_reference(path, label_column=0, header=False):
     labels = []
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for rowno, raw in enumerate(reader, start=1):
             if header and rowno == 1:

@@ -3,6 +3,7 @@ and cell-by-cell references in oracles.py, the parsers' memory use, the
 dataset hash pinned to literal digests, output files written as new files,
 and compare's one resolve per dataset source."""
 
+import codecs
 import csv
 import json
 import os
@@ -261,6 +262,77 @@ class TestLoadLibsvmMatchesReference:
         ds = load_libsvm(path)
         assert ds.N == 4 and ds.n == width
 
+    @pytest.mark.parametrize("block", [1, 4096])
+    @pytest.mark.parametrize(
+        "text, n_features",
+        [
+            # an index past INT32_MAX after int32-only lines: in 1-line
+            # blocks the column array turns int64 once entries are written
+            ("1 2:1\n-1 3000000000:1\n", None),
+            ("1 2:1\n-1 3000000000:1 4:2\n1 5:3\n", None),
+            # label-only and blank lines: no ':' to count, no entry to write
+            ("1\n\n-1\n \t\n", None),
+            ("1\n\n-1\n \t\n", 3),
+            ("1\n\n-1\n \t\n", DENSE_DIM_LIMIT + 1),
+        ],
+    )
+    def test_int64_columns_and_entryless_files(self, tmp_path, monkeypatch, block,
+                                               text, n_features):
+        monkeypatch.setattr(harness, "_LIBSVM_BLOCK_LINES", block)
+        path = tmp_path / "edge.libsvm"
+        path.write_text(text)
+        assert_matches_reference(path, n_features)
+
+    @pytest.mark.parametrize("block", [1, 4096])
+    def test_fifo_is_refused_unopened(self, tmp_path, monkeypatch, block):
+        # an open would block with no writer; the path is refused first
+        monkeypatch.setattr(harness, "_LIBSVM_BLOCK_LINES", block)
+        path = tmp_path / "pipe.libsvm"
+        os.mkfifo(path)
+        with pytest.raises(ValueError) as exc:
+            load_libsvm(path)
+        assert str(exc.value) == f"{path}: not a regular file"
+        assert_matches_reference(path)
+
+    @pytest.mark.parametrize("buffer_bytes", [1, 7, 1 << 20])
+    def test_colon_count_spans_reads(self, tmp_path, monkeypatch, buffer_bytes):
+        monkeypatch.setattr(harness, "_COUNT_BUFFER_BYTES", buffer_bytes)
+        path = tmp_path / "d.libsvm"
+        text = "1 1:2 3:4\n\n-1 2:1e-3 700:5\n1\n1 9:0\n"
+        path.write_text(text)
+        assert harness._count_colons(path) == text.count(":")
+        assert_matches_reference(path)
+
+    @pytest.mark.parametrize("miscount", [-1, 1])
+    def test_file_changed_between_count_and_parse(self, tmp_path, monkeypatch, miscount):
+        # the ':' count and the parse read the file one after the other; a
+        # parse that finds another number of entries read a changed file
+        count = harness._count_colons
+        monkeypatch.setattr(harness, "_count_colons", lambda path: count(path) + miscount)
+        path = tmp_path / "d.libsvm"
+        path.write_text("1 1:2 3:4\n-1 2:1\n")
+        with pytest.raises(ValueError) as exc:
+            load_libsvm(path)
+        assert str(exc.value) == f"{path}: file changed while it was read"
+
+    @pytest.mark.parametrize("block", [1, 4096])
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(harness, "_LIBSVM_BLOCK_LINES", block)
+        body = b"1 2:0.5 1:-1\n\n-1 3:2e-3\n"
+        plain, marked = tmp_path / "plain.libsvm", tmp_path / "marked.libsvm"
+        plain.write_bytes(body)
+        marked.write_bytes(codecs.BOM_UTF8 + body)
+        assert_same_dataset(load_libsvm(marked), load_libsvm(plain))
+        assert_matches_reference(marked)
+        marked.write_bytes(codecs.BOM_UTF8 + b"x 1:2\n")
+        with pytest.raises(ValueError) as exc:
+            load_libsvm(marked)
+        assert str(exc.value) == f"{marked}: line 1: bad label 'x'"
+        marked.write_bytes(codecs.BOM_UTF8 + b"2 1:2\n")
+        with pytest.raises(ValueError) as exc:
+            harness._load_dataset_file(str(marked), 0, False)
+        assert str(exc.value) == f"{marked}: line 1: label '2' is not -1 or +1"
+
     def test_nonfinite_label_or_value_is_a_runtime_error(self, tmp_path, capsys):
         (tmp_path / "bad.libsvm").write_text("1 1:2.0\n-1 2:nan\n")
         text = """\
@@ -404,6 +476,24 @@ class TestLoadCsvMatchesReference:
         ds = load_csv(path, label_column=label_column, header=True)
         assert ds.N == 3 and ds.n == 2
 
+    @pytest.mark.parametrize("header", [False, True])
+    def test_byte_order_mark_is_skipped(self, tmp_path, header):
+        # as Excel's "CSV UTF-8" export writes it
+        body = (b"y,a,b\r\n" if header else b"") + b"1,2.5,-3\r\n-1,0,4e-3\r\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(body)
+        marked.write_bytes(codecs.BOM_UTF8 + body)
+        assert_same_dataset(load_csv(marked, header=header), load_csv(plain, header=header))
+        assert_csv_matches_reference(marked, header=header)
+        marked.write_bytes(codecs.BOM_UTF8 + b"x,1\n")
+        with pytest.raises(ValueError) as exc:
+            load_csv(marked)
+        assert str(exc.value) == f"{marked}: row 1, column 1: non-numeric 'x'"
+        marked.write_bytes(codecs.BOM_UTF8 + b"2,1\n")
+        with pytest.raises(ValueError) as exc:
+            harness._load_dataset_file(str(marked), 0, False)
+        assert str(exc.value) == f"{marked}: row 1, column 1: label '2' is not -1 or +1"
+
 
 def write_text_csr(path, rows=10000, width=3000, nnz=30, seed=0):
     """Sorted-column libsvm text with ~nnz entries per row (6-digit values)."""
@@ -418,8 +508,8 @@ def write_text_csr(path, rows=10000, width=3000, nnz=30, seed=0):
 
 class TestLoadLibsvmMemory:
     # the line-by-line reference peaks at ~46 MiB on this file (a tuple per
-    # entry), the block parser at ~11 MiB (the result arrays and one
-    # block's token strings)
+    # entry), the block parser at ~5.8 MiB in 256-line blocks (the 3.5 MiB
+    # result and one block's token strings)
     PEAK_CAP_BYTES = 20 * 2**20
 
     def test_peak_python_memory(self, tmp_path, traced_peak):

@@ -1,8 +1,8 @@
 """Set-up memory: data generation, hashing, the problem build's row norms and
 CSV writing each hold at most one copy of the dataset plus one bounded
-block (problems.BLOCK_BYTES for the passes over a built dataset), and the
-loaders about twice their result, measured with tracemalloc; and the row
-norms do not depend on the block."""
+block (problems.BLOCK_BYTES for the passes over a built dataset), load_csv
+about twice its result, and load_libsvm a CSR result plus one block,
+measured with tracemalloc; and the row norms do not depend on the block."""
 
 import numpy as np
 import pytest
@@ -151,9 +151,9 @@ class TestLoadCsvMemory:
 
 
 class TestLoadLibsvmPeak:
-    """Blocks keep an entry as an int32 column and a float64 value, 12
-    bytes, and each is dropped once copied into the result.  Short blocks
-    keep one block's token strings small beside the result."""
+    """The result's value and column arrays are allocated once, at the
+    file's ':' count, and each block writes its entries into them.  Short
+    blocks keep one block's token strings small beside the result."""
 
     @pytest.fixture(autouse=True)
     def short_blocks(self, monkeypatch):
@@ -167,13 +167,22 @@ class TestLoadLibsvmPeak:
         # concatenated int64 blocks and scipy's int32 copy peaked near 3x
         assert peak <= 2 * nbytes(ds) + BLOCK_BYTES, f"peak {peak / nbytes(ds):.2f}x"
 
+    def test_csr_peak_at_most_the_result_plus_a_block(self, tmp_path, traced_peak):
+        path = tmp_path / "wide.libsvm"
+        write_text_csr(path, rows=10000)
+        ds, peak = traced_peak(load_libsvm, path)
+        assert sp.issparse(ds.features) and ds.N == 10000
+        # the result + 0.67 MiB; parsed blocks kept until one final
+        # concatenation peaked at the result + 2.55 MiB
+        assert peak <= nbytes(ds) + BLOCK_BYTES, f"peak {(peak - nbytes(ds)) / 2**20:.2f} MiB over"
+
     def test_dense_peak_at_most_the_blocks_and_the_result(self, tmp_path, traced_peak):
         path = tmp_path / "narrow.libsvm"
         save_libsvm(path, dense_dataset(N=5000, n=100))
         ds, peak = traced_peak(load_libsvm, path)
         assert not sp.issparse(ds.features) and ds.features.shape == (5000, 100)
-        # blocks of 12-byte entries besides the 8-byte dense cells; the
-        # concatenated blocks and one whole-set scatter peaked near 6x
+        # 12-byte entries besides the 8-byte dense cells; the concatenated
+        # blocks and one whole-set scatter peaked near 6x
         assert peak <= 2.5 * nbytes(ds) + BLOCK_BYTES, f"peak {peak / nbytes(ds):.2f}x"
 
 
