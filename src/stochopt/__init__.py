@@ -66,6 +66,8 @@ from .lbfgs_core import (
 from .problems import (
     Dataset,
     FiniteSumProblem,
+    LinearModelProblem,
+    QuadraticProblem,
     make_logistic,
     make_noisy_quadratic,
     make_quadratic,

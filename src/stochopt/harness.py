@@ -775,7 +775,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError([f"config file not found: {path}"])
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError([f"{path}: {exc}"])

@@ -8,13 +8,19 @@ and each f_i carries the full Tikhonov term lam*||x||^2, so that every
 mini-batch gradient includes the exact regularizer gradient and remains an
 unbiased estimate of grad f.
 
-Three loss kinds are supported:
+FiniteSumProblem owns the oracle protocol (the seven public methods, the
+point and batch checks, full_losses' chunk loop and the two-pass variance
+tail) and reaches a kind through private hooks only.  LinearModelProblem
+holds a dataset of rows u_i and labels v_i, its memos and row gather, the
+margin and loss kernels, and the CSR multi-point pass and variance identity:
 
 * ``sigmoid-svm``: f_i(x) = 1 - tanh(v_i * x'u_i) + lam*||x||^2
 * ``logistic``:    f_i(x) = log(1 + exp(-v_i * x'u_i)) + lam*||x||^2
-* ``quadratic``:   exact-oracle test problems, either a shared SPD quadratic
-  split into rank-one summands (:func:`make_quadratic`) or a shared Hessian
-  with per-sample linear terms (:func:`make_noisy_quadratic`).
+
+QuadraticProblem (``quadratic``) holds exact-oracle test problems, either a
+shared SPD quadratic split into rank-one summands (:func:`make_quadratic`)
+or a shared Hessian with per-sample linear terms
+(:func:`make_noisy_quadratic`), and their closed-form minimizer.
 
 Every batch is used in ascending index order, so its reductions run in that
 order; full_grad and full_loss build no index array, and a batch that is
@@ -26,33 +32,30 @@ rows stay out of BLAS, whose gemv would split their sums across threads.
 The only BLAS call is the dense margin product rows @ x, and its bits can
 follow the BLAS thread count: with OpenBLAS at n = 100, N = 12,345 gives
 other bytes in margin rows 6,172 and 12,344 at two threads than at one
-(N = 10,000 gives the same bytes).  Judging from which rows differ, a
-thread's share whose row count is not a multiple of 4 computes its last
-rows in another kernel; that is inferred, not read in OpenBLAS's source.
-So a dense problem's bits are those of one BLAS thread setting, which the
-harness records in each manifest.  CSR passes make no BLAS call.  A batch
-that is the whole index set reads the feature matrix in place instead of
-gathering a copy; the arithmetic is the same, so batch_grad over the full
-index set equals full_grad exactly.
+(N = 10,000 gives the same bytes).  So a dense problem's bits are those of
+one BLAS thread setting, which the harness records in each manifest.  CSR
+passes make no BLAS call.  A batch that is the whole index set reads the
+feature matrix in place instead of gathering a copy; the arithmetic is the
+same, so batch_grad over the full index set equals full_grad exactly.
 
-Whole-set passes at one x share their margins: the problem keeps the signed
-margins v*(U x) of its last whole-set pass, keyed by the exact bytes of x,
-so full_grad(x) right after full_loss(x), as ARIG asks at each accepted
-trial point, makes no second product (the same holds for a whole-set
-loss_and_grad or grad_variance_l1 at that x).  The memo
-holds N floats, is replaced as one tuple, and is never read or written by a
-gathered batch.  Like ``L``, it assumes the dataset is not changed in place
-after the problem is built.
+Whole-set passes at one x share their margins: a linear model keeps the
+signed margins v*(U x) of its last whole-set pass, keyed by the exact bytes
+of x, so full_grad(x) right after full_loss(x), as ARIG asks at each
+accepted trial point, makes no second product (the same holds for a
+whole-set loss_and_grad or grad_variance_l1 at that x).  The memo holds N
+floats, is replaced as one tuple, and is never read or written by a
+gathered batch.  Like ``L``, computed on its first read, it assumes the
+dataset is not changed in place after the problem is built.
 
-Passes over one gathered batch share its gather: the problem keeps the last
-batch it gathered (sorted indices, rows and labels, all read-only), keyed by
-the bytes of the batch's indices as int64, so the same indices in a new
-array, or as int32, hit it, and an array changed in place misses it.
+Passes over one gathered batch share its gather: a linear model keeps the
+last batch it gathered (sorted indices, rows and labels, all read-only),
+keyed by the bytes of the batch's indices as int64, so the same indices in
+a new array, or as int32, hit it, and an array changed in place misses it.
 VARCHEN's three passes over a step's batch, SVRG's two and an ARAS
 transient step's two each validate, sort and gather once.  The memo is
 replaced as one tuple by the next batch and dropped by a whole-set pass,
 which never reads it; so a run's last batch is released by the report's
-full passes.  Quadratic problems keep no batch memo.
+full passes.
 
 Every CSR pass runs scipy's compiled sparsetools loops on indptr/indices/
 data arrays, with no scipy object built: the dataset's own arrays for the
@@ -65,33 +68,17 @@ every CSR pass bit for bit with scipy's public operators guard it.
 Summing the duplicates of a dataset not in canonical form wraps the
 gathered arrays in a csr_matrix.
 
-full_losses evaluates several points over the whole set, as the metrics
-report asks.  CSR rows take FULL_PASS_CHUNK points per pass of the
-multi-vector loops ``csr_matvecs`` and ``csc_matvecs`` over one (N, k)
-block, which add each point's products in csr_matvec's and csc_matvec's
-order, so every value has the single-point pass's bits; these passes
-neither read nor write the margin memo.  Dense and quadratic problems make
-one pass per point: a gemm would change the bits, and gemv's bits already
-follow how the rows are split.
-
 The logistic loss uses numpy's vectorized ``exp`` and ``log1p`` in the
 stable form max(-z, 0) + log1p(exp(-|z|)), and stays within 2 ulp of
 ``np.logaddexp(0, -z)`` per sample.  The kernel makes no BLAS call, but
 its bits can depend on the SIMD level numpy dispatches to on the machine,
 which the harness records in each run's manifest (``numeric_env``).
-
-``grad_variance_l1`` returns the batch gradient, bitwise ``batch_grad``,
-together with the l1 norm of the per-sample gradients' sample variance, the
-statistic of the adaptive-sampling norm test.  For the two losses both come
-from one gathered batch and one margin pass.  Dense and quadratic problems
-take the two-pass form over the per-sample gradients, in one m x n buffer
-besides the gathered rows; CSR problems use an O(nnz + n) identity over the
-batch's stored entries and never build the dense m x n block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -103,6 +90,8 @@ from scipy.sparse import _sparsetools
 __all__ = [
     "Dataset",
     "FiniteSumProblem",
+    "LinearModelProblem",
+    "QuadraticProblem",
     "make_sigmoid_svm",
     "make_logistic",
     "make_quadratic",
@@ -123,8 +112,12 @@ BLOCK_BYTES = 1 << 20
 # for all of a chunk's points.
 FULL_PASS_CHUNK = 8
 
-# The batch full_grad and full_loss hand to _pass: the whole set, no indices.
+# The batch full_grad and full_loss hand to _mean_pass: the whole set, no indices.
 _WHOLE_SET = object()
+
+# Upper bounds on each loss's second derivative in the margin z: 1/4 for
+# log(1 + exp(-z)), 4/(3 sqrt 3) for 1 - tanh(z).
+_CURVATURE = {"logistic": 0.25, "sigmoid-svm": 4.0 / (3.0 * np.sqrt(3.0))}
 
 
 def block_rows(row_bytes: int) -> int:
@@ -229,66 +222,44 @@ class _CsrBatch(NamedTuple):
         return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
 
 
-@dataclass(frozen=True)
-class _QuadData:
-    """Per-sample quadratic payload: f_i(x) = 0.5 x'M_i x - b_i'x.
-
-    Rank-one mode (V, w given): M_i = w_i * v_i v_i'.
-    Shared mode (V is None):    M_i = A for every i.
-    In both modes the averaged objective is 0.5 x'A x - bbar'x.
-    """
-
-    A: np.ndarray
-    B: np.ndarray  # (N, n) rows b_i
-    V: Optional[np.ndarray] = None  # (N, n) rows v_i
-    w: Optional[np.ndarray] = None  # (N,) weights
-
-
-def _batch_indices(batch) -> np.ndarray:
-    """The batch as a flat int64 array; a float or boolean batch raises
-    TypeError rather than being read as the integers it casts to."""
-    idx = np.asarray(batch)
-    if idx.size == 0:
-        raise ValueError("empty batch")
-    if idx.dtype.kind not in "iu":
-        raise TypeError(f"batch indices must be integers, not {idx.dtype}")
-    return idx.astype(np.int64, copy=False).ravel()
-
-
-def _check_point(x: np.ndarray, n: int) -> np.ndarray:
-    """x as a flat float array of n finite coordinates.  The length check
-    guards the CSR passes: sparsetools reads x by column index unchecked."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != n:
-        raise ValueError(f"point x has {x.size} coordinates, not {n}")
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite point x")
-    return x
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FiniteSumProblem:
-    """f(x) = (1/N) sum_i f_i(x) with analytic per-sample oracles."""
+    """f(x) = (1/N) sum_i f_i(x) with analytic per-sample oracles.
 
-    kind: str  # "logistic" | "sigmoid-svm" | "quadratic"
+    A kind defines the hooks _mean_pass(batch, x, loss, grad), the (mean
+    loss, mean gradient) over a batch or _WHOLE_SET at a checked x, and
+    _grad_variance(batch, x); full_losses hands it _points_per_pass points
+    at once through _csr_chunk(xs, grad) when that is above 1.  A subclass
+    redefines no public method: benchmarks/probe.py counts a run's oracle
+    work by wrapping the methods defined here."""
+
     N: int
     n: int
     lam: float = 0.0
-    dataset: Optional[Dataset] = None
-    quad: Optional[_QuadData] = None
-    # Documented Lipschitz constant of grad f: exact for quadratics,
-    # an analytic upper bound for the two losses (diagnostics only).
-    L: float = field(default=float("nan"))
-    # The last whole-set margin pass, (x.tobytes(), signed margins v*(U x)),
-    # replaced as one tuple; see _margins_and_coefs.
-    _margins_memo: Optional[Tuple[bytes, np.ndarray]] = field(
-        default=None, init=False, compare=False, repr=False)
-    # The last gathered batch, (bytes of its int64 indices, (sorted indices,
-    # rows, labels)) with read-only arrays, replaced as one tuple; see _gather.
-    _batch_memo: Optional[Tuple[bytes, tuple]] = field(
-        default=None, init=False, compare=False, repr=False)
+    _points_per_pass = 1
 
-    # -- internal helpers -------------------------------------------------
+    # -- point and batch checks ---------------------------------------------
+
+    def _check_point(self, x: np.ndarray) -> np.ndarray:
+        """x as a flat float array of n finite coordinates.  The length check
+        guards the CSR passes: sparsetools reads x by column index unchecked."""
+        x = np.asarray(x, dtype=float).ravel()
+        if x.size != self.n:
+            raise ValueError(f"point x has {x.size} coordinates, not {self.n}")
+        if not np.isfinite(x).all():
+            raise ValueError("non-finite point x")
+        return x
+
+    @staticmethod
+    def _batch_indices(batch) -> np.ndarray:
+        """The batch as a flat int64 array; a float or boolean batch raises
+        TypeError rather than being read as the integers it casts to."""
+        idx = np.asarray(batch)
+        if idx.size == 0:
+            raise ValueError("empty batch")
+        if idx.dtype.kind not in "iu":
+            raise TypeError(f"batch indices must be integers, not {idx.dtype}")
+        return idx.astype(np.int64, copy=False).ravel()
 
     def _batch_array(self, idx: np.ndarray):
         """(idx, whole): indices from _batch_indices in ascending order
@@ -304,18 +275,126 @@ class FiniteSumProblem:
             raise IndexError("sample index out of range")
         return idx, whole
 
+    def _variance_point(self, m: int, x: np.ndarray) -> np.ndarray:
+        """x checked for a variance estimate over a batch of m samples."""
+        if m < 2:
+            raise ValueError("variance estimate needs a batch of at least 2")
+        return self._check_point(x)
+
+    @staticmethod
+    def _two_pass_variance(G: np.ndarray, g: np.ndarray) -> float:
+        """The l1 norm of the sample variance of the m x n per-sample
+        gradients G about their mean g, two-pass.  G is the caller's own
+        buffer, which the deviations and their squares overwrite, so G and
+        the rows it came from are the only m x n blocks."""
+        G -= g
+        G *= G
+        return float((G.sum(axis=0) / (G.shape[0] - 1)).sum())
+
+    # -- operations --------------------------------------------------------
+
+    def batch_loss(self, batch, x: np.ndarray) -> float:
+        """Mean of f_i over the batch."""
+        return self._mean_pass(batch, self._check_point(x), True, False)[0]
+
+    def batch_grad(self, batch, x: np.ndarray) -> np.ndarray:
+        """(1/m) sum over the batch of grad f_i(x), ascending index order."""
+        return self._mean_pass(batch, self._check_point(x), False, True)[1]
+
+    def loss_and_grad(self, batch, x: np.ndarray):
+        """(batch_loss(batch, x), batch_grad(batch, x)) from one margin pass.
+
+        Each value is bitwise equal to the separate call; use this wherever
+        both are needed at the same point."""
+        return self._mean_pass(batch, self._check_point(x), True, True)
+
+    def full_grad(self, x: np.ndarray) -> np.ndarray:
+        """grad f(x) over all N samples (same code path as batch_grad)."""
+        return self._mean_pass(_WHOLE_SET, self._check_point(x), False, True)[1]
+
+    def full_loss(self, x: np.ndarray) -> float:
+        """f(x) over all N samples."""
+        return self._mean_pass(_WHOLE_SET, self._check_point(x), True, False)[0]
+
+    def full_losses(self, xs, grad: bool = False):
+        """[(f(x), grad f(x)) for x in xs] over all N samples, the gradient
+        None unless asked: each pair is bitwise full_loss(x) or
+        loss_and_grad(np.arange(N), x).
+
+        CSR rows are evaluated FULL_PASS_CHUNK points per pass (see
+        _csr_chunk), and a chunk of one point takes the single-point pass;
+        dense and quadratic problems make one pass per point."""
+        xs = [self._check_point(x) for x in xs]
+        step = self._points_per_pass
+        out = []
+        for lo in range(0, len(xs), step):
+            chunk = xs[lo:lo + step]
+            out += (self._csr_chunk(chunk, grad) if len(chunk) > 1
+                    else [self._mean_pass(_WHOLE_SET, chunk[0], True, grad)])
+        return out
+
+    def grad_variance_l1(self, batch, x: np.ndarray):
+        """(g, var_l1): g is batch_grad(batch, x), bitwise, and
+
+            var_l1 = ||(1/(m-1)) sum_{i in batch} (grad f_i(x) - g)^2||_1,
+
+        elementwise square, the norm-test statistic.  For the two losses
+        both are reduced from the per-sample coefficients of one gathered
+        margin pass.
+
+        Dense and quadratic problems: two-pass form over the per-sample
+        gradients.  CSR problems: with w = g - 2 lam x, so that
+        grad f_i - g = c_i u_i - w,
+
+            sum_i ||c_i u_i - w||^2
+                = m ||w||^2 + sum over stored (i, j) of [(c_i u_ij - w_j)^2 - w_j^2],
+
+        in O(nnz + n) memory.  Both forms equal the same sum and differ only
+        by rounding; rounding can push the CSR form of a near-zero variance
+        below zero, so it is clamped at 0.
+        """
+        return self._grad_variance(batch, x)
+
+
+@dataclass(frozen=True, kw_only=True)
+class LinearModelProblem(FiniteSumProblem):
+    """A loss of the signed margin v_i * x'u_i of each labelled row, plus
+    lam ||x||^2: ``logistic`` or ``sigmoid-svm``."""
+
+    kind: str  # "logistic" | "sigmoid-svm"
+    dataset: Dataset
+    # The last whole-set margin pass, (x.tobytes(), signed margins v*(U x)),
+    # replaced as one tuple; see _margins_and_coefs.
+    _margins_memo: Optional[Tuple[bytes, np.ndarray]] = field(
+        default=None, init=False, compare=False, repr=False)
+    # The last gathered batch, (bytes of its int64 indices, (sorted indices,
+    # rows, labels)) with read-only arrays, replaced as one tuple; see _gather.
+    _batch_memo: Optional[Tuple[bytes, tuple]] = field(
+        default=None, init=False, compare=False, repr=False)
+
+    @cached_property
+    def L(self) -> float:
+        """An analytic upper bound on the Lipschitz constant of grad f, for
+        diagnostics only; its pass over the rows runs on the first read."""
+        return _CURVATURE[self.kind] * self.dataset.max_row_sq_norm() + 2.0 * self.lam
+
+    @property
+    def _points_per_pass(self) -> int:
+        # one point a pass on dense rows: a gemm would change their bits
+        return FULL_PASS_CHUNK if sp.issparse(self.dataset.features) else 1
+
     def _gather(self, batch):
-        """(idx, rows, labels) of a batch of the two losses (idx is None for
-        _WHOLE_SET).  The whole index set reads the dataset in place; any
-        other batch gathers one copy, for CSR features a _CsrBatch of the
-        rows' stored entries, which goes to the same sparsetools loops as
-        the dataset's own.  A gathered batch is kept in _batch_memo with
-        read-only arrays; a whole-set pass drops it."""
+        """(idx, rows, labels) of a batch (idx is None for _WHOLE_SET).  The
+        whole index set reads the dataset in place; any other batch gathers
+        one copy, for CSR features a _CsrBatch of the rows' stored entries,
+        which goes to the same sparsetools loops as the dataset's own.  A
+        gathered batch is kept in _batch_memo with read-only arrays; a
+        whole-set pass drops it."""
         ds = self.dataset
         if batch is _WHOLE_SET:
             object.__setattr__(self, "_batch_memo", None)
             return None, ds.features, ds.labels
-        idx = _batch_indices(batch)
+        idx = self._batch_indices(batch)
         key = idx.tobytes()
         memo = self._batch_memo
         if memo is not None and memo[0] == key:
@@ -372,21 +451,11 @@ class FiniteSumProblem:
             return (1.0 - t if losses else None,
                     -v * (1.0 - t * t) if coefs else None)
         # logistic: log(1 + exp(-z)) = max(-z, 0) + log1p(exp(-|z|)), stable
-        # for either sign, in numpy's vectorized exp/log1p: within 2 ulp of
-        # np.logaddexp(0, -z), which calls scalar libm per element; the last
-        # bits can follow numpy's SIMD level.  coef = -v * sigmoid(-z)
+        # for either sign (see the module docstring); coef = -v * sigmoid(-z)
         return (np.log1p(np.exp(-np.abs(z))) - np.minimum(z, 0.0) if losses else None,
                 -v / (1.0 + np.exp(z)) if coefs else None)
 
-    def _pass(self, batch, x: np.ndarray, loss: bool, grad: bool):
-        """(mean loss, mean gradient) over the batch from one margin pass;
-        a value not asked for is None."""
-        x = _check_point(x, self.n)
-        if self.kind == "quadratic":
-            idx = (np.arange(self.N) if batch is _WHOLE_SET
-                   else self._batch_array(_batch_indices(batch))[0])
-            return (float(np.mean(self._quad_losses(idx, x))) if loss else None,
-                    self._quad_batch_grad(idx, x) if grad else None)
+    def _mean_pass(self, batch, x: np.ndarray, loss: bool, grad: bool):
         _, rows, v = self._gather(batch)
         losses, coef = self._margins_and_coefs(rows, v, x, losses=loss, coefs=grad)
         return (self._mean_loss(losses, x) if loss else None,
@@ -415,49 +484,6 @@ class FiniteSumProblem:
             _sparsetools.csc_matvec(self.n, coef.size, rows.indptr, rows.indices,
                                     rows.data, coef, base)
         return self._grad_from_sum(base, coef.size, x)
-
-    # -- operations --------------------------------------------------------
-
-    def batch_loss(self, batch, x: np.ndarray) -> float:
-        """Mean of f_i over the batch."""
-        return self._pass(batch, x, loss=True, grad=False)[0]
-
-    def batch_grad(self, batch, x: np.ndarray) -> np.ndarray:
-        """(1/m) sum over the batch of grad f_i(x), ascending index order."""
-        return self._pass(batch, x, loss=False, grad=True)[1]
-
-    def loss_and_grad(self, batch, x: np.ndarray):
-        """(batch_loss(batch, x), batch_grad(batch, x)) from one margin pass.
-
-        Each value is bitwise equal to the separate call; use this wherever
-        both are needed at the same point."""
-        return self._pass(batch, x, loss=True, grad=True)
-
-    def full_grad(self, x: np.ndarray) -> np.ndarray:
-        """grad f(x) over all N samples (same code path as batch_grad)."""
-        return self._pass(_WHOLE_SET, x, loss=False, grad=True)[1]
-
-    def full_loss(self, x: np.ndarray) -> float:
-        """f(x) over all N samples."""
-        return self._pass(_WHOLE_SET, x, loss=True, grad=False)[0]
-
-    def full_losses(self, xs, grad: bool = False):
-        """[(f(x), grad f(x)) for x in xs] over all N samples, the gradient
-        None unless asked: each pair is bitwise full_loss(x) or
-        loss_and_grad(np.arange(N), x).
-
-        CSR rows are evaluated FULL_PASS_CHUNK points per pass (see
-        _csr_chunk), and a chunk of one point takes the single-point pass;
-        dense and quadratic problems make one pass per point."""
-        xs = [_check_point(x, self.n) for x in xs]
-        csr = self.kind != "quadratic" and sp.issparse(self.dataset.features)
-        step = FULL_PASS_CHUNK if csr else 1
-        out = []
-        for lo in range(0, len(xs), step):
-            chunk = xs[lo:lo + step]
-            out += (self._csr_chunk(chunk, grad) if len(chunk) > 1
-                    else [self._pass(_WHOLE_SET, chunk[0], loss=True, grad=grad)])
-        return out
 
     def _csr_chunk(self, xs, grad: bool):
         """full_losses over k >= 2 points of CSR rows, in one (N, k) block:
@@ -489,133 +515,110 @@ class FiniteSumProblem:
         _sparsetools.csc_matvecs(n, N, k, rows.indptr, rows.indices, rows.data, Z, G)
         return [(f, self._grad_from_sum(G[:, j], N, x)) for j, (f, x) in enumerate(zip(fs, xs))]
 
-    def grad_variance_l1(self, batch, x: np.ndarray):
-        """(g, var_l1): g is batch_grad(batch, x), bitwise, and
-
-            var_l1 = ||(1/(m-1)) sum_{i in batch} (grad f_i(x) - g)^2||_1,
-
-        elementwise square, the norm-test statistic.  For the two losses
-        both are reduced from the per-sample coefficients of one gathered
-        margin pass.
-
-        Dense and quadratic problems: two-pass form over the per-sample
-        gradients.  CSR problems: with w = g - 2 lam x, so that
-        grad f_i - g = c_i u_i - w,
-
-            sum_i ||c_i u_i - w||^2
-                = m ||w||^2 + sum over stored (i, j) of [(c_i u_ij - w_j)^2 - w_j^2],
-
-        in O(nnz + n) memory.  Both forms equal the same sum and differ only
-        by rounding; rounding can push the CSR form of a near-zero variance
-        below zero, so it is clamped at 0.
-        """
-        if self.kind == "quadratic":
-            idx, _ = self._batch_array(_batch_indices(batch))
-        else:
-            idx, rows, v = self._gather(batch)
+    def _grad_variance(self, batch, x: np.ndarray):
+        """grad_variance_l1 from one gathered margin pass: the two-pass tail
+        over dense rows, the O(nnz + n) identity over CSR rows."""
+        idx, rows, v = self._gather(batch)
         m = idx.size
-        if m < 2:
-            raise ValueError("variance estimate needs a batch of at least 2")
-        x = _check_point(x, self.n)
-        if self.kind == "quadratic":
-            g = self._quad_batch_grad(idx, x)
-            G = self._quad_sample_grads(idx, x)
-        else:
-            _, coef = self._margins_and_coefs(rows, v, x, losses=False, coefs=True)
-            g = self._mean_grad(rows, coef, x)
-            if sp.issparse(self.dataset.features):
-                if not self.dataset.features.has_canonical_format:
-                    # a repeated (i, j) entry would be counted as two
-                    # coordinates; summing rewrites the arrays, so it runs
-                    # on a copy, never on the memo's or the dataset's
-                    rows = (rows.tocsr() if isinstance(rows, _CsrBatch) else rows).copy()
-                    rows.sum_duplicates()
-                w = g - (2.0 * self.lam) * x
-                vals = np.repeat(coef, np.diff(rows.indptr)) * rows.data  # c_i u_ij
-                w_at = w.take(rows.indices)
-                # (c u - w)^2 - w^2 = c u (c u - 2 w)
-                total = m * float(w @ w) + float(np.sum(vals * (vals - 2.0 * w_at)))
-                return g, max(0.0, total / (m - 1))
+        x = self._variance_point(m, x)
+        _, coef = self._margins_and_coefs(rows, v, x, losses=False, coefs=True)
+        g = self._mean_grad(rows, coef, x)
+        if isinstance(rows, np.ndarray):
             G = coef[:, None] * rows
             G += (2.0 * self.lam) * x
-        # G is this call's own buffer: the deviations and their squares
-        # overwrite it, so the gathered rows and G are the only m x n blocks
-        G -= g
-        G *= G
-        return g, float((G.sum(axis=0) / (m - 1)).sum())
+            return g, self._two_pass_variance(G, g)
+        if not self.dataset.features.has_canonical_format:
+            # a repeated (i, j) entry would be counted as two coordinates;
+            # summing rewrites the arrays, so it runs on a copy, never on
+            # the memo's or the dataset's
+            rows = (rows.tocsr() if isinstance(rows, _CsrBatch) else rows).copy()
+            rows.sum_duplicates()
+        w = g - (2.0 * self.lam) * x
+        vals = np.repeat(coef, np.diff(rows.indptr)) * rows.data  # c_i u_ij
+        w_at = w.take(rows.indices)
+        # (c u - w)^2 - w^2 = c u (c u - 2 w)
+        total = m * float(w @ w) + float(np.sum(vals * (vals - 2.0 * w_at)))
+        return g, max(0.0, total / (m - 1))
 
-    # -- quadratic payloads -------------------------------------------------
 
-    def _quad_losses(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-        q = self.quad
-        lin = q.B[idx] @ x
-        if q.V is not None:
-            proj = q.V[idx] @ x
-            return 0.5 * q.w[idx] * proj * proj - lin
-        quad_term = 0.5 * float(x @ (q.A @ x))
-        return quad_term - lin
+@dataclass(frozen=True, kw_only=True)
+class QuadraticProblem(FiniteSumProblem):
+    """Exact-oracle quadratics f_i(x) = 0.5 x'M_i x - b_i'x.
 
-    def _quad_batch_grad(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-        q = self.quad
+    Rank-one mode (V, w given): M_i = w_i * v_i v_i'.
+    Shared mode (V is None):    M_i = A for every i.
+    In both modes the averaged objective is 0.5 x'A x - bbar'x, and L, the
+    Lipschitz constant of grad f, is A's largest eigenvalue.  lam is 0."""
+
+    kind = "quadratic"
+    dataset = None  # no feature rows (benchmarks/probe.py reads None here)
+    A: np.ndarray
+    B: np.ndarray  # (N, n) rows b_i
+    L: float
+    V: Optional[np.ndarray] = None  # (N, n) rows v_i
+    w: Optional[np.ndarray] = None  # (N,) weights
+
+    def _mean_pass(self, batch, x: np.ndarray, loss: bool, grad: bool):
+        idx = (np.arange(self.N) if batch is _WHOLE_SET
+               else self._batch_array(self._batch_indices(batch))[0])
+        return (float(np.mean(self._losses(idx, x))) if loss else None,
+                self._mean_grad(idx, x) if grad else None)
+
+    def _grad_variance(self, batch, x: np.ndarray):
+        idx, _ = self._batch_array(self._batch_indices(batch))
+        x = self._variance_point(idx.size, x)
+        g = self._mean_grad(idx, x)
+        return g, self._two_pass_variance(self._sample_grads(idx, x), g)
+
+    def _losses(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+        lin = self.B[idx] @ x
+        if self.V is not None:
+            proj = self.V[idx] @ x
+            return 0.5 * self.w[idx] * proj * proj - lin
+        return 0.5 * float(x @ (self.A @ x)) - lin
+
+    def _mean_grad(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
         m = idx.size
-        b_mean = q.B[idx].sum(axis=0) / m
-        if q.V is not None:
-            Vb = q.V[idx]
-            proj = Vb @ x
-            return ((q.w[idx] * proj)[:, None] * Vb).sum(axis=0) / m - b_mean
-        return q.A @ x - b_mean
+        b_mean = self.B[idx].sum(axis=0) / m
+        if self.V is not None:
+            Vb = self.V[idx]
+            return ((self.w[idx] * (Vb @ x))[:, None] * Vb).sum(axis=0) / m - b_mean
+        return self.A @ x - b_mean
 
-    def _quad_sample_grads(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-        q = self.quad
-        if q.V is not None:
-            Vb = q.V[idx]
-            proj = Vb @ x
-            return (q.w[idx] * proj)[:, None] * Vb - q.B[idx]
-        return (q.A @ x)[None, :] - q.B[idx]
-
-    # -- exact minimizer data (quadratics only) ------------------------------
+    def _sample_grads(self, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
+        if self.V is not None:
+            Vb = self.V[idx]
+            return (self.w[idx] * (Vb @ x))[:, None] * Vb - self.B[idx]
+        return (self.A @ x)[None, :] - self.B[idx]
 
     def minimizer(self) -> np.ndarray:
-        if self.kind != "quadratic":
-            raise ValueError("closed-form minimizer only for quadratic problems")
-        b_mean = self.quad.B.mean(axis=0)
-        return np.linalg.solve(self.quad.A, b_mean)
+        """The closed-form minimizer A^{-1} bbar."""
+        return np.linalg.solve(self.A, self.B.mean(axis=0))
 
     def f_low(self) -> float:
-        """Exact minimum of f (quadratic problems only)."""
-        xs = self.minimizer()
-        return self.full_loss(xs)
+        """Exact minimum of f."""
+        return self.full_loss(self.minimizer())
 
 
-def _validate_pm1_labels(labels: np.ndarray):
-    if not np.all(np.isin(labels, (-1.0, 1.0))):
+def _linear_model(kind: str, dataset: Dataset, lam: float) -> LinearModelProblem:
+    if not np.all(np.isin(dataset.labels, (-1.0, 1.0))):
         raise ValueError("labels must lie in {-1, +1}")
+    if not 0 <= lam < np.inf:
+        raise ValueError("lam must be nonnegative and finite")
+    return LinearModelProblem(kind=kind, N=dataset.N, n=dataset.n, lam=lam, dataset=dataset)
 
 
-def make_sigmoid_svm(dataset: Dataset, lam: float) -> FiniteSumProblem:
+def make_sigmoid_svm(dataset: Dataset, lam: float) -> LinearModelProblem:
     """Nonconvex SVM with sigmoid loss: f_i = 1 - tanh(v_i x'u_i) + lam||x||^2."""
-    _validate_pm1_labels(dataset.labels)
-    if not 0 <= lam < np.inf:
-        raise ValueError("lam must be nonnegative and finite")
-    # curvature of 1 - tanh(z) is at most 4/(3*sqrt(3))
-    L = 4.0 / (3.0 * np.sqrt(3.0)) * dataset.max_row_sq_norm() + 2.0 * lam
-    return FiniteSumProblem(
-        kind="sigmoid-svm", N=dataset.N, n=dataset.n, lam=lam, dataset=dataset, L=L
-    )
+    return _linear_model("sigmoid-svm", dataset, lam)
 
 
-def make_logistic(dataset: Dataset, lam: float) -> FiniteSumProblem:
+def make_logistic(dataset: Dataset, lam: float) -> LinearModelProblem:
     """Binary logistic regression: f_i = log(1+exp(-v_i x'u_i)) + lam||x||^2."""
-    _validate_pm1_labels(dataset.labels)
-    if not 0 <= lam < np.inf:
-        raise ValueError("lam must be nonnegative and finite")
-    L = 0.25 * dataset.max_row_sq_norm() + 2.0 * lam
-    return FiniteSumProblem(
-        kind="logistic", N=dataset.N, n=dataset.n, lam=lam, dataset=dataset, L=L
-    )
+    return _linear_model("logistic", dataset, lam)
 
 
-def make_quadratic(A: np.ndarray, b: np.ndarray) -> FiniteSumProblem:
+def make_quadratic(A: np.ndarray, b: np.ndarray) -> QuadraticProblem:
     """Exact-oracle quadratic f(x) = 0.5 x'Ax - b'x split into N=n summands.
 
     A = sum_i eig_i v_i v_i' yields per-sample objectives
@@ -635,13 +638,10 @@ def make_quadratic(A: np.ndarray, b: np.ndarray) -> FiniteSumProblem:
     V = eigvecs.T  # rows are eigenvectors
     w = n * eigvals
     B = np.tile(b, (n, 1))
-    quad = _QuadData(A=A, B=B, V=V, w=w)
-    return FiniteSumProblem(
-        kind="quadratic", N=n, n=n, lam=0.0, quad=quad, L=float(eigvals.max())
-    )
+    return QuadraticProblem(N=n, n=n, A=A, B=B, V=V, w=w, L=float(eigvals.max()))
 
 
-def make_noisy_quadratic(A: np.ndarray, B: np.ndarray) -> FiniteSumProblem:
+def make_noisy_quadratic(A: np.ndarray, B: np.ndarray) -> QuadraticProblem:
     """Quadratics with shared SPD Hessian and per-sample linear terms.
 
     f_i(x) = 0.5 x'Ax - b_i'x, so f(x) = 0.5 x'Ax - mean(b_i)'x and the
@@ -661,7 +661,4 @@ def make_noisy_quadratic(A: np.ndarray, B: np.ndarray) -> FiniteSumProblem:
     eigvals = np.linalg.eigvalsh(0.5 * (A + A.T))
     if eigvals.min() <= 0:
         raise ValueError("A must be positive definite")
-    quad = _QuadData(A=A, B=B)
-    return FiniteSumProblem(
-        kind="quadratic", N=B.shape[0], n=n, lam=0.0, quad=quad, L=float(eigvals.max())
-    )
+    return QuadraticProblem(N=B.shape[0], n=n, A=A, B=B, L=float(eigvals.max()))

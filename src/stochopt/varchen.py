@@ -12,7 +12,7 @@ computed directly as the raw gradient difference.  A step therefore makes
 three batch passes, g(x), g(anchor) and g(x_new), and two when the memory is
 empty (p = 0, the SVRG case); each epoch adds one full_grad pass at the anchor.
 The problem keeps the batch it gathered last, so the three passes over one
-batch gather its rows once (problems.FiniteSumProblem._gather).  The anchor
+batch gather its rows once (problems.LinearModelProblem._gather).  The anchor
 sits at the previous epoch's last iterate, and its ||grad f|| goes on that
 epoch's last record, where the metrics report reads it instead of making a
 gradient pass of its own.

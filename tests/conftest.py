@@ -47,11 +47,11 @@ def traced_peak():
 
 @pytest.fixture
 def gathers(monkeypatch):
-    """A spy on FiniteSumProblem._gather: in order, True for each call that
+    """A spy on LinearModelProblem._gather: in order, True for each call that
     read the dataset's rows in place and False for each that gathered a
     copy of the batch's rows; a call served by the batch memo adds nothing."""
     calls = []
-    gather = problems.FiniteSumProblem._gather
+    gather = problems.LinearModelProblem._gather
 
     def spy(self, batch):
         memo = self._batch_memo
@@ -62,5 +62,5 @@ def gathers(monkeypatch):
             calls.append(False)
         return out
 
-    monkeypatch.setattr(problems.FiniteSumProblem, "_gather", spy)
+    monkeypatch.setattr(problems.LinearModelProblem, "_gather", spy)
     return calls

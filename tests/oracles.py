@@ -91,11 +91,10 @@ def per_sample_grads_reference(problem, batch, x: np.ndarray) -> np.ndarray:
     matrix-vector product can round a margin otherwise."""
     idx = np.sort(np.asarray(batch, dtype=np.int64))
     if problem.kind == "quadratic":
-        q = problem.quad
-        if q.V is None:  # M_i = A
-            return (q.A @ x)[None, :] - q.B[idx]
-        Vb = q.V[idx]  # M_i = w_i v_i v_i'
-        return (q.w[idx] * (Vb @ x))[:, None] * Vb - q.B[idx]
+        if problem.V is None:  # M_i = A
+            return (problem.A @ x)[None, :] - problem.B[idx]
+        Vb = problem.V[idx]  # M_i = w_i v_i v_i'
+        return (problem.w[idx] * (Vb @ x))[:, None] * Vb - problem.B[idx]
     rows = problem.dataset.features[idx]
     rows = rows.toarray() if sp.issparse(rows) else rows
     v = problem.dataset.labels[idx]

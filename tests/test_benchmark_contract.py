@@ -3,8 +3,9 @@ a run, stay in place: install and uninstall leave the package as it was,
 an entry the probe records holds a trace of StepRecords with iterates on
 the report's rows and empty ones elsewhere, the ARAS spans and row counts
 follow the stationary step's one fused pass, the probe can read the rows
-of every problem method it counts, and every algorithm entry returns a
-RunResult with what the benchmark reads of it."""
+of every problem method it counts, no problem kind hides an oracle method
+from its wrappers, and every algorithm entry returns a RunResult with what
+the benchmark reads of it."""
 
 import importlib.util
 import inspect
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import stochopt.aras
 import stochopt.baselines
@@ -22,7 +24,9 @@ import stochopt.lbfgs_core
 import stochopt.regularization
 import stochopt.sampling
 import stochopt.varchen
-from stochopt.problems import FiniteSumProblem
+from stochopt.problems import (
+    Dataset, FiniteSumProblem, LinearModelProblem, QuadraticProblem, make_logistic,
+    make_noisy_quadratic)
 from stochopt.record import RunResult, StepRecord
 
 PROBE_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "probe.py"
@@ -195,6 +199,63 @@ def test_probe_reads_the_rows_of_every_counted_problem_method(probe_module):
         else:
             expected = values["batch"] if "batch" in params else [values["i"]]
             assert list(rows) == expected, name
+
+
+ORACLE_METHODS = {"batch_loss", "batch_grad", "loss_and_grad", "full_grad", "full_loss",
+                  "full_losses", "grad_variance_l1"}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_no_problem_kind_hides_an_oracle_method_from_the_probe():
+    """The probe wraps the public methods in vars(FiniteSumProblem) only: a
+    subclass that redefined one would run unwrapped, and its calls would
+    silently drop out of grad_evals and loss_evals, and a public grad or
+    loss method of a subclass alone would never be counted."""
+    public = {name for name, fn in vars(FiniteSumProblem).items()
+              if not name.startswith("_") and inspect.isfunction(fn)}
+    assert public == ORACLE_METHODS
+    kinds = list(_subclasses(FiniteSumProblem))
+    assert {LinearModelProblem, QuadraticProblem} <= set(kinds)
+    for kind in kinds:
+        for name in vars(kind):
+            if not name.startswith("_"):
+                assert name not in public, (kind.__name__, name)
+                assert "grad" not in name and "loss" not in name, (kind.__name__, name)
+
+
+def _csr_logistic(N=40, n=6):
+    gen = np.random.default_rng(5)
+    X = sp.random(N, n, density=0.4, format="csr", random_state=gen)
+    y = np.where(gen.random(N) < 0.5, -1.0, 1.0)
+    return make_logistic(Dataset(features=X, labels=y), lam=0.01)
+
+
+def _noisy_quadratic(N=40, n=6):
+    gen = np.random.default_rng(6)
+    return make_noisy_quadratic(np.diag(gen.uniform(1.0, 2.0, n)), gen.standard_normal((N, n)))
+
+
+@pytest.mark.parametrize("build", [_noisy_quadratic, _csr_logistic],
+                         ids=["noisy-quadratic", "csr-logistic"])
+def test_probe_counts_sgd_rows_on_every_kind(probe_module, build):
+    """SGD asks for one batch gradient per chunk, so 2 epochs read 2N
+    gradient rows and no loss row, on a quadratic as on a linear model."""
+    from stochopt import BaselineParams
+
+    prob = build()
+    assert sp.issparse(prob.dataset.features) if prob.kind == "logistic" else prob.dataset is None
+    probe = probe_module.Probe().install()
+    try:
+        res = stochopt.harness.sgd_run(prob, BaselineParams(alpha=0.05, m=8, n_epochs=2), seed=1)
+    finally:
+        probe.uninstall()
+    assert res.iterations == 2 * prob.N // 8
+    assert probe.grad_evals == 2 * prob.N and probe.loss_evals == 0
 
 
 def test_every_entry_returns_a_run_result_the_benchmark_can_read(probe_module, monkeypatch):

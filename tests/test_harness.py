@@ -999,7 +999,7 @@ class TestCsrRuns:
     batch other than the whole index set is gathered (problems._CsrBatch);
     ARIG's passes are all over the whole set, which scipy reads in place.
     The report evaluates the iterates of its rows several per pass
-    (problems.FiniteSumProblem._csr_chunk); ARIG's rows carry their values
+    (problems.LinearModelProblem._csr_chunk); ARIG's rows carry their values
     and cost it no pass."""
 
     @pytest.mark.parametrize("algorithm", sorted(CSR_ALGORITHM_SECTIONS))
@@ -1012,7 +1012,7 @@ class TestCsrRuns:
             algorithm: CSR_ALGORITHM_SECTIONS[algorithm],
         }))
         kinds = []
-        gather = problems.FiniteSumProblem._gather
+        gather = problems.LinearModelProblem._gather
 
         def recording_gather(self, batch):
             out = gather(self, batch)
@@ -1020,14 +1020,14 @@ class TestCsrRuns:
             return out
 
         chunks = []
-        csr_chunk = problems.FiniteSumProblem._csr_chunk
+        csr_chunk = problems.LinearModelProblem._csr_chunk
 
         def recording_chunk(self, xs, grad):
             chunks.append(len(xs))
             return csr_chunk(self, xs, grad)
 
-        monkeypatch.setattr(problems.FiniteSumProblem, "_gather", recording_gather)
-        monkeypatch.setattr(problems.FiniteSumProblem, "_csr_chunk", recording_chunk)
+        monkeypatch.setattr(problems.LinearModelProblem, "_gather", recording_gather)
+        monkeypatch.setattr(problems.LinearModelProblem, "_csr_chunk", recording_chunk)
         assert main(["run", "--config", cfg]) == 0
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 0
         capsys.readouterr()
@@ -1135,6 +1135,25 @@ class TestCli:
     )
     def test_example_config_validates(self, path, capsys):
         assert main(["validate-config", "--config", str(path)]) == 0
+
+    def test_config_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        """A config saved with a UTF-8 byte-order mark (as Windows Notepad
+        writes) loads as the same file without it; without utf-8-sig the
+        mark sits before '[problem]' and the file has no section headers."""
+        src = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "logistic_sgd.ini"
+        path = tmp_path / "logistic_sgd.ini"
+        path.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+        assert main(["validate-config", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == "ok"
+        with_mark, without = load_config(path), load_config(src)
+        with_mark.out = without.out
+        assert with_mark == without
+
+    def test_config_byte_order_mark_keeps_unknown_key_errors(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"\xef\xbb\xbf" + textwrap.dedent(BASE_SGD + "turbo = yes\n").encode())
+        assert main(["validate-config", "--config", str(path)]) == 1
+        assert "[sgd] unknown key 'turbo'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("clamp", ["gamma_under = 2", "gamma_over = 0.5"])
     def test_varchen_clamp_without_one_fails_at_load(self, tmp_path, capsys, clamp):
@@ -1359,14 +1378,18 @@ class TestCli:
         assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
 
 
-def _load_diff_outputs():
+def _load_script(name):
     import importlib.util
 
-    path = Path(__file__).resolve().parents[1] / "scripts" / "diff_outputs.py"
-    spec = importlib.util.spec_from_file_location("diff_outputs", path)
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_diff_outputs():
+    return _load_script("diff_outputs")
 
 
 class TestDiffOutputs:
@@ -1432,3 +1455,45 @@ class TestDiffOutputs:
         out = capsys.readouterr().out
         assert "run.csv.manifest.json  config.problem.dataset  1 cells  non-numeric" in out
         assert "run.csv.manifest.json  dataset_sha256  1 cells  non-numeric" in out
+
+
+class TestRunConfigs:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def run_script(self, *args):
+        return subprocess.run([sys.executable, str(self.ROOT / "scripts" / "run_configs.py"),
+                               *map(str, args)], capture_output=True, text=True, timeout=300)
+
+    def test_two_runs_of_one_config_diff_clean(self, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            proc = self.run_script(self.ROOT / "src", out, "--cadence", "0", "3",
+                                   "--config", "logistic_sgd")
+            assert proc.returncode == 0, proc.stderr
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(f"logistic_sgd.cadence{c}.csv{suffix}"
+                               for c in (0, 3) for suffix in ("", ".manifest.json"))
+        manifest = json.loads((a / "logistic_sgd.cadence3.csv.manifest.json").read_text())
+        assert manifest["config"]["run"]["cadence"] == 3
+        assert manifest["numeric_env"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert _load_diff_outputs().main([str(a), str(b)]) == 0
+        assert "4 file pairs compared, all within 0 ulp" in capsys.readouterr().out
+
+    def test_compare_copies_load_as_their_configs(self, tmp_path):
+        """The compare's copy of a config writes where it is told and is
+        otherwise the config."""
+        script = _load_script("run_configs")
+        for stem in script.COMPARE:
+            config = script.CONFIG_DIR / f"{stem}.ini"
+            copy = script.compare_copy(config, tmp_path / "out" / f"{stem}.csv", tmp_path)
+            assert copy.parent == tmp_path
+            got, want = load_config(copy), load_config(config)
+            assert got.out == str(tmp_path / "out" / f"{stem}.csv")
+            got.out = want.out
+            assert got == want
+
+    def test_bad_source_or_config_name_exits_1(self, tmp_path):
+        proc = self.run_script(tmp_path, tmp_path / "out")
+        assert proc.returncode == 1 and "no stochopt package" in proc.stderr
+        proc = self.run_script(self.ROOT / "src", tmp_path / "out", "--config", "nosuch")
+        assert proc.returncode == 1 and "no config named nosuch" in proc.stderr

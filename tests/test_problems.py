@@ -489,7 +489,7 @@ class TestWholeSetMarginMemo:
             prob.loss_and_grad(np.arange(prob.N), x)
             prob.batch_grad([1, 0], x)
             prob.grad_variance_l1([1, 0], x)
-            assert prob._margins_memo is None and prob._batch_memo is None
+            assert not hasattr(prob, "_margins_memo") and not hasattr(prob, "_batch_memo")
 
     @pytest.mark.parametrize("mode", ["exact", "inexact-g"])
     def test_arig_makes_one_margin_product_per_iterate(self, rng, monkeypatch, mode):
