@@ -1,15 +1,14 @@
 """Run the example configs with one source tree's code.
 
-    python scripts/run_configs.py SRC OUT [--cadence 0 1 7] [--config NAME ...]
+    python scripts/run_configs.py SRC OUT
 
-Runs every ``scripts/configs/*.ini`` once per cadence, each in its own child
-process with SRC (the directory holding a checkout's ``stochopt`` package,
-its ``src``) first on PYTHONPATH and OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-MKL_NUM_THREADS at 1, and writes ``OUT/<config>.cadence<c>.csv`` and its
-manifest.  It then runs one ``compare`` of logistic_aras, logistic_sgd and
+Runs every ``scripts/configs/*.ini`` at report cadence 0, 1 and 7, each in
+its own child process with SRC (the directory holding a checkout's
+``stochopt`` package, its ``src``) first on PYTHONPATH and
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS at 1, and writes
+``OUT/<config>.cadence<c>.csv`` and its manifest.  It then runs one ``compare`` of logistic_aras, logistic_sgd and
 logistic_svrg at their own cadence, whose outputs are
-``OUT/compare.<config>.csv``.  With ``--config`` only the named configs run
-(by file stem), and no compare.
+``OUT/compare.<config>.csv``.
 
 The configs are read from this script's checkout, so two source trees run
 the same configs, and the outputs of a change that should keep every bit
@@ -35,6 +34,7 @@ from pathlib import Path
 CONFIG_DIR = Path(__file__).resolve().parent / "configs"
 COMPARE = ("logistic_aras", "logistic_sgd", "logistic_svrg")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+CADENCES = (0, 1, 7)
 
 
 def child_env(src: Path) -> dict:
@@ -71,43 +71,30 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("src", type=Path, help="the directory holding the stochopt package")
     parser.add_argument("out", type=Path, help="directory the outputs are written to")
-    parser.add_argument("--cadence", type=int, nargs="+", default=[0, 1, 7],
-                        help="report cadences each config runs at (default 0 1 7)")
-    parser.add_argument("--config", nargs="+", metavar="NAME",
-                        help="run only these configs (file stems), and no compare")
     args = parser.parse_args(argv)
 
     src = args.src.resolve()
     if not (src / "stochopt" / "__init__.py").is_file():
         print(f"error: no stochopt package in {args.src}", file=sys.stderr)
         return 1
-    configs = sorted(CONFIG_DIR.glob("*.ini"))
-    if args.config:
-        unknown = set(args.config) - {path.stem for path in configs}
-        if unknown:
-            print(f"error: no config named {', '.join(sorted(unknown))} in {CONFIG_DIR}",
-                  file=sys.stderr)
-            return 1
-        configs = [path for path in configs if path.stem in args.config]
     out = args.out.resolve()
     out.mkdir(parents=True, exist_ok=True)
     env = child_env(src)
 
     try:
-        for config in configs:
-            for cadence in args.cadence:
+        for config in sorted(CONFIG_DIR.glob("*.ini")):
+            for cadence in CADENCES:
                 csv_path = out / f"{config.stem}.cadence{cadence}.csv"
                 run_stochopt(env, out, "run", "--config", str(config),
                              "--cadence", str(cadence), "--out", str(csv_path))
                 print(csv_path.name)
-        if not args.config:
-            with tempfile.TemporaryDirectory() as tmp:
-                copies = [compare_copy(CONFIG_DIR / f"{stem}.ini",
-                                       out / f"compare.{stem}.csv", Path(tmp))
-                          for stem in COMPARE]
-                run_stochopt(env, out, "compare",
-                             *(arg for copy in copies for arg in ("--config", str(copy))))
-            print("compare: " + ", ".join(f"compare.{stem}.csv" for stem in COMPARE))
+        with tempfile.TemporaryDirectory() as tmp:
+            copies = [compare_copy(CONFIG_DIR / f"{stem}.ini",
+                                   out / f"compare.{stem}.csv", Path(tmp))
+                      for stem in COMPARE]
+            run_stochopt(env, out, "compare",
+                         *(arg for copy in copies for arg in ("--config", str(copy))))
+        print("compare: " + ", ".join(f"compare.{stem}.csv" for stem in COMPARE))
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

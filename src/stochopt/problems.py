@@ -44,8 +44,8 @@ of x, so full_grad(x) right after full_loss(x), as ARIG asks at each
 accepted trial point, makes no second product (the same holds for a
 whole-set loss_and_grad or grad_variance_l1 at that x).  The memo holds N
 floats, is replaced as one tuple, and is never read or written by a
-gathered batch.  Like ``L``, computed on its first read, it assumes the
-dataset is not changed in place after the problem is built.
+gathered batch.  Like ``L``, it assumes the dataset is not changed in place
+after the problem is built.
 
 Passes over one gathered batch share its gather: a linear model keeps the
 last batch it gathered (sorted indices, rows and labels, all read-only),
@@ -78,7 +78,6 @@ which the harness records in each run's manifest (``numeric_env``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -115,8 +114,7 @@ FULL_PASS_CHUNK = 8
 # The batch full_grad and full_loss hand to _mean_pass: the whole set, no indices.
 _WHOLE_SET = object()
 
-# Upper bounds on each loss's second derivative in the margin z: 1/4 for
-# log(1 + exp(-z)), 4/(3 sqrt 3) for 1 - tanh(z).
+# Bounds on each loss's second derivative in z: log(1 + exp(-z)), 1 - tanh(z).
 _CURVATURE = {"logistic": 0.25, "sigmoid-svm": 4.0 / (3.0 * np.sqrt(3.0))}
 
 
@@ -363,6 +361,10 @@ class LinearModelProblem(FiniteSumProblem):
 
     kind: str  # "logistic" | "sigmoid-svm"
     dataset: Dataset
+    # the dataset's N and n; L bounds grad f's Lipschitz constant (diagnostics)
+    N: int = field(init=False)
+    n: int = field(init=False)
+    L: float = field(init=False)
     # The last whole-set margin pass, (x.tobytes(), signed margins v*(U x)),
     # replaced as one tuple; see _margins_and_coefs.
     _margins_memo: Optional[Tuple[bytes, np.ndarray]] = field(
@@ -372,11 +374,17 @@ class LinearModelProblem(FiniteSumProblem):
     _batch_memo: Optional[Tuple[bytes, tuple]] = field(
         default=None, init=False, compare=False, repr=False)
 
-    @cached_property
-    def L(self) -> float:
-        """An analytic upper bound on the Lipschitz constant of grad f, for
-        diagnostics only; its pass over the rows runs on the first read."""
-        return _CURVATURE[self.kind] * self.dataset.max_row_sq_norm() + 2.0 * self.lam
+    def __post_init__(self):
+        if self.kind not in _CURVATURE:
+            raise ValueError(f"unknown linear model kind {self.kind!r}")
+        if not np.all(np.isin(self.dataset.labels, (-1.0, 1.0))):
+            raise ValueError("labels must lie in {-1, +1}")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lam must be nonnegative and finite")
+        object.__setattr__(self, "N", self.dataset.N)
+        object.__setattr__(self, "n", self.dataset.n)
+        object.__setattr__(self, "L", _CURVATURE[self.kind] * self.dataset.max_row_sq_norm()
+                           + 2.0 * self.lam)
 
     @property
     def _points_per_pass(self) -> int:
@@ -600,22 +608,14 @@ class QuadraticProblem(FiniteSumProblem):
         return self.full_loss(self.minimizer())
 
 
-def _linear_model(kind: str, dataset: Dataset, lam: float) -> LinearModelProblem:
-    if not np.all(np.isin(dataset.labels, (-1.0, 1.0))):
-        raise ValueError("labels must lie in {-1, +1}")
-    if not 0 <= lam < np.inf:
-        raise ValueError("lam must be nonnegative and finite")
-    return LinearModelProblem(kind=kind, N=dataset.N, n=dataset.n, lam=lam, dataset=dataset)
-
-
 def make_sigmoid_svm(dataset: Dataset, lam: float) -> LinearModelProblem:
     """Nonconvex SVM with sigmoid loss: f_i = 1 - tanh(v_i x'u_i) + lam||x||^2."""
-    return _linear_model("sigmoid-svm", dataset, lam)
+    return LinearModelProblem(kind="sigmoid-svm", dataset=dataset, lam=lam)
 
 
 def make_logistic(dataset: Dataset, lam: float) -> LinearModelProblem:
     """Binary logistic regression: f_i = log(1+exp(-v_i x'u_i)) + lam||x||^2."""
-    return _linear_model("logistic", dataset, lam)
+    return LinearModelProblem(kind="logistic", dataset=dataset, lam=lam)
 
 
 def make_quadratic(A: np.ndarray, b: np.ndarray) -> QuadraticProblem:

@@ -962,6 +962,19 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             make_sigmoid_svm(ds, lam=0.0)
 
+    @pytest.mark.parametrize("kind, labels, lam, message", [
+        ("logistic", [1.0, 0.0, -1.0], 0.0, "labels must lie in"),
+        ("sigmoid-svm", [1.0, 1.0, -1.0], -0.1, "lam must be nonnegative"),
+        ("sigmoid-svm", [1.0, 1.0, -1.0], np.inf, "lam must be nonnegative"),
+        ("quadratic", [1.0, 1.0, -1.0], 0.0, "unknown linear model kind"),
+    ])
+    def test_linear_model_built_directly_is_checked(self, rng, kind, labels, lam, message):
+        """The class checks its own input, so building it without make_*
+        skips no check."""
+        ds = Dataset(features=rng.standard_normal((3, 2)), labels=np.array(labels))
+        with pytest.raises(ValueError, match=message):
+            problems.LinearModelProblem(kind=kind, dataset=ds, lam=lam)
+
     def test_sparse_matches_dense(self, rng):
         X = rng.standard_normal((6, 5))
         X[X < 0.3] = 0.0

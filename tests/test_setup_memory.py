@@ -134,36 +134,6 @@ class TestRowNorms:
                 svm = make_sigmoid_svm(ds, lam=0.0)
                 assert svm.L == 4.0 / (3.0 * np.sqrt(3.0)) * want
 
-    def test_L_row_pass_runs_on_first_read(self, monkeypatch):
-        """No run path reads L, so building a problem makes no pass over the
-        rows: harness._build_problem makes no max_row_sq_norm call, the
-        first read of L makes one, a second read none, and the value is
-        bitwise the formula evaluated when the problem is built, on dense,
-        canonical CSR and non-canonical CSR rows."""
-        calls = []
-        norm = Dataset.max_row_sq_norm
-
-        def spy(ds):
-            calls.append(ds)
-            return norm(ds)
-
-        monkeypatch.setattr(Dataset, "max_row_sq_norm", spy)
-        gen = np.random.default_rng(11)
-        dense = gen.standard_normal((30, 6)) * 10.0 ** gen.uniform(-3, 3, 6)
-        for feats in (dense, *self.csr_variants(gen, 30, 6)):
-            ds = Dataset(features=feats, labels=np.where(gen.random(30) < 0.5, -1.0, 1.0))
-            for kind, lam in (("logistic", 0.1), ("sigmoid-svm", 0.3)):
-                config = harness.ExperimentConfig(kind=kind, algorithm="sgd", out="run.csv",
-                                                  lam=lam)
-                prob = harness._build_problem(config, ds)
-                prob.full_grad(np.ones(6))
-                assert calls == []
-                eager = (0.25 * norm(ds) + 2.0 * lam if kind == "logistic"
-                         else 4.0 / (3.0 * np.sqrt(3.0)) * norm(ds) + 2.0 * lam)
-                assert np.float64(prob.L).tobytes() == np.float64(eager).tobytes()
-                assert prob.L == eager and calls == [ds]
-                calls.clear()
-
     def test_nan_row_gives_nan(self):
         feats = np.ones((5, 3))
         feats[3, 1] = np.nan
