@@ -53,8 +53,8 @@ def sgd_run(
 ) -> RunResult:
     """x <- x - alpha * batch gradient."""
 
-    def step(x, batch, k, first):
-        return x - params.alpha * problem.batch_grad(batch, x), lambda: {"samples": batch.size}
+    def step(x, batch, k):
+        return x - params.alpha * problem.batch_grad(batch, x), None
 
     return _epoch_loop(problem, params.m, params.n_epochs, seed, x0, recorder, step)
 
@@ -66,10 +66,10 @@ def sgd_momentum_run(
     """Heavy ball: v <- momentum*v - alpha*g; x <- x + v."""
     v = np.zeros(problem.n)
 
-    def step(x, batch, k, first):
+    def step(x, batch, k):
         nonlocal v
         v = params.momentum * v - params.alpha * problem.batch_grad(batch, x)
-        return x + v, lambda: {"samples": batch.size}
+        return x + v, None
 
     return _epoch_loop(problem, params.m, params.n_epochs, seed, x0, recorder, step)
 

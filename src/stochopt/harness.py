@@ -25,12 +25,16 @@ record.Recorder, which keeps a record's iterate only when the report will
 read it, so a run holds one iterate per report row, not one per step.  The
 report runs after the algorithm entry returns: the full-pass loss, gradient
 norm and accuracy of the selected rows are evaluation, kept out of the
-optimizer's time and oracle counts.  Where the run already computed the exact loss and gradient
-norm at a row's iterate (ARIG's full passes), the record carries them and
-the report makes no second pass; where it computed only the gradient
-(a VARCHEN/SVRG anchor), the report makes a loss-only pass.  The passes
-the report makes are handed to the problem several points per call
-(full_losses), which evaluates CSR rows one pass per call.
+optimizer's time and oracle counts.  Where the run already computed the
+exact loss and gradient norm at a row's iterate (ARIG's full passes with an
+exact f), the record carries them and the report makes no second pass;
+where it computed only the gradient (ARIG with a noisy f, a VARCHEN/SVRG
+anchor), the report makes a loss-only pass.  The passes the report makes
+are handed to the problem several points per call (full_losses), which
+evaluates CSR rows one pass per call.  A run builds a
+problems.LinearModelProblem of the config's kind.  A diverging run is
+reported by its manifest and its inf cells, so numpy's overflow and
+invalid-value warnings are off while a run and its report execute.
 
 Every output file is replaced by a new file rather than truncated in place
 (see _open_fresh): on ext4, truncating the previous run's not-yet-flushed
@@ -80,10 +84,10 @@ from .baselines import BaselineParams, sgd_momentum_run, sgd_run, svrg_run
 from .problems import (
     DENSE_DIM_LIMIT,
     FULL_PASS_CHUNK,
+    LINEAR_MODEL_KINDS,
     Dataset,
+    LinearModelProblem,
     block_rows,
-    make_logistic,
-    make_sigmoid_svm,
 )
 from .record import Recorder, is_report_row
 from .regularization import ARIG_MODES, RegParams, arig_run
@@ -646,8 +650,6 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
-PROBLEM_KINDS = ("logistic", "sigmoid-svm")
-
 # Every config section is a dataclass: its keys are the fields, each parsed
 # as the field's annotated type, and a key left unset keeps the class's
 # default.  [problem] and [run] are these fields of ExperimentConfig, and
@@ -792,8 +794,8 @@ def load_config(path) -> ExperimentConfig:
     kind = prob.get("kind")
     if kind is None:
         errors.append("[problem] kind is required")
-    elif kind not in PROBLEM_KINDS:
-        errors.append(f"[problem] kind must be one of {PROBLEM_KINDS}, got {kind!r}")
+    elif kind not in LINEAR_MODEL_KINDS:
+        errors.append(f"[problem] kind must be one of {LINEAR_MODEL_KINDS}, got {kind!r}")
     if not 0 <= prob.get("lam", 0.0) < math.inf:
         errors.append("[problem] lam must be nonnegative and finite")
 
@@ -947,12 +949,6 @@ def _resolve_datasets(config: ExperimentConfig) -> Tuple[Dataset, Optional[Datas
     return train, test, _dataset_hash(train)
 
 
-def _build_problem(config: ExperimentConfig, dataset: Dataset):
-    if config.kind == "logistic":
-        return make_logistic(dataset, lam=config.lam)
-    return make_sigmoid_svm(dataset, lam=config.lam)
-
-
 def _accuracy(dataset: Dataset, x: np.ndarray) -> float:
     margins = dataset.features @ x
     margins = np.asarray(margins).ravel()
@@ -1001,9 +997,11 @@ def _trace_to_metrics(
     exact function values, see record.py) gives them to its row as they
     are.  The report first selects its rows, then evaluates the iterates of
     the rest with problem.full_losses, FULL_PASS_CHUNK points per call:
-    those of records with grad_norm alone (the last step of a VARCHEN/SVRG
-    epoch that another epoch's anchor followed) loss-only, and those of
-    records with neither with their gradients.  Each value has the bits of
+    those of records with grad_norm alone (ARIG in "inexact-g-and-f" mode,
+    the last step of a VARCHEN/SVRG epoch that another epoch's anchor
+    followed) loss-only, and those of records without grad_norm (the last
+    record of an ARIG run that exhausted its budget carries its loss, which
+    the pass gives again) with their gradients.  Each value has the bits of
     a full_loss or loss_and_grad pass over all N samples; CSR rows take one
     pass per call."""
     trace = result.trace
@@ -1074,17 +1072,21 @@ def _run(config: ExperimentConfig, resolved: Tuple[Dataset, Optional[Dataset], s
     """run_experiment on datasets already resolved for this config; returns
     the metrics CSV path and the rows written to it."""
     train, test, ds_hash = resolved
-    problem = _build_problem(config, train)
     # the entries are looked up here, at call time, where a wrapper patched
     # onto the module's names (benchmarks/probe.py) sees the call
     run = {"arig": arig_run, "aras": aras_run, "varchen": varchen_run, "sgd": sgd_run,
            "sgd-momentum": sgd_momentum_run, "svrg": svrg_run}[config.algorithm]
     kwargs = {"mode": config.arig_mode} if config.algorithm == "arig" else {}
-    # the run keeps x only on the records the report reads
-    result = run(problem, config.algo_params, seed=config.seed,
-                 recorder=Recorder(config.cadence), **kwargs)
+    # A diverging run overflows on its way to the abort, and its report on
+    # the last finite iterate; the manifest's aborted/abort_reason and the
+    # inf cells report it, so numpy's warnings would only repeat that.
+    with np.errstate(over="ignore", invalid="ignore"):
+        problem = LinearModelProblem(kind=config.kind, dataset=train, lam=config.lam)
+        # the run keeps x only on the records the report reads
+        result = run(problem, config.algo_params, seed=config.seed,
+                     recorder=Recorder(config.cadence), **kwargs)
+        rows = _trace_to_metrics(config, problem, test, result)
 
-    rows = _trace_to_metrics(config, problem, test, result)
     out_path = Path(config.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(out_path, rows)

@@ -89,6 +89,7 @@ from scipy.sparse import _sparsetools
 __all__ = [
     "Dataset",
     "FiniteSumProblem",
+    "LINEAR_MODEL_KINDS",
     "LinearModelProblem",
     "QuadraticProblem",
     "make_sigmoid_svm",
@@ -116,6 +117,7 @@ _WHOLE_SET = object()
 
 # Bounds on each loss's second derivative in z: log(1 + exp(-z)), 1 - tanh(z).
 _CURVATURE = {"logistic": 0.25, "sigmoid-svm": 4.0 / (3.0 * np.sqrt(3.0))}
+LINEAR_MODEL_KINDS = tuple(_CURVATURE)  # the kinds a LinearModelProblem takes
 
 
 def block_rows(row_bytes: int) -> int:

@@ -1,22 +1,26 @@
 """The per-step record every optimizer appends to its trace, and the result
 every run returns.
 
-Each algorithm fills the step counter k, its epoch, the samples the step's
+Each run loop fills the step counter k, its epoch, the samples the step's
 batch used (m_used), the samples it is charged in the metrics report
-(samples: m_used, plus N on the first step of an anchored VARCHEN/SVRG
-epoch, whose full-gradient pass belongs to that step) and the iterate x
-after the step.  ARIG takes full-batch steps, so its epoch is k and both
-counts are N.  Every other field is None for an algorithm that has no value
-for it, and the report copies its columns straight from the record.
+(samples) and the iterate x after the step.  Three loops set samples:
+varchen._epoch_loop (VARCHEN, SVRG, SGD, momentum) charges the batch size,
+plus N on the first step of an anchored VARCHEN/SVRG epoch, whose
+full-gradient pass belongs to that step; ARAS's _record charges the
+batch the step used; arig_run takes full-batch steps, so its epoch is k and both counts
+are N.  Every other field is None for an algorithm that has no value for
+it, and the report copies its columns straight from the record.
 
 loss and grad_norm are the exact full objective f(x) and ||grad f(x)|| at the
-record's x, set only when the run itself computed them exactly there; the
-report copies what a record carries and computes only the rest.  ARIG in
-"exact" and "inexact-g" mode sets both (see regularization.arig_run), so
-its rows cost no pass.  VARCHEN and SVRG set grad_norm alone on the last
-step of an epoch that another epoch follows, from the next anchor's full
-gradient at the same x, so those rows cost a loss-only pass.  Every other
-record has neither, and a row kept for it costs a full loss_and_grad pass.
+record's x, each set only when the run itself computed it exactly there;
+the report copies what a record carries and computes only the rest.  ARIG
+sets loss to the exact f a step kept, so not in "inexact-g-and-f" mode, and
+sets grad_norm from its next gradient-oracle call, so not on the last record
+of a run that exhausts its budget (see regularization.arig_run).  VARCHEN
+and SVRG set grad_norm alone on the last step of an epoch that another
+epoch follows, from the next anchor's full gradient at the same x.  A row
+whose record has both costs the report no pass, one with grad_norm alone a
+loss-only pass, and one without grad_norm a full loss_and_grad pass.
 
 All six run loops return a RunResult: the final x, the step count, the
 trace, and the abort_reason of a run that diverged (aborted is its
@@ -51,8 +55,9 @@ Stamp = Callable[[np.ndarray], dict]
 
 @dataclass
 class StepRecord:
-    """One step.  Not frozen: a Recorder rebinds x to NO_X, and VARCHEN sets
-    grad_norm on an epoch's last record once the next anchor gives it."""
+    """One step.  Not frozen: a Recorder rebinds x to NO_X, and ARIG and
+    VARCHEN set grad_norm on their last record once the next full gradient
+    gives it."""
 
     k: int
     epoch: int
@@ -66,7 +71,7 @@ class StepRecord:
     Lam: Optional[float] = None
     flushed: Optional[bool] = None  # VARCHEN/SVRG: memory flushed before the step
     phase: Optional[str] = None  # ARAS: "transient" | "stationary"
-    loss: Optional[float] = None  # ARIG: exact f(x), with grad_norm, or both None
+    loss: Optional[float] = None  # ARIG: the exact f(x) the step kept
     grad_norm: Optional[float] = None  # ARIG, VARCHEN/SVRG epoch end: exact ||grad f(x)||
     # diagnostics
     gnorm: Optional[float] = None  # ARIG/ARAS: norm of the step's gradient

@@ -94,7 +94,6 @@ class RegState:
     x: np.ndarray
     sigma: float
     k: int = 0
-    n_success: int = 0
     consec_rejects: int = 0
     # a rejected step re-enters the step computation with the same gradient
     pending_g: Optional[np.ndarray] = None
@@ -106,11 +105,6 @@ class RegState:
     # it).  An exact value satisfies any accuracy request, so the next step
     # reuses it instead of asking for f(x) again.
     exact_f: Optional[Tuple[np.ndarray, float]] = None
-
-    @property
-    def n_reject(self) -> int:
-        """Rejected steps: every step counted in k is accepted or rejected."""
-        return self.k - self.n_success
 
 
 def model_decrease(sigma: float, gnorm_sq: float) -> float:
@@ -233,7 +227,6 @@ def arig_step(
     if rho >= params.eta1:
         state.x = x_new
         f_kept, omega_kept = f_new, omega_f_hat
-        state.n_success += 1
         state.consec_rejects = 0
         state.pending_g = None
         status = "accepted"
@@ -266,14 +259,15 @@ def arig_run(
     or "inexact-g-and-f" (additionally, bounded noise on function values;
     requires params.eta0).
 
-    A step's record carries the exact f and ||grad f|| at its iterate when
-    the run computed both there: f is the kept value of an exact function
-    oracle (state.exact_f), and ||grad f|| is what the gradient oracle
-    reports at that iterate, in the next step or the termination test.  So
-    the record is built one step late, with wall_ms stamped at the end of its
-    own step.  The last record of a run that exhausts max_iters or
-    REJECTION_LIMIT, and every record in "inexact-g-and-f" mode, carry
-    neither.  The records go to `recorder` when given (see record.Recorder).
+    A step's record is appended when the step ends.  Its loss is the exact
+    f the step kept (state.exact_f), so it is None in "inexact-g-and-f"
+    mode, whose f values are noisy.  Its grad_norm is ||grad f|| at its
+    iterate, which the gradient oracle reports in the next step or the
+    termination test, so arig_run sets it on trace[-1] after the next
+    arig_step, as varchen._epoch_loop does with an epoch's anchor.  So the
+    last record of a run that exhausts max_iters or REJECTION_LIMIT has no
+    grad_norm.  The records go to `recorder` when given (see
+    record.Recorder).
     """
     if mode not in ARIG_MODES:
         raise ValueError(f"unknown oracle mode {mode!r}")
@@ -295,49 +289,37 @@ def arig_run(
     state = RegState(x=x, sigma=params.sigma0)
     terminated = False
     reason = None
-    # the last step's record fields and exact f, awaiting ||grad f|| at its x
-    pending: Optional[Tuple[dict, Optional[float]]] = None
 
     while state.k < params.max_iters:
         sigma_used = state.sigma
         out = arig_step(state, params, g_oracle, f_oracle)
-        if pending is not None:
-            trace.append(_record(*pending, state.grad_norm))
-            pending = None
+        if trace:
+            trace[-1].grad_norm = state.grad_norm
         if out.status == "terminated":
             terminated = True
             break
         if out.status == "non-finite":
             reason = f"non-finite trial iterate at iteration {state.k}"
             break
-        fields = dict(
+        trace.append(StepRecord(
             k=state.k,
             epoch=state.k,
             m_used=problem.N,
             samples=problem.N,
             **stamp(state.x),
             sigma=sigma_used,
+            loss=state.exact_f[1] if state.exact_f is not None else None,
             gnorm=out.gnorm,
             rho=out.rho,
             accepted=(out.status == "accepted"),
             f_val=out.f_old,
-        )
-        pending = (fields, state.exact_f[1] if state.exact_f is not None else None)
+        ))
         if state.consec_rejects >= REJECTION_LIMIT:
             reason = f"{REJECTION_LIMIT} consecutive rejected steps at iteration {state.k}"
             break
-    if pending is not None:
-        trace.append(_record(*pending, None))
 
     return RunResult(x=state.x, iterations=state.k, trace=trace, abort_reason=reason,
                      terminated=terminated, sigma_final=state.sigma)
-
-
-def _record(fields: dict, loss: Optional[float], grad_norm: Optional[float]) -> StepRecord:
-    """A step's record: loss and grad_norm only when both are exact values."""
-    if loss is None or grad_norm is None:
-        loss = grad_norm = None
-    return StepRecord(**fields, loss=loss, grad_norm=grad_norm)
 
 
 # -- oracle factories ---------------------------------------------------------

@@ -18,10 +18,11 @@ epoch's last record, where the metrics report reads it instead of making a
 gradient pass of its own.
 
 The epoch loop here (_epoch_loop) also runs SGD and momentum (baselines.py):
-it owns the sampler, the chunk walk, the StepRecords and the result, and the
-algorithm supplies only its step.  Every algorithm it runs aborts one way: a
-non-finite iterate ends the run with aborted=True, abort_reason "non-finite
-iterate at epoch e, iteration k" and x the last finite iterate.
+it owns the sampler, the chunk walk, the StepRecords with their samples
+charge, and the result, and the algorithm supplies only its step.  Every
+algorithm it runs aborts one way: a non-finite iterate ends the run with
+aborted=True, abort_reason "non-finite iterate at epoch e, iteration k" and
+x the last finite iterate.
 """
 
 from __future__ import annotations
@@ -144,14 +145,17 @@ def svrg_gradient(problem, batch, x: np.ndarray, anchor: AnchorState) -> np.ndar
 def _epoch_loop(problem, m: int, n_epochs: int, seed: int, x0: Optional[np.ndarray],
                 recorder: Optional[Recorder], step, anchor_norm=None) -> RunResult:
     """Walk n_epochs shuffles of the samples in chunks of min(m, N), one
-    step(x, batch, k, first) -> (x_new, finish) per chunk (first: the epoch's
-    first chunk).  finish() runs only once x_new is known to be finite; it
-    completes the step and returns the algorithm's StepRecord fields.
+    step(x, batch, k) -> (x_new, finish) per chunk.  finish, None when the
+    step has nothing to complete, runs only once x_new is known to be
+    finite; it completes the step and returns the algorithm's StepRecord
+    fields.  The loop sets every record's samples charge: the batch size,
+    plus N on the first step of an anchored epoch.
 
     An anchored algorithm passes anchor_norm(x) -> ||grad f(x)||, which
     anchors the epoch at x before its first chunk.  That x is the previous
     epoch's last iterate, so the exact norm goes on that epoch's last
-    record, which the report keeps at cadence 0."""
+    record, which the report keeps at cadence 0, and the anchor's
+    full-gradient pass is charged to the new epoch's first step."""
     N = problem.N
     m_eff = min(m, N)
     sampler = SamplerState(N=N, seed=seed)
@@ -160,23 +164,27 @@ def _epoch_loop(problem, m: int, n_epochs: int, seed: int, x0: Optional[np.ndarr
     k = 0
     for epoch in range(n_epochs):
         sampler.start_epoch()
+        extra = 0  # samples charged to the epoch's first step beyond its batch
         if anchor_norm is not None:
             grad_norm = anchor_norm(x)
+            extra = N
             if trace:
                 trace[-1].grad_norm = grad_norm
         consumed = 0
         while consumed < N:
             m_k = min(m_eff, N - consumed)
             batch = sampler.next_chunk(m_k)
-            x_new, finish = step(x, batch, k, consumed == 0)
+            x_new, finish = step(x, batch, k)
             if not np.all(np.isfinite(x_new)):
                 reason = f"non-finite iterate at epoch {epoch}, iteration {k}"
                 return RunResult(x=x, iterations=k, trace=trace, abort_reason=reason)
-            fields = finish()
+            fields = finish() if finish is not None else {}
             x = x_new
             k += 1
             consumed += m_k
-            trace.append(StepRecord(k=k, epoch=epoch, m_used=m_k, **stamp(x), **fields))
+            trace.append(StepRecord(k=k, epoch=epoch, m_used=m_k, samples=m_k + extra,
+                                    **stamp(x), **fields))
+            extra = 0
     return RunResult(x=x, iterations=k, trace=trace)
 
 
@@ -189,7 +197,6 @@ def varchen_run(
 ) -> RunResult:
     """Run n_epochs epochs of anchored, bound-controlled quasi-Newton steps,
     recorded in `recorder` when given (see record.Recorder)."""
-    N = problem.N
     memory = params.new_memory()
     anchor: Optional[AnchorState] = None
 
@@ -198,7 +205,7 @@ def varchen_run(
         anchor = AnchorState(x_anchor=x.copy(), full_grad_anchor=problem.full_grad(x))
         return float(np.linalg.norm(anchor.full_grad_anchor))
 
-    def step(x, batch, k, first):
+    def step(x, batch, k):
         g_x, g_tilde = _svrg_terms(problem, batch, x, anchor)
         lam, Lam, flushed = enforce_bounds(memory)
         x_new = x + step_size(params.schedule, k) * two_loop_apply(memory, g_tilde)
@@ -206,9 +213,7 @@ def varchen_run(
         def finish():
             if params.p > 0:
                 push_pair(memory, x_new - x, problem.batch_grad(batch, x_new) - g_x)
-            # the anchor's full-gradient pass is charged to the epoch's first step
-            return dict(samples=batch.size + (N if first else 0), lam=lam, Lam=Lam,
-                        flushed=flushed, gamma_tilde=memory.gamma_tilde)
+            return dict(lam=lam, Lam=Lam, flushed=flushed, gamma_tilde=memory.gamma_tilde)
 
         return x_new, finish
 

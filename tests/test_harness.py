@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1070,7 +1071,8 @@ class TestCli:
             "[sgd]\n    alpha = 0.1\n    m = 16\n",
             "[aras]\n    sigma0 = 1e-310\n    sigma_min = 1e-310\n")
         cfg = write_config(tmp_path, text)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["run", "--config", cfg]) == 0
         assert capsys.readouterr().err == ""
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
@@ -1090,7 +1092,8 @@ class TestCli:
             "run": {"algorithm": "arig", "seed": 1, "out": "run.csv"},
             "arig": {"eps": 1e-6},
         }))
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["run", "--config", cfg]) == 0
         assert capsys.readouterr().err == ""
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
@@ -1108,11 +1111,33 @@ class TestCli:
         text = BASE_SGD.replace("algorithm = sgd", f"algorithm = {algorithm}").replace(
             "[sgd]\n    alpha = 0.1\n", f"[{algorithm}]\n    {step} = 1e308\n")
         cfg = write_config(tmp_path, text)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert main(["run", "--config", cfg]) == 0
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
         assert manifest["aborted"] is True
         assert manifest["abort_reason"] == "non-finite iterate at epoch 0, iteration 1"
+
+    def test_diverging_run_prints_nothing_to_stderr(self, tmp_path):
+        """The example SGD config with alpha = 1e308 overflows on its way to
+        the abort and in the report of its last finite iterate; the run
+        reports that in its manifest and inf cells, and numpy warns nothing."""
+        root = Path(__file__).resolve().parents[1]
+        text = (root / "scripts" / "configs" / "logistic_sgd.ini").read_text()
+        assert "alpha = 0.1\n" in text
+        cfg = tmp_path / "diverging.ini"
+        cfg.write_text(text.replace("alpha = 0.1\n", "alpha = 1e308\n"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        out = tmp_path / "run.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "stochopt", "run", "--config", str(cfg), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert manifest["aborted"] is True
 
     def test_run_without_simd_dispatch_targets(self, tmp_path):
         """With every dispatch target above the baseline switched off, numpy
@@ -1390,6 +1415,48 @@ def _load_script(name):
 
 def _load_diff_outputs():
     return _load_script("diff_outputs")
+
+
+class TestCountLines:
+    MODULE = '''\
+        """Module docstring
+        on two lines."""
+
+        # a comment
+        import os  # code with a comment
+
+
+        class A:
+            """Class docstring."""
+
+            def f(self):
+                """Function
+                docstring."""
+                return """a string
+
+                that is code"""
+        '''
+
+    def test_counts_lines_and_code_lines(self, tmp_path, capsys):
+        """Blank lines, comment-only lines and docstrings are not code; code
+        with a comment is, and so is every line of any other string."""
+        script = _load_script("count_lines")
+        source = textwrap.dedent(self.MODULE)
+        assert script.count(source) == (16, 6)
+        (tmp_path / "mod.py").write_text(source)
+        (tmp_path / "b.py").write_text("x = 1\n")
+        (tmp_path / "notes.txt").write_text("not a module\n")
+        assert script.main([str(tmp_path)]) == 0
+        assert capsys.readouterr().out.split("\n")[1:] == [
+            "b.py         1       1",
+            "mod.py      16       6",
+            "total       17       7",
+            "",
+        ]
+
+    def test_no_module_exits_1(self, tmp_path, capsys):
+        assert _load_script("count_lines").main([str(tmp_path)]) == 1
+        assert "no *.py module" in capsys.readouterr().err
 
 
 class TestDiffOutputs:

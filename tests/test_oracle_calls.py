@@ -267,8 +267,10 @@ class TestArasCountedRows:
 
 class TestArigReportCalls:
     """_trace_to_metrics on an ARIG result: rows whose record carries the
-    exact f and ||grad f|| cost no problem call; every other row's iterate
-    is evaluated once, with its gradient."""
+    exact f and ||grad f|| cost no problem call.  An "inexact-g-and-f"
+    record carries ||grad f|| alone, from the gradient oracle, and its row
+    costs a loss-only pass; the last record of an exhausted run carries f
+    alone, and its row costs one pass with the gradient."""
 
     # sigma0 below the curvature makes exact mode reject steps, so records
     # whose x is unchanged (a stale-gradient re-entry follows) are covered
@@ -285,12 +287,12 @@ class TestArigReportCalls:
         prob.calls.clear()
         rows = _trace_to_metrics(config, prob, None, res)
         assert len(rows) > 1
-        return res, rows, _report_passes(prob, res.trace, rows)
+        return res, rows, _report_passes(prob, res.trace, rows), config, prob
 
     @pytest.mark.parametrize("cadence", [0, 1, 3])
     @pytest.mark.parametrize("mode", ["exact", "inexact-g"])
     def test_exact_f_modes_make_no_report_pass(self, mode, cadence):
-        res, rows, passes = self.report_passes(mode, cadence)
+        res, rows, passes, _, _ = self.report_passes(mode, cadence)
         assert res.terminated
         if mode == "exact":
             assert res.n_reject > 0
@@ -298,13 +300,20 @@ class TestArigReportCalls:
 
     @pytest.mark.parametrize("cadence", [0, 1, 3])
     def test_noisy_f_mode_makes_one_pass_per_row(self, cadence):
-        res, rows, passes = self.report_passes("inexact-g-and-f", cadence)
+        res, rows, passes, config, prob = self.report_passes("inexact-g-and-f", cadence)
         assert res.terminated
-        assert passes == {"loss_and_grad": len(rows)}
+        assert all(rec.loss is None and rec.grad_norm is not None for rec in res.trace)
+        assert passes == {"full_loss": len(rows)}
+        # the oracle's norm has the bits of the report's own gradient pass
+        bare = dataclasses.replace(res, trace=[dataclasses.replace(rec, grad_norm=None)
+                                               for rec in res.trace])
+        assert _trace_to_metrics(config, prob, None, bare) == rows
 
     @pytest.mark.parametrize("cadence", [0, 1, 3])
     def test_exhausted_run_makes_one_pass_for_its_last_row(self, cadence):
-        res, rows, passes = self.report_passes("exact", cadence, max_iters=7)
+        res, rows, passes, _, prob = self.report_passes("exact", cadence, max_iters=7)
         assert not res.terminated and res.iterations == 7
         assert passes == {"loss_and_grad": 1}
-        assert [rec.loss is None for rec in res.trace] == [False] * 6 + [True]
+        assert [rec.grad_norm is None for rec in res.trace] == [False] * 6 + [True]
+        last = res.trace[-1]
+        assert last.loss == rows[-1].loss == prob.full_loss(last.x)

@@ -13,7 +13,7 @@ import pytest
 import scipy.sparse as sp
 
 import stochopt.harness as harness
-from stochopt.problems import FULL_PASS_CHUNK, Dataset
+from stochopt.problems import FULL_PASS_CHUNK, Dataset, LinearModelProblem
 from stochopt.record import NO_X, Recorder, StepRecord, is_report_row
 from test_harness import ini_text, write_config
 
@@ -73,7 +73,7 @@ def library_run(config):
     """The same run as a library call: the algorithm entry on the problem,
     with no recorder."""
     train, _, _ = harness._resolve_datasets(config)
-    problem = harness._build_problem(config, train)
+    problem = LinearModelProblem(kind=config.kind, dataset=train, lam=config.lam)
     kwargs = {"mode": config.arig_mode} if config.algorithm == "arig" else {}
     run = getattr(harness, ENTRIES[config.algorithm])
     return run(problem, config.algo_params, seed=config.seed, **kwargs)

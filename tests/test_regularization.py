@@ -265,7 +265,7 @@ class TestArigStep:
         np.testing.assert_allclose(state.x, [0.5, 0.0])
         # rho hit eta2 exactly, so sigma shrinks: max(0.1, 0.5*2) = 1
         assert state.sigma == pytest.approx(1.0)
-        assert state.n_success == 1
+        assert state.k == 1 and state.consec_rejects == 0
         assert state.pending_g is None
 
     def test_rejection_keeps_x_and_inflates_sigma(self):
@@ -277,7 +277,7 @@ class TestArigStep:
         assert out.rho == 0.0
         assert state.x[0] == 3.0
         assert state.sigma == pytest.approx(2.0)  # gamma3 * sigma
-        assert state.n_reject == 1 and state.consec_rejects == 1
+        assert state.k == 1 and state.consec_rejects == 1
         assert state.pending_g is not None
 
     def test_rejected_step_reuses_stale_gradient(self):
