@@ -42,9 +42,12 @@ output blocks the open while the kernel writes it out.  libsvm and CSV
 input are parsed in blocks with C-level string work and array checks (see
 load_libsvm, load_csv); a libsvm block checks its colons with one
 bytes.translate over the NUL-joined pair tokens and reads plain ASCII
-indices with numpy, not int() per token.  compare resolves each distinct
-dataset source once and hands the datasets to its runs, which run one after
-another, so each run's wall_ms is its own optimizer time.
+indices with numpy, not int() per token.  A block's checks are the only
+place a bad line is found, a label other than -1 or +1 included (both
+problem kinds take +-1 labels), so every fault is reported at the first bad
+line in file order, with its line or row number.  compare resolves each
+distinct dataset source once and hands the datasets to its runs, which run
+one after another, so each run's wall_ms is its own optimizer time.
 
 Generation and hashing add at most one bounded block to the dataset:
 generation scales the features in place and the hash reads the arrays' own
@@ -201,6 +204,7 @@ def _open_fresh(path, newline: Optional[str] = None):
 # difference the run's set-up time does not show.
 _LIBSVM_BLOCK_LINES = 256
 _INT32_MAX = np.iinfo(np.int32).max
+_INT64_MAX = np.iinfo(np.int64).max
 # Bytes per read of load_libsvm's ':' count.
 _COUNT_BUFFER_BYTES = 1 << 20
 
@@ -222,17 +226,16 @@ def load_libsvm(path, n_features: Optional[int] = None) -> Dataset:
     1 to 18 ASCII digits (else `int` mapped over them, so a sign, '_' or
     another Unicode digit parses as int() does), `float` mapped over the
     labels and values, and array checks (index >= 1, finite numbers, no
-    index twice in a row).  Columns come out sorted within each row; rows
+    index twice in a row, every label -1 or +1, every index within a
+    declared n_features).  Columns come out sorted within each row; rows
     wider than DENSE_DIM_LIMIT stay CSR.  A UTF-8 byte-order mark at the
     start of the file is skipped.
-    Malformed input, including a non-finite label or value, raises
-    ValueError naming the first offending line in file order; only the
-    block holding it is scanned again, token by token, to word the message.
-    An index beyond int64 raises OverflowError, but only once the rest of
-    the file and the declared width have been checked, so a later bad line
-    or a too-small n_features is reported first, as by a whole-file parse.
-    A path that is not a regular file (a FIFO, a directory) raises
-    ValueError before it is opened.
+    Malformed input, including a non-finite value, a label other than -1
+    or +1, or an index beyond n_features or int64, raises ValueError naming
+    the first offending line in file order; only the block holding it is
+    scanned again, token by token, to word the message.  A path that is not
+    a regular file (a FIFO, a directory) raises ValueError before it is
+    opened.
 
     A file that parses holds one ':' per entry, so a first pass counts the
     file's ':' bytes (_count_colons) and the value and column arrays of the
@@ -255,45 +258,33 @@ def load_libsvm(path, n_features: Optional[int] = None) -> Dataset:
     end = 0  # entries written so far
     label_parts, count_parts = [], []
     max_col = -1
-    huge = 0  # largest index that overflowed int64, 0 if none did
     lineno = 1
     with open(path, "r", encoding="utf-8-sig") as fh:
         while True:
             lines = list(islice(fh, _LIBSVM_BLOCK_LINES))
             if not lines:
                 break
-            try:
-                labels, counts, block_cols, block_vals = _parse_libsvm_block(
-                    path, lines, lineno)
-            except _IndexOverflow as exc:
-                huge = max(huge, exc.args[0])
-            else:
-                top = int(block_cols.max(initial=-1))
-                max_col = max(max_col, top)
-                if top > _INT32_MAX and cols.dtype == np.int32:
-                    cols = cols.astype(np.int64)
-                stop = end + block_vals.size
-                if stop > size:
-                    raise ValueError(changed)
-                cols[end:stop] = block_cols
-                vals[end:stop] = block_vals
-                end = stop
-                label_parts.append(labels)
-                count_parts.append(counts)
+            labels, counts, block_cols, block_vals = _parse_libsvm_block(
+                path, lines, lineno, n_features)
+            top = int(block_cols.max(initial=-1))
+            max_col = max(max_col, top)
+            if top > _INT32_MAX and cols.dtype == np.int32:
+                cols = cols.astype(np.int64)
+            stop = end + block_vals.size
+            if stop > size:
+                raise ValueError(changed)
+            cols[end:stop] = block_cols
+            vals[end:stop] = block_vals
+            end = stop
+            label_parts.append(labels)
+            count_parts.append(counts)
             lineno += len(lines)
     N = sum(part.size for part in label_parts)
-    if N == 0 and not huge:
+    if N == 0:
         raise ValueError(f"{path}: empty dataset")
-    max_col = max(max_col, huge - 1)
     n = max_col + 1 if n_features is None else n_features
-    if n_features is not None and max_col + 1 > n_features:
-        raise ValueError(
-            f"{path}: feature index {max_col + 1} exceeds declared width {n_features}"
-        )
     if n < 1:
         raise ValueError(f"{path}: no features found")
-    if huge:
-        raise OverflowError(f"{path}: feature index {huge} does not fit in int64")
     if end != size:
         raise ValueError(changed)
 
@@ -328,7 +319,8 @@ def _count_colons(path) -> int:
     return total
 
 
-def _parse_libsvm_block(path, lines: List[str], first_lineno: int):
+def _parse_libsvm_block(path, lines: List[str], first_lineno: int,
+                        n_features: Optional[int]):
     """One block of lines -> (labels, entries per row, 0-based columns
     sorted within each row, values); raises at the block's first bad line."""
     toks = [t for t in map(str.split, lines) if t]
@@ -346,8 +338,9 @@ def _parse_libsvm_block(path, lines: List[str], first_lineno: int):
             if idx is None:
                 idx = np.fromiter(map(int, fields[0::2]), np.int64, len(pairs))
             vals = np.fromiter(map(float, fields[1::2]), float, len(pairs))
-            ok = (idx.min(initial=1) >= 1 and np.isfinite(labels).all()
-                  and np.isfinite(vals).all())
+            ok = (idx.min(initial=1) >= 1
+                  and (n_features is None or idx.max(initial=0) <= n_features)
+                  and (np.abs(labels) == 1).all() and np.isfinite(vals).all())
     except (ValueError, OverflowError):
         pass
     if ok:
@@ -360,7 +353,7 @@ def _parse_libsvm_block(path, lines: List[str], first_lineno: int):
             cols, vals = cols[order], vals[order]
             ok = ((np.diff(cols) != 0) | new_row).all()
     if not ok:
-        raise ValueError(_first_libsvm_error(path, lines, first_lineno))
+        raise ValueError(_first_libsvm_error(path, lines, first_lineno, n_features))
     return labels, counts, cols, vals
 
 
@@ -388,16 +381,10 @@ def _ascii_indices(joined: bytes, m: int) -> Optional[np.ndarray]:
     return idx
 
 
-class _IndexOverflow(Exception):
-    """A block whose tokens are all valid but whose largest index, args[0],
-    does not fit in int64."""
-
-
-def _first_libsvm_error(path, lines: List[str], first_lineno: int) -> str:
+def _first_libsvm_error(path, lines: List[str], first_lineno: int,
+                        n_features: Optional[int]) -> str:
     """The message naming the first bad token of a block that failed its
-    array checks.  With every token valid, an index overflowed int64:
-    raises _IndexOverflow with the block's largest index."""
-    top = 0
+    array checks."""
     for lineno, line in enumerate(lines, start=first_lineno):
         tokens = line.split()
         if not tokens:
@@ -408,6 +395,8 @@ def _first_libsvm_error(path, lines: List[str], first_lineno: int) -> str:
             return f"{path}: line {lineno}: bad label {tokens[0]!r}"
         if not math.isfinite(label):
             return f"{path}: line {lineno}: non-finite label {tokens[0]!r}"
+        if abs(label) != 1:
+            return f"{path}: line {lineno}: label {tokens[0]!r} is not -1 or +1"
         seen = set()
         for tok in tokens[1:]:
             idx_s, sep, val_s = tok.partition(":")
@@ -420,13 +409,17 @@ def _first_libsvm_error(path, lines: List[str], first_lineno: int) -> str:
                 return f"{path}: line {lineno}: bad index:value pair {tok!r}"
             if idx < 1:
                 return f"{path}: line {lineno}: index {idx} not 1-based positive"
+            if n_features is not None and idx > n_features:
+                return (f"{path}: line {lineno}: feature index {idx} "
+                        f"exceeds declared width {n_features}")
+            if idx > _INT64_MAX:
+                return f"{path}: line {lineno}: feature index {idx} does not fit in int64"
             if not math.isfinite(val):
                 return f"{path}: line {lineno}: non-finite value in {tok!r}"
             if idx in seen:
                 return f"{path}: line {lineno}: duplicate feature index {idx}"
             seen.add(idx)
-            top = max(top, idx)
-    raise _IndexOverflow(top)
+    raise AssertionError("the rescan found no fault the fast parse rejected")
 
 
 def save_libsvm(path, dataset: Dataset) -> None:
@@ -461,20 +454,21 @@ _CSV_BLOCK_ROWS = 256
 
 
 def load_csv(path, label_column: int = 0, header: bool = False) -> Dataset:
-    """Dense numeric CSV; one column holds the label.  Bad cells, including
-    nan and inf, raise ValueError with row and column numbers (1-based,
-    counting the header and blank rows).
+    """Dense numeric CSV; one column holds the label, -1 or +1.  Bad cells,
+    including nan and inf and a label of another value, raise ValueError
+    with row and column numbers (1-based, counting the header and blank
+    rows).
 
     csv.reader splits the cells and the file is parsed in blocks of
     _CSV_BLOCK_ROWS records, each with `float` mapped over the block's
-    cells into one float64 array and checked for width and finiteness; the
-    features and labels are those blocks' arrays, joined once at the end,
-    so the parse peaks near twice the returned arrays plus one block.  A
-    block that fails a check is scanned again cell by cell, so the error
-    names the first bad row or cell in file order.  A csv.Error (such as a
-    field over the csv module's size limit) is raised once the records
-    before it have been checked.  A UTF-8 byte-order mark at the start of
-    the file, as Excel's "CSV UTF-8" export writes, is skipped."""
+    cells into one float64 array and checked for width, finiteness and
+    labels; the features and labels are those blocks' arrays, joined once
+    at the end, so the parse peaks near twice the returned arrays plus one
+    block.  A block that fails a check is scanned again cell by cell, so
+    the error names the first bad row or cell in file order.  A csv.Error
+    (such as a field over the csv module's size limit) is raised once the
+    records before it have been checked.  A UTF-8 byte-order mark at the
+    start of the file, as Excel's "CSV UTF-8" export writes, is skipped."""
     label_parts: List[np.ndarray] = []
     feature_parts: List[np.ndarray] = []
     width = None
@@ -504,8 +498,8 @@ def load_csv(path, label_column: int = 0, header: bool = False) -> Dataset:
                         raise ValueError(
                             f"{path}: label column {label_column} outside row width {width}"
                         )
-                values = _parse_csv_block(path, block, width)
-                lc = label_column % width
+                    lc = label_column % width
+                values = _parse_csv_block(path, block, width, lc)
                 # copies, so the block's own array is freed
                 label_parts.append(values[:, lc].copy())
                 feature_parts.append(np.delete(values, lc, axis=1))
@@ -519,9 +513,11 @@ def load_csv(path, label_column: int = 0, header: bool = False) -> Dataset:
                    labels=np.concatenate(label_parts))
 
 
-def _parse_csv_block(path, block: List[Tuple[int, List[str]]], width: int) -> np.ndarray:
+def _parse_csv_block(path, block: List[Tuple[int, List[str]]], width: int,
+                     lc: int) -> np.ndarray:
     """(row number, cells) records, none empty -> (rows, width) float64
-    values; raises at the block's first bad row or cell in file order."""
+    values, the labels in column lc; raises at the block's first bad row or
+    cell in file order."""
     if all(len(raw) == width for _, raw in block):
         cells = list(chain.from_iterable(raw for _, raw in block))
         try:
@@ -529,8 +525,9 @@ def _parse_csv_block(path, block: List[Tuple[int, List[str]]], width: int) -> np
         except ValueError:
             pass
         else:
-            if np.isfinite(values).all():
-                return values.reshape(len(block), width)
+            values = values.reshape(len(block), width)
+            if np.isfinite(values).all() and (np.abs(values[:, lc]) == 1).all():
+                return values
     # some row or cell is bad: find the first, as a cell-by-cell parse would
     for rowno, raw in block:
         if len(raw) != width:
@@ -547,6 +544,10 @@ def _parse_csv_block(path, block: List[Tuple[int, List[str]]], width: int) -> np
             if not math.isfinite(value):
                 raise ValueError(
                     f"{path}: row {rowno}, column {colno}: non-finite {cell!r}"
+                )
+            if colno == lc + 1 and abs(value) != 1:
+                raise ValueError(
+                    f"{path}: row {rowno}, column {colno}: label {cell!r} is not -1 or +1"
                 )
     raise AssertionError("the rescan found no fault the fast parse rejected")
 
@@ -902,33 +903,8 @@ def _dataset_hash(dataset: Dataset) -> str:
 def _load_dataset_file(path: str, label_column: int, header: bool,
                        n_features: Optional[int] = None) -> Dataset:
     if path.endswith(".csv"):
-        dataset = load_csv(path, label_column=label_column, header=header)
-    else:
-        dataset = load_libsvm(path, n_features=n_features)
-    # both problem kinds take -1/+1 labels: a file with others fails here,
-    # naming its line, not in the problem's build
-    bad = np.flatnonzero(np.abs(dataset.labels) != 1)
-    if bad.size:
-        raise ValueError(_label_location(path, int(bad[0]), label_column, header))
-    return dataset
-
-
-def _label_location(path: str, row: int, label_column: int, header: bool) -> str:
-    """The message naming the label of data row `row` (0-based) of a file
-    its loader has read: by line in libsvm (a blank line holds no row), by
-    row and column in CSV (counting the header and blank rows, as load_csv
-    does)."""
-    if path.endswith(".csv"):
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            records = enumerate(csv.reader(fh), start=1)
-            rowno, raw = next(islice(((no, raw) for no, raw in records
-                                      if raw and not (header and no == 1)), row, None))
-        col = label_column % len(raw)
-        return f"{path}: row {rowno}, column {col + 1}: label {raw[col]!r} is not -1 or +1"
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = ((no, line.split()) for no, line in enumerate(fh, start=1))
-        lineno, tokens = next(islice(((no, t) for no, t in lines if t), row, None))
-    return f"{path}: line {lineno}: label {tokens[0]!r} is not -1 or +1"
+        return load_csv(path, label_column=label_column, header=header)
+    return load_libsvm(path, n_features=n_features)
 
 
 def _resolve_datasets(config: ExperimentConfig) -> Tuple[Dataset, Optional[Dataset], str]:
@@ -942,10 +918,9 @@ def _resolve_datasets(config: ExperimentConfig) -> Tuple[Dataset, Optional[Datas
             config.test_dataset, config.label_column, config.header,
             n_features=train.n,
         )
-        if test.n != train.n:
-            raise ConfigError(
-                [f"test dataset width {test.n} != train width {train.n}"]
-            )
+        if test.n != train.n:  # a CSV's width; a libsvm test set takes train's
+            raise ValueError(f"{config.test_dataset}: test dataset width {test.n} "
+                             f"!= train width {train.n}")
     return train, test, _dataset_hash(train)
 
 

@@ -202,9 +202,10 @@ def enumerate_batches(N: int, m: int):
 def load_libsvm_reference(path, n_features=None):
     """Line-by-line, token-by-token libsvm parser: the reference for
     harness.load_libsvm's Dataset and error messages.  Checks each line in
-    token order: label, then per pair the colon, the index and value
-    parses, index >= 1, a finite value, and a repeated index.  A path that
-    is not a regular file is refused unopened."""
+    token order: the label parses, is finite and is -1 or +1, then per pair
+    the colon, the index and value parses, index >= 1, index within the
+    declared width and within int64, a finite value, and a repeated index.
+    A path that is not a regular file is refused unopened."""
     from stochopt.problems import DENSE_DIM_LIMIT, Dataset
 
     if not stat.S_ISREG(os.stat(path).st_mode):
@@ -224,6 +225,10 @@ def load_libsvm_reference(path, n_features=None):
                 raise ValueError(f"{path}: line {lineno}: bad label {tokens[0]!r}")
             if not math.isfinite(label):
                 raise ValueError(f"{path}: line {lineno}: non-finite label {tokens[0]!r}")
+            if label not in (-1.0, 1.0):
+                raise ValueError(
+                    f"{path}: line {lineno}: label {tokens[0]!r} is not -1 or +1"
+                )
             entries = []
             seen = set()
             for tok in tokens[1:]:
@@ -243,6 +248,15 @@ def load_libsvm_reference(path, n_features=None):
                     raise ValueError(
                         f"{path}: line {lineno}: index {idx} not 1-based positive"
                     )
+                if n_features is not None and idx > n_features:
+                    raise ValueError(
+                        f"{path}: line {lineno}: feature index {idx} "
+                        f"exceeds declared width {n_features}"
+                    )
+                if idx >= 2 ** 63:
+                    raise ValueError(
+                        f"{path}: line {lineno}: feature index {idx} does not fit in int64"
+                    )
                 if not math.isfinite(val):
                     raise ValueError(f"{path}: line {lineno}: non-finite value in {tok!r}")
                 col = idx - 1
@@ -258,10 +272,6 @@ def load_libsvm_reference(path, n_features=None):
     if not rows:
         raise ValueError(f"{path}: empty dataset")
     n = max_col + 1 if n_features is None else n_features
-    if n_features is not None and max_col + 1 > n_features:
-        raise ValueError(
-            f"{path}: feature index {max_col + 1} exceeds declared width {n_features}"
-        )
     if n < 1:
         raise ValueError(f"{path}: no features found")
 
@@ -290,7 +300,8 @@ def load_csv_reference(path, label_column=0, header=False):
     """Row-by-row, cell-by-cell CSV parser: the reference for
     harness.load_csv's Dataset and error messages.  Row numbers count every
     csv record, the header and blank rows included; a row's width is
-    checked before its cells, and cells in column order."""
+    checked before its cells, and cells in column order, the label cell for
+    a number that is -1 or +1."""
     from stochopt.problems import Dataset
 
     labels = []
@@ -326,6 +337,10 @@ def load_csv_reference(path, label_column=0, header=False):
                 if not math.isfinite(value):
                     raise ValueError(
                         f"{path}: row {rowno}, column {colno}: non-finite {cell!r}"
+                    )
+                if colno - 1 == label_column % width and value not in (-1.0, 1.0):
+                    raise ValueError(
+                        f"{path}: row {rowno}, column {colno}: label {cell!r} is not -1 or +1"
                     )
                 values.append(value)
             lc = label_column % width

@@ -267,10 +267,11 @@ class TestLibsvmIO:
         with pytest.raises(ValueError, match="exceeds declared width"):
             load_libsvm(path, n_features=3)
 
-    def test_any_finite_label_loads(self, tmp_path):
+    def test_label_outside_pm1_names_its_line(self, tmp_path):
         path = tmp_path / "d.libsvm"
-        path.write_text("2 1:1\n0 1:2\n")
-        np.testing.assert_array_equal(load_libsvm(path).labels, [2.0, 0.0])
+        path.write_text("1 1:1\n2 1:1\n0 1:2\n")
+        with pytest.raises(ValueError, match="line 2: label '2' is not -1 or \\+1"):
+            load_libsvm(path)
 
 
 class TestCsvIO:
@@ -786,8 +787,9 @@ class TestRunExperiment:
             "kind = logistic", "kind = logistic\n    test_dataset = test.csv"
         )
         cfg = load_config(write_config(tmp_path, text))
-        with pytest.raises(ConfigError, match="width"):
+        with pytest.raises(ValueError) as exc:
             run_experiment(cfg)
+        assert str(exc.value) == f"{cfg.test_dataset}: test dataset width 2 != train width 5"
 
 
 REPORT_ALGO_SECTIONS = {
@@ -1304,9 +1306,9 @@ class TestCli:
         # the header and blank rows count as rows; a negative label column
         ("bad.csv", "x,y\n2,1\n\n2,-1\n2,3\n", "label_column = -1\nheader = true",
          "row 5, column 2: label '3' is not -1 or +1"),
-        # malformed input is reported before a label outside -1/+1
-        ("bad.libsvm", "1 1:2\n0 1:1\n1 x\n", "", "line 3: expected index:value, got 'x'"),
-        ("bad.csv", "1,2\n0,x\n", "", "row 2, column 2: non-numeric 'x'"),
+        # the first fault in file order: a bad label before a malformed token
+        ("bad.libsvm", "1 1:2\n0 1:1\n1 x\n", "", "line 2: label '0' is not -1 or +1"),
+        ("bad.csv", "1,2\n0,x\n", "", "row 2, column 1: label '0' is not -1 or +1"),
     ])
     def test_label_outside_pm1_fails_at_load_with_its_line(self, tmp_path, capsys,
                                                            name, text, options, where):
@@ -1348,6 +1350,29 @@ class TestCli:
             """)
         assert main(["run", "--config", cfg]) == 2
         assert capsys.readouterr().err == f"error: {(tmp_path / name).resolve()}: {where}\n"
+
+    @pytest.mark.parametrize("train, test, widths", [
+        ("1,2.0,3.0\n-1,3.0,1.0\n", "1,2.0\n-1,3.0\n", "1 != train width 2"),
+        ("1,2.0\n-1,3.0\n", "1,2.0,3.0\n-1,3.0,1.0\n", "2 != train width 1"),
+    ], ids=["narrower", "wider"])
+    def test_csv_test_set_of_another_width_is_a_runtime_error(self, tmp_path, capsys,
+                                                               train, test, widths):
+        """A CSV test set whose rows are not as wide as the training set's
+        is malformed data (exit 2) named by its file, as in libsvm."""
+        (tmp_path / "train.csv").write_text(train)
+        (tmp_path / "test.csv").write_text(test)
+        cfg = write_config(tmp_path, """\
+            [problem]
+            kind = logistic
+            dataset = train.csv
+            test_dataset = test.csv
+
+            [run]
+            algorithm = sgd
+            """)
+        assert main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {(tmp_path / 'test.csv').resolve()}: test dataset width {widths}\n")
 
     def test_non_finite_csv_dataset_exit_code(self, tmp_path, capsys):
         (tmp_path / "bad.csv").write_text("1.0,2.0\n-1.0,nan\n")

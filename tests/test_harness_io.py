@@ -50,14 +50,11 @@ def assert_same_dataset(got: Dataset, want: Dataset) -> None:
 
 
 def outcome(load, path, n_features):
-    """(dataset, None), or (None, the error): a ValueError's text, or just
-    OverflowError, whose wording is not part of the contract."""
+    """(dataset, None), or (None, the ValueError's text)."""
     try:
         return load(path, n_features=n_features), None
     except ValueError as exc:
         return None, str(exc)
-    except OverflowError:
-        return None, "OverflowError"
 
 
 def assert_matches_reference(path, n_features=None) -> None:
@@ -71,8 +68,10 @@ def assert_matches_reference(path, n_features=None) -> None:
 # -- fuzz against the reference -------------------------------------------------
 
 SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t ", "\x0b", "\xa0"])
-GOOD_LABELS = st.sampled_from(["1", "-1", "+1", "1.0", "-1e0", "1_0"])
-BAD_LABELS = st.sampled_from(["abc", "nan", "inf", "-inf", "1:2", "1e999", ""])
+# spellings of -1 and +1; a label float() reads as another number is bad
+GOOD_LABELS = st.sampled_from(["1", "-1", "+1", "1.0", "-1e0", "0.1e1", "-1.000"])
+BAD_LABELS = st.sampled_from(["abc", "nan", "inf", "-inf", "1:2", "1e999", "",
+                              "1_0", "0", "2", "-0", "0.5"])
 GOOD_VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
     st.sampled_from(["0", "-0.0", "1e-3", "2_5", "7"]),
@@ -171,12 +170,14 @@ class TestLoadLibsvmMatchesReference:
         assert str(exc.value) == f"{path}: {message}"
         assert_matches_reference(path)
 
-    def test_index_beyond_int64_overflows(self, tmp_path):
+    def test_index_beyond_int64_names_its_line(self, tmp_path):
         path = tmp_path / "huge.libsvm"
         path.write_text("1 1:2\n1 99999999999999999999:1\n")
-        for load in (load_libsvm, load_libsvm_reference):
-            with pytest.raises(OverflowError):
-                load(path)
+        with pytest.raises(ValueError) as exc:
+            load_libsvm(path)
+        assert str(exc.value) == (
+            f"{path}: line 2: feature index 99999999999999999999 does not fit in int64")
+        assert_matches_reference(path)
 
     @pytest.mark.parametrize("block", [1, 4096])
     @pytest.mark.parametrize(
@@ -229,20 +230,26 @@ class TestLoadLibsvmMatchesReference:
     @pytest.mark.parametrize(
         "text, n_features, message",
         [
-            # a later bad line is reported before the overflow
-            ("1 99999999999999999999:1\n1 1:2\n1 x\n", None,
-             "line 3: expected index:value, got 'x'"),
-            # so is a declared width the index exceeds
-            ("1 1:2\n1 99999999999999999999:1\n1 3:1\n", 5,
-             "feature index 99999999999999999999 exceeds declared width 5"),
-            ("1 99999999999999999999:1\n1 99999999999999999999:3 1:2 99999999999999999999:4\n", 5,
-             "line 2: duplicate feature index 99999999999999999999"),
+            # a bad label before a malformed token, and the reverse
+            ("1 1:2\n2 1:1\n1 x\n", None, "line 2: label '2' is not -1 or +1"),
+            ("1 1:2\n1 x\n2 1:1\n", None, "line 2: expected index:value, got 'x'"),
+            # an index past int64 before a malformed line
+            ("1 1:2\n1 99999999999999999999:1\n1 x\n", None,
+             "line 2: feature index 99999999999999999999 does not fit in int64"),
+            # an index past the declared width before a bad label; past both
+            # the width and int64, the width is named
+            ("1 1:2\n1 6:1\n0 1:1\n", 5, "line 2: feature index 6 exceeds declared width 5"),
+            ("1 99999999999999999999:1\n0 1:1\n", 5,
+             "line 1: feature index 99999999999999999999 exceeds declared width 5"),
+            # the first of two faults on one line, in token order
+            ("1 99999999999999999999:3 1:2 99999999999999999999:4\n", None,
+             "line 1: feature index 99999999999999999999 does not fit in int64"),
         ],
     )
-    def test_overflow_waits_for_the_whole_file(self, tmp_path, monkeypatch, block,
-                                               text, n_features, message):
+    def test_first_fault_in_file_order(self, tmp_path, monkeypatch, block,
+                                       text, n_features, message):
         monkeypatch.setattr(harness, "_LIBSVM_BLOCK_LINES", block)
-        path = tmp_path / "huge.libsvm"
+        path = tmp_path / "bad.libsvm"
         path.write_text(text)
         with pytest.raises(ValueError) as exc:
             load_libsvm(path, n_features=n_features)
@@ -362,7 +369,15 @@ CSV_BAD = st.sampled_from([
 ])
 
 
-def csv_cell(draw, dirty):
+# spellings of -1 and +1 for the label cell
+CSV_LABELS = st.sampled_from(["1", "-1", "+1", "1.0", " -1", "1e0 ", '"-1"', '" +1.0"'])
+
+
+def csv_cell(draw, dirty, label=False):
+    """A feature cell, or a label cell: a spelling of -1 or +1, or, if
+    dirty, sometimes a bad cell or another number."""
+    if label and not (dirty and draw(st.integers(0, 5)) == 0):
+        return draw(CSV_LABELS)
     cell = draw(CSV_BAD if dirty and draw(st.integers(0, 5)) == 0 else CSV_GOOD)
     if "," in cell and not cell.startswith('"'):
         cell = f'"{cell}"'  # one cell, so a width fault is only drawn on purpose
@@ -371,9 +386,12 @@ def csv_cell(draw, dirty):
 
 @st.composite
 def csv_file(draw):
-    """(text, label_column, header): rows of one width, and, if dirty, bad
-    cells, short or long rows, and blank or whitespace-only lines."""
+    """(text, label_column, header): rows of one width with -1/+1 labels,
+    and, if dirty, bad cells and labels, short or long rows, and blank or
+    whitespace-only lines."""
     width = draw(st.integers(1, 5))
+    label_column = draw(st.integers(-width - 1, width))
+    lc = label_column % width if -width <= label_column < width else None
     dirty = draw(st.booleans())
     lines = []
     for _ in range(draw(st.integers(0, 12))):
@@ -384,7 +402,7 @@ def csv_file(draw):
         w = width
         if dirty and fault in ("short", "long"):
             w = max(1, width + (1 if fault == "long" else -1))
-        lines.append(",".join(csv_cell(draw, dirty) for _ in range(w)))
+        lines.append(",".join(csv_cell(draw, dirty, label=j == lc) for j in range(w)))
     header = draw(st.booleans())
     if header:
         lines.insert(0, ",".join(draw(st.sampled_from(["label", "f", "nan", ""]))
@@ -393,7 +411,6 @@ def csv_file(draw):
     text = "".join(line + end for line in lines)
     if lines and draw(st.booleans()):
         text = text[: -len(end)]  # no final line break
-    label_column = draw(st.integers(-width - 1, width))
     return text, label_column, header
 
 
@@ -452,6 +469,31 @@ class TestLoadCsvMatchesReference:
         assert_csv_matches_reference(path)
 
     @pytest.mark.parametrize("block", [1, 4096])
+    @pytest.mark.parametrize(
+        "lines, label_column, message",
+        [
+            # a bad label before a malformed cell, and the reverse
+            (["1,2", "2,3", "1,x"], 0, "row 2, column 1: label '2' is not -1 or +1"),
+            (["1,2", "1,x", "2,3"], 0, "row 2, column 2: non-numeric 'x'"),
+            # on one row, the first in column order
+            (["1,2", "0,x"], 0, "row 2, column 1: label '0' is not -1 or +1"),
+            (["1,2,1", "-1,x,0"], -1, "row 2, column 2: non-numeric 'x'"),
+            # a bad label before a later row of the wrong width
+            (["1,2", "-1,1", "1.5,3", "1,2,3"], 0,
+             "row 3, column 1: label '1.5' is not -1 or +1"),
+        ],
+    )
+    def test_first_fault_in_file_order(self, tmp_path, monkeypatch, block, lines,
+                                       label_column, message):
+        monkeypatch.setattr(harness, "_CSV_BLOCK_ROWS", block)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_csv(path, label_column=label_column)
+        assert str(exc.value) == f"{path}: {message}"
+        assert_csv_matches_reference(path, label_column)
+
+    @pytest.mark.parametrize("block", [1, 4096])
     def test_csv_error_waits_for_earlier_rows(self, tmp_path, monkeypatch, block):
         # a field over the csv module's size limit raises csv.Error, but
         # only once the rows before it are checked
@@ -470,8 +512,12 @@ class TestLoadCsvMatchesReference:
     @pytest.mark.parametrize("label_column", [0, 1, -1, -3])
     def test_label_column_and_header(self, tmp_path, monkeypatch, block, label_column):
         monkeypatch.setattr(harness, "_CSV_BLOCK_ROWS", block)
+        # the label column holds -1 and +1, the other two columns other numbers
+        rows = [[" 2.5 ", "-1"], ["1_0", '"3"'], ["-0.0", "1e-300"]]
+        for row, label in zip(rows, ["1", " -1", '"+1.0"']):
+            row.insert(label_column % 3, label)
         path = tmp_path / "d.csv"
-        path.write_text("a,b,c\n\n1, 2.5 ,-1\n-1,1_0,\"3\"\n\n1,-0.0,1e-300\n")
+        path.write_text("a,b,c\n\n{}\n{}\n\n{}\n".format(*map(",".join, rows)))
         assert_csv_matches_reference(path, label_column, header=True)
         ds = load_csv(path, label_column=label_column, header=True)
         assert ds.N == 3 and ds.n == 2
