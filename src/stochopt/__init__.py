@@ -5,16 +5,20 @@ Public surface:
 
 - problems: finite-sum test problems (sigmoid-SVM, logistic, quadratics)
 - sampling: seeded batch sampling, variance estimates, norm test
-- regularization: ARIG (adaptive regularization, inexact gradients)
+- regularization: ARIG (adaptive regularization, inexact gradients); its
+  RegParams holds the oracle mode
 - aras: ARAS (adaptive regularization + adaptive sampling, Pflug diagnostic)
 - lbfgs_core: damped L-BFGS memory with eigenvalue-bound control
-- varchen: VARCHEN (variance-reduced stochastic damped L-BFGS)
-- baselines: SGD, SGD with momentum, SVRG
+- varchen: VARCHEN (variance-reduced stochastic damped L-BFGS); its
+  VarchenParams holds the step schedule and gives step_size(k)
+- baselines: SGD and SVRG (BaselineParams), SGD with momentum
+  (MomentumParams)
 - record: StepRecord, the per-step trace entry of every optimizer, and
   RunResult, every run's outcome (ARIG adds terminated and sigma_final; its
   step counts and max sigma, and ARAS's trigger, are read from the trace),
   and Recorder, the trace a harness run keeps x in only on report rows
-- harness: configs, dataset IO, metrics CSV, CLI
+- harness: configs (each section is one of the classes above, key for
+  field), dataset IO, metrics CSV, CLI
 """
 
 from .aras import (
@@ -30,6 +34,7 @@ from .aras import (
 )
 from .baselines import (
     BaselineParams,
+    MomentumParams,
     sgd_momentum_run,
     sgd_run,
     svrg_run,
@@ -98,11 +103,9 @@ from .sampling import (
 )
 from .varchen import (
     AnchorState,
-    StepSchedule,
     VarchenParams,
     harmonic_schedule_from_L,
     power_schedule_from_L,
-    step_size,
     svrg_gradient,
     varchen_run,
 )

@@ -19,10 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .record import Recorder, RunResult
-from .varchen import StepSchedule, VarchenParams, _epoch_loop, varchen_run
+from .varchen import VarchenParams, _epoch_loop, varchen_run
 
 __all__ = [
     "BaselineParams",
+    "MomentumParams",
     "sgd_run",
     "sgd_momentum_run",
     "svrg_run",
@@ -32,19 +33,28 @@ __all__ = [
 @dataclass(frozen=True)
 class BaselineParams:
     alpha: float = 0.1
-    momentum: float = 0.0
     m: int = 256
     n_epochs: int = 20
 
     def __post_init__(self):
         if not 0 < self.alpha < np.inf:
             raise ValueError("alpha must be positive and finite")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must lie in [0, 1)")
         if self.m < 1:
             raise ValueError("batch size must be positive")
         if self.n_epochs < 1:
             raise ValueError("n_epochs must be positive")
+
+
+@dataclass(frozen=True)
+class MomentumParams(BaselineParams):
+    """BaselineParams and the heavy-ball weight of sgd_momentum_run."""
+
+    momentum: float = 0.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0 <= self.momentum < 1:
+            raise ValueError("momentum must lie in [0, 1)")
 
 
 def sgd_run(
@@ -60,7 +70,7 @@ def sgd_run(
 
 
 def sgd_momentum_run(
-    problem, params: BaselineParams, seed: int = 0, x0: Optional[np.ndarray] = None,
+    problem, params: MomentumParams, seed: int = 0, x0: Optional[np.ndarray] = None,
     recorder: Optional[Recorder] = None,
 ) -> RunResult:
     """Heavy ball: v <- momentum*v - alpha*g; x <- x + v."""
@@ -80,10 +90,5 @@ def svrg_run(
 ) -> RunResult:
     """Variance-reduced gradient steps with identity H: the zero-memory,
     constant-step case of the quasi-Newton driver."""
-    vr_params = VarchenParams(
-        p=0,
-        m=params.m,
-        schedule=StepSchedule(kind="constant", c=params.alpha),
-        n_epochs=params.n_epochs,
-    )
+    vr_params = VarchenParams(p=0, m=params.m, step_c=params.alpha, n_epochs=params.n_epochs)
     return varchen_run(problem, vr_params, seed=seed, x0=x0, recorder=recorder)

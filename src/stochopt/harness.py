@@ -3,18 +3,18 @@
 Configs are INI files with a [problem] section (kind, dataset or [synthetic]
 block, regularizer), a [run] section (algorithm, seed, output, cadence), and
 an optional per-algorithm section overriding that algorithm's defaults.  Each
-section is a dataclass: its keys are the fields, parsed as their annotated
-types, and an unset key keeps the class's default (see _SECTION_KEYS for the
-renamed and flattened keys).  A value a run would reject fails at load:
+section is a dataclass: its keys are the fields, under their own names,
+parsed as their annotated types, and an unset key keeps the class's default
+(see _SECTION_KEYS).  A value a run would reject fails at load:
 each parameter class checks its fields (VarchenParams by building the
 L-BFGS memory it describes) and load_config checks [problem] and [run].  A
 run writes one CSV of MetricsRecord rows (fixed column order, empty cells
 for metrics an algorithm does not produce) plus a JSON manifest holding the
-resolved config, the seed, a content hash of the dataset, the run's events
-(ARIG's accepted and rejected steps and final and largest sigma, ARAS's
-trigger step and sigma, VARCHEN's and SVRG's flush count; see _EVENTS) and
-the numeric environment the bits can depend on (numpy, BLAS, SIMD level,
-BLAS threads).
+resolved config under the file's own key names, the seed, a content hash
+of the dataset, the run's events (ARIG's accepted and rejected steps and
+final and largest sigma, ARAS's trigger step and sigma, VARCHEN's and
+SVRG's flush count; see _EVENTS) and the numeric environment the bits can
+depend on (numpy, BLAS, SIMD level, BLAS threads).
 Everything a run writes is byte-identical across reruns on one machine
 except the wall_ms column.
 
@@ -83,7 +83,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .aras import ArasParams, aras_run
-from .baselines import BaselineParams, sgd_momentum_run, sgd_run, svrg_run
+from .baselines import BaselineParams, MomentumParams, sgd_momentum_run, sgd_run, svrg_run
 from .problems import (
     DENSE_DIM_LIMIT,
     FULL_PASS_CHUNK,
@@ -93,8 +93,8 @@ from .problems import (
     block_rows,
 )
 from .record import Recorder, is_report_row
-from .regularization import ARIG_MODES, RegParams, arig_run
-from .varchen import StepSchedule, VarchenParams, varchen_run
+from .regularization import RegParams, arig_run
+from .varchen import VarchenParams, varchen_run
 
 __all__ = [
     "SyntheticSpec",
@@ -121,18 +121,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    N: int
-    n: int
+    n_samples: int
+    n_features: int
     noise: float = 0.0
     kappa: float = 1.0
     label_model: str = "linear-separable"
     seed: int = 0
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ValueError("need N >= 2")
-        if self.n < 1:
-            raise ValueError("need n >= 1")
+        if self.n_samples < 2:
+            raise ValueError("need n_samples >= 2")
+        if self.n_features < 1:
+            raise ValueError("need n_features >= 1")
         if not self.noise >= 0:
             raise ValueError("noise must be nonnegative")
         if not self.kappa >= 1:
@@ -149,19 +149,20 @@ def gen_synthetic(spec: SyntheticSpec) -> Dataset:
     sigmoid-svm model) plus optional Gaussian label noise.
 
     The columns are scaled in place, so the feature matrix is the only
-    N x n array ever allocated."""
+    n_samples x n_features array ever allocated."""
+    N, n = spec.n_samples, spec.n_features
     gen = np.random.Generator(np.random.Philox(spec.seed))
-    X = gen.standard_normal((spec.N, spec.n))
-    if spec.n > 1 and spec.kappa > 1:
+    X = gen.standard_normal((N, n))
+    if n > 1 and spec.kappa > 1:
         # column variances span [1/kappa, 1] so cov(X) has condition ~ kappa
-        exponents = np.linspace(0.0, 1.0, spec.n)
+        exponents = np.linspace(0.0, 1.0, n)
         X *= spec.kappa ** (-0.5 * exponents)
-    w_star = gen.standard_normal(spec.n)
+    w_star = gen.standard_normal(n)
     margins = X @ w_star
     if spec.label_model == "sigmoid-svm-planted":
         margins = np.tanh(margins)
     if spec.noise > 0:
-        margins = margins + spec.noise * gen.standard_normal(spec.N)
+        margins = margins + spec.noise * gen.standard_normal(N)
     labels = np.where(margins >= 0, 1.0, -1.0)
     return Dataset(features=X, labels=labels)
 
@@ -651,24 +652,19 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
-# Every config section is a dataclass: its keys are the fields, each parsed
-# as the field's annotated type, and a key left unset keeps the class's
-# default.  [problem] and [run] are these fields of ExperimentConfig, and
-# [synthetic] is SyntheticSpec with N and n named n_samples and n_features.
-# A [<algorithm>] section is the algorithm's parameter class, with three
-# exceptions: `momentum` is a key only under [sgd-momentum], [arig] `mode` is
-# ExperimentConfig.arig_mode, and [varchen] flattens its StepSchedule into
-# `schedule`, `step_c` and `step_beta`.
+# Every config section is a dataclass: its keys are the fields, under their
+# own names, each parsed as the field's annotated type, and a key left unset
+# keeps the class's default.  [problem] and [run] are these fields of
+# ExperimentConfig, [synthetic] is SyntheticSpec, and a [<algorithm>]
+# section is the algorithm's parameter class.
 _PROBLEM_KEYS = ("kind", "dataset", "test_dataset", "lam", "label_column", "header")
 _RUN_KEYS = ("algorithm", "seed", "out", "cadence")
-_SYNTHETIC_NAMES = {"n_samples": "N", "n_features": "n"}  # key -> field
-_SCHEDULE_NAMES = {"schedule": "kind", "step_c": "c", "step_beta": "beta"}
 _ALGO_PARAMS = {
     "arig": RegParams,
     "aras": ArasParams,
     "varchen": VarchenParams,
     "sgd": BaselineParams,
-    "sgd-momentum": BaselineParams,
+    "sgd-momentum": MomentumParams,
     "svrg": BaselineParams,
 }
 ALGORITHMS = tuple(_ALGO_PARAMS)
@@ -688,7 +684,6 @@ class ExperimentConfig:
     header: bool = False
     synthetic: Optional[SyntheticSpec] = None
     algo_params: object = None
-    arig_mode: str = "exact"
 
     def as_manifest_dict(self) -> Dict:
         d = {
@@ -698,47 +693,24 @@ class ExperimentConfig:
         }
         if self.synthetic is not None:
             d["synthetic"] = dataclasses.asdict(self.synthetic)
-        if self.algorithm == "arig":
-            d["run"]["arig_mode"] = self.arig_mode
         return d
 
 
-def _key_types(cls, names: Optional[Dict[str, str]] = None) -> Dict[str, type]:
+def _key_types(cls) -> Dict[str, type]:
     """Config key -> parse type for each field of dataclass cls: the field's
-    annotation, or T for an Optional[T] field.  `names` maps a key to its
-    field where the two differ."""
+    annotation, or T for an Optional[T] field."""
     hints = get_type_hints(cls)
-    keys = {name: key for key, name in (names or {}).items()}
-    return {keys.get(f.name, f.name): (get_args(hints[f.name]) or (hints[f.name],))[0]
+    return {f.name: (get_args(hints[f.name]) or (hints[f.name],))[0]
             for f in dataclasses.fields(cls)}
 
 
 _CONFIG_TYPES = _key_types(ExperimentConfig)
-
-
-def _algo_keys(algorithm: str) -> Dict[str, type]:
-    keys = _key_types(_ALGO_PARAMS[algorithm])
-    if algorithm in ("sgd", "svrg"):
-        del keys["momentum"]
-    elif algorithm == "arig":
-        keys["mode"] = _CONFIG_TYPES["arig_mode"]
-    elif algorithm == "varchen":
-        del keys["schedule"]
-        keys.update(_key_types(StepSchedule, _SCHEDULE_NAMES))
-    return keys
-
-
 _SECTION_KEYS = {  # section -> key -> type
     "problem": {key: _CONFIG_TYPES[key] for key in _PROBLEM_KEYS},
-    "synthetic": _key_types(SyntheticSpec, _SYNTHETIC_NAMES),
+    "synthetic": _key_types(SyntheticSpec),
     "run": {key: _CONFIG_TYPES[key] for key in _RUN_KEYS},
-    **{algorithm: _algo_keys(algorithm) for algorithm in ALGORITHMS},
+    **{algorithm: _key_types(cls) for algorithm, cls in _ALGO_PARAMS.items()},
 }
-
-
-def _fields(values: Dict, names: Dict[str, str]) -> Dict:
-    """A parsed section's values keyed by field instead of by config key."""
-    return {names.get(key, key): value for key, value in values.items()}
 
 
 def _parse_section(parser, section, errors) -> Dict:
@@ -755,16 +727,7 @@ def _parse_section(parser, section, errors) -> Dict:
         raw = parser.get(section, key)
         typ = keyspec[key]
         try:
-            if typ is bool:
-                lowered = raw.strip().lower()
-                if lowered in ("1", "true", "yes", "on"):
-                    out[key] = True
-                elif lowered in ("0", "false", "no", "off"):
-                    out[key] = False
-                else:
-                    raise ValueError(raw)
-            else:
-                out[key] = typ(raw)
+            out[key] = parser.getboolean(section, key) if typ is bool else typ(raw)
         except ValueError:
             errors.append(f"[{section}] {key}: cannot parse {raw!r} as {typ.__name__}")
     return out
@@ -776,7 +739,9 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError([f"config file not found: {path}"])
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are read literally: a '%' in a path or name is just a '%'
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             parser.read_file(fh)
@@ -811,7 +776,7 @@ def load_config(path) -> ExperimentConfig:
             errors.append("[synthetic] n_samples and n_features are required")
         else:
             try:
-                synthetic = SyntheticSpec(**_fields(syn, _SYNTHETIC_NAMES))
+                synthetic = SyntheticSpec(**syn)
             except ValueError as exc:
                 errors.append(f"[synthetic] {exc}")
 
@@ -831,27 +796,13 @@ def load_config(path) -> ExperimentConfig:
         run["out"] = str(path.parent / out)
 
     algo_params = None
-    arig_mode = ExperimentConfig.arig_mode
     if algorithm in _ALGO_PARAMS:
         values = _parse_section(parser, algorithm, errors)
         # warn about sections for algorithms that are not being run
         for other in ALGORITHMS:
             if other != algorithm and parser.has_section(other):
                 errors.append(f"section [{other}] does not match algorithm {algorithm!r}")
-        if algorithm == "arig":
-            arig_mode = values.pop("mode", arig_mode)
-            if arig_mode not in ARIG_MODES:
-                errors.append(f"[arig] mode must be one of {ARIG_MODES}")
-            elif (arig_mode == "inexact-g-and-f") != (values.get("eta0") is not None):
-                # arig_run raises without it in that mode and drops it in the
-                # others, where the manifest would still record it
-                errors.append("[arig] eta0 is required by mode = inexact-g-and-f "
-                              "and read by no other mode")
         try:
-            if algorithm == "varchen":
-                schedule = {key: values.pop(key) for key in _SCHEDULE_NAMES if key in values}
-                values["schedule"] = dataclasses.replace(
-                    VarchenParams.schedule, **_fields(schedule, _SCHEDULE_NAMES))
             algo_params = _ALGO_PARAMS[algorithm](**values)
         except ValueError as exc:
             errors.append(f"[{algorithm}] {exc}")
@@ -865,8 +816,7 @@ def load_config(path) -> ExperimentConfig:
 
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(**prob, **run, synthetic=synthetic,
-                            algo_params=algo_params, arig_mode=arig_mode)
+    return ExperimentConfig(**prob, **run, synthetic=synthetic, algo_params=algo_params)
 
 
 # -- running ------------------------------------------------------------------
@@ -1051,7 +1001,6 @@ def _run(config: ExperimentConfig, resolved: Tuple[Dataset, Optional[Dataset], s
     # onto the module's names (benchmarks/probe.py) sees the call
     run = {"arig": arig_run, "aras": aras_run, "varchen": varchen_run, "sgd": sgd_run,
            "sgd-momentum": sgd_momentum_run, "svrg": svrg_run}[config.algorithm]
-    kwargs = {"mode": config.arig_mode} if config.algorithm == "arig" else {}
     # A diverging run overflows on its way to the abort, and its report on
     # the last finite iterate; the manifest's aborted/abort_reason and the
     # inf cells report it, so numpy's warnings would only repeat that.
@@ -1059,7 +1008,7 @@ def _run(config: ExperimentConfig, resolved: Tuple[Dataset, Optional[Dataset], s
         problem = LinearModelProblem(kind=config.kind, dataset=train, lam=config.lam)
         # the run keeps x only on the records the report reads
         result = run(problem, config.algo_params, seed=config.seed,
-                     recorder=Recorder(config.cadence), **kwargs)
+                     recorder=Recorder(config.cadence))
         rows = _trace_to_metrics(config, problem, test, result)
 
     out_path = Path(config.out)

@@ -20,7 +20,6 @@ the iteration, and x the last accepted (finite) iterate.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -63,6 +62,7 @@ ARIG_MODES = ("exact", "inexact-g", "inexact-g-and-f")  # arig_run's oracle pair
 
 @dataclass(frozen=True)
 class RegParams:
+    mode: str = "exact"  # one of ARIG_MODES
     eps: float = 1e-6
     sigma0: float = 1.0
     sigma_min: float = 0.1
@@ -71,10 +71,15 @@ class RegParams:
     gamma1: float = 0.5
     gamma2: float = 1.5
     gamma3: float = 2.0
-    eta0: Optional[float] = None  # inexact-f mode only; must be < eta1/2
+    eta0: Optional[float] = None  # inexact-g-and-f mode only; must be < eta1/2
     max_iters: int = 100_000
 
     def __post_init__(self):
+        if self.mode not in ARIG_MODES:
+            raise ValueError(f"mode must be one of {ARIG_MODES}")
+        if (self.mode == "inexact-g-and-f") != (self.eta0 is not None):
+            raise ValueError("eta0 is required by mode = inexact-g-and-f "
+                             "and read by no other mode")
         if not self.eps > 0:
             raise ValueError("eps must be positive")
         if not 0 < self.sigma_min <= self.sigma0 < math.inf:
@@ -245,7 +250,6 @@ def arig_step(
 def arig_run(
     problem,
     params: RegParams,
-    mode: str = "exact",
     seed: int = 0,
     x0: Optional[np.ndarray] = None,
     recorder: Optional[Recorder] = None,
@@ -254,10 +258,10 @@ def arig_run(
     or the run aborts: at a non-finite trial iterate, or after
     REJECTION_LIMIT consecutive rejected steps.
 
-    mode selects the oracle pair: "exact" (full gradient and loss),
+    params.mode selects the oracle pair: "exact" (full gradient and loss),
     "inexact-g" (gradient error injected at exactly the requested 1/sigma),
-    or "inexact-g-and-f" (additionally, bounded noise on function values;
-    requires params.eta0).
+    or "inexact-g-and-f" (additionally, bounded noise on function values
+    at params.eta0 times the predicted decrease).
 
     A step's record is appended when the step ends.  Its loss is the exact
     f the step kept (state.exact_f), so it is None in "inexact-g-and-f"
@@ -269,18 +273,11 @@ def arig_run(
     grad_norm.  The records go to `recorder` when given (see
     record.Recorder).
     """
-    if mode not in ARIG_MODES:
-        raise ValueError(f"unknown oracle mode {mode!r}")
-    if mode == "inexact-g-and-f" and params.eta0 is None:
-        raise ValueError("inexact-g-and-f mode requires params.eta0")
-    if mode != "inexact-g-and-f" and params.eta0 is not None:
-        params = dataclasses.replace(params, eta0=None)
-
-    if mode == "exact":
+    if params.mode == "exact":
         g_oracle = exact_grad_oracle(problem)
     else:
         g_oracle = adversarial_grad_oracle(problem, seed)
-    if mode == "inexact-g-and-f":
+    if params.mode == "inexact-g-and-f":
         f_oracle = noisy_fun_oracle(problem, seed + 1)
     else:
         f_oracle = exact_fun_oracle(problem)

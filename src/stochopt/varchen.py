@@ -38,10 +38,8 @@ from .record import Recorder, RunResult, StepRecord, run_start
 from .sampling import SamplerState
 
 __all__ = [
-    "StepSchedule",
     "VarchenParams",
     "AnchorState",
-    "step_size",
     "harmonic_schedule_from_L",
     "power_schedule_from_L",
     "svrg_gradient",
@@ -49,49 +47,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StepSchedule:
-    kind: str  # "constant" | "harmonic" | "power"
-    c: float = 0.1
-    beta: float = 0.75  # power schedule only
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "harmonic", "power"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not 0 < self.c < math.inf:
-            raise ValueError("schedule coefficient must be positive and finite")
-        if self.kind == "power" and not 0.5 < self.beta < 1.0:
-            raise ValueError("power schedule needs beta in (1/2, 1)")
-
-
-def step_size(schedule: StepSchedule, k: int) -> float:
-    """Step length at iteration k >= 0 for the given schedule."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if schedule.kind == "constant":
-        return schedule.c
-    if schedule.kind == "harmonic":
-        return schedule.c / (k + 1)
-    # k^(-beta) is undefined at k = 0; start the decay at 1
-    return schedule.c * max(k, 1) ** (-schedule.beta)
-
-
-def harmonic_schedule_from_L(L: float, lam_min: float, lam_max: float) -> StepSchedule:
-    """Largest harmonic coefficient covered by the sublinear-rate guarantee:
-    c = lam_min / (L * lam_max)."""
+def harmonic_schedule_from_L(L: float, lam_min: float, lam_max: float) -> float:
+    """Largest step_c of the harmonic schedule covered by the
+    sublinear-rate guarantee: lam_min / (L * lam_max)."""
     if min(L, lam_min, lam_max) <= 0 or not math.isfinite(lam_max):
         raise ValueError("need finite positive L, lam_min, lam_max")
-    return StepSchedule(kind="harmonic", c=lam_min / (L * lam_max))
+    return lam_min / (L * lam_max)
 
 
-def power_schedule_from_L(
-    L: float, lam_min: float, lam_max: float, beta: float = 0.75
-) -> StepSchedule:
-    """Power-decay coefficient from the complexity guarantee:
-    c = lam_min / (L * lam_max^2)."""
+def power_schedule_from_L(L: float, lam_min: float, lam_max: float) -> float:
+    """step_c of the power schedule from the complexity guarantee:
+    lam_min / (L * lam_max^2), whatever its step_beta."""
     if min(L, lam_min, lam_max) <= 0 or not math.isfinite(lam_max):
         raise ValueError("need finite positive L, lam_min, lam_max")
-    return StepSchedule(kind="power", c=lam_min / (L * lam_max * lam_max), beta=beta)
+    return lam_min / (L * lam_max * lam_max)
 
 
 @dataclass(frozen=True)
@@ -103,15 +72,34 @@ class VarchenParams:
     gamma_under: float = 0.1
     gamma_over: float = 1e5
     m: int = 256
-    schedule: StepSchedule = StepSchedule(kind="constant", c=0.1)
+    schedule: str = "constant"  # "constant" | "harmonic" | "power"
+    step_c: float = 0.1
+    step_beta: float = 0.75  # power schedule only
     n_epochs: int = 20
 
     def __post_init__(self):
         self.new_memory()  # the memory's own checks on p, eta, bounds and clamp
         if self.m < 1:
             raise ValueError("batch size must be positive")
+        if self.schedule not in ("constant", "harmonic", "power"):
+            raise ValueError(f"unknown schedule kind {self.schedule!r}")
+        if not 0 < self.step_c < math.inf:
+            raise ValueError("schedule coefficient must be positive and finite")
+        if self.schedule == "power" and not 0.5 < self.step_beta < 1.0:
+            raise ValueError("power schedule needs beta in (1/2, 1)")
         if self.n_epochs < 1:
             raise ValueError("n_epochs must be positive")
+
+    def step_size(self, k: int) -> float:
+        """Step length at iteration k >= 0 under the schedule."""
+        if k < 0:
+            raise ValueError("k must be nonnegative")
+        if self.schedule == "constant":
+            return self.step_c
+        if self.schedule == "harmonic":
+            return self.step_c / (k + 1)
+        # k^(-beta) is undefined at k = 0; start the decay at 1
+        return self.step_c * max(k, 1) ** (-self.step_beta)
 
     def new_memory(self) -> LBFGSMemory:
         """An empty L-BFGS memory with these settings.  Building one in
@@ -208,7 +196,7 @@ def varchen_run(
     def step(x, batch, k):
         g_x, g_tilde = _svrg_terms(problem, batch, x, anchor)
         lam, Lam, flushed = enforce_bounds(memory)
-        x_new = x + step_size(params.schedule, k) * two_loop_apply(memory, g_tilde)
+        x_new = x + params.step_size(k) * two_loop_apply(memory, g_tilde)
 
         def finish():
             if params.p > 0:

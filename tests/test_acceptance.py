@@ -22,7 +22,13 @@ from oracles import (
     fd_gradient,
 )
 from stochopt.aras import ArasParams, aras_run
-from stochopt.baselines import BaselineParams, sgd_momentum_run, sgd_run, svrg_run
+from stochopt.baselines import (
+    BaselineParams,
+    MomentumParams,
+    sgd_momentum_run,
+    sgd_run,
+    svrg_run,
+)
 from stochopt.harness import (
     METRICS_COLUMNS,
     SyntheticSpec,
@@ -51,7 +57,7 @@ from stochopt.regularization import (
     sigma_max_bound,
 )
 from stochopt.sampling import adaptive_batch_size, norm_test
-from stochopt.varchen import AnchorState, StepSchedule, VarchenParams, svrg_gradient, varchen_run
+from stochopt.varchen import AnchorState, VarchenParams, svrg_gradient, varchen_run
 
 
 def _record(num, name, ok, detail):
@@ -74,7 +80,7 @@ def _random_memory(gen, n, n_pairs, p):
 
 def test_criterion_01_gradient_correctness():
     gen = np.random.default_rng(101)
-    ds = gen_synthetic(SyntheticSpec(N=60, n=8, noise=0.3, seed=1))
+    ds = gen_synthetic(SyntheticSpec(n_samples=60, n_features=8, noise=0.3, seed=1))
     gq = np.random.default_rng(102)
     q, _ = np.linalg.qr(gq.standard_normal((8, 8)))
     A = q @ np.diag(gq.uniform(0.5, 5.0, size=8)) @ q.T
@@ -215,7 +221,7 @@ def test_criterion_06_arig_iterations_within_theory():
     violations = 0
     worst_ratio = 0.0
     for prob, x0 in _arig_instances():
-        res = arig_run(prob, params, mode="exact", x0=x0)
+        res = arig_run(prob, params, x0=x0)
         f0 = float(prob.full_loss(x0))
         max_succ, max_total = complexity_budget(f0, prob.f_low(), params.eps, params, prob.L)
         smax = sigma_max_bound(prob.L, params)
@@ -237,12 +243,12 @@ def test_criterion_06_arig_iterations_within_theory():
 
 
 def test_criterion_07_arig_adversarial_gradient_termination():
-    params = RegParams(eps=1e-6)
+    params = RegParams(mode="inexact-g", eps=1e-6)
     t0 = time.perf_counter()
     violations = 0
     worst = 0.0
     for i, (prob, x0) in enumerate(_arig_instances()):
-        res = arig_run(prob, params, mode="inexact-g", seed=i, x0=x0)
+        res = arig_run(prob, params, seed=i, x0=x0)
         gnorm = float(np.linalg.norm(prob.full_grad(res.x)))
         worst = max(worst, gnorm)
         violations += not (res.terminated and gnorm <= params.eps)
@@ -320,7 +326,7 @@ def test_criterion_10_variance_reduced_gradient_unbiased():
 
 
 def test_criterion_11_adaptive_run_beats_tuned_constant_step():
-    ds = gen_synthetic(SyntheticSpec(N=2000, n=50, noise=0.5, seed=0))
+    ds = gen_synthetic(SyntheticSpec(n_samples=2000, n_features=50, noise=0.5, seed=0))
     prob = make_logistic(ds, lam=0.1)
     aras_params = ArasParams(sigma0=30.0, m0=32, m_max=1024, burn_in=50, n_epochs=10)
     t0 = time.perf_counter()
@@ -348,11 +354,11 @@ def test_criterion_11_adaptive_run_beats_tuned_constant_step():
 
 def test_criterion_12_eigenvalue_control_on_ill_conditioned_problem():
     ds = gen_synthetic(
-        SyntheticSpec(N=1000, n=50, kappa=1e3, label_model="sigmoid-svm-planted", seed=0)
+        SyntheticSpec(n_samples=1000, n_features=50, kappa=1e3,
+                      label_model="sigmoid-svm-planted", seed=0)
     )
     prob = make_sigmoid_svm(ds, lam=1e-3)
     lam_max = 1e5
-    schedule = StepSchedule(kind="constant", c=0.1)
     t0 = time.perf_counter()
     controlled_violations = 0
     exceed_seeds = 0
@@ -361,14 +367,14 @@ def test_criterion_12_eigenvalue_control_on_ill_conditioned_problem():
     for seed in range(5):
         ctrl = varchen_run(
             prob,
-            VarchenParams(p=10, m=64, schedule=schedule, n_epochs=20),
+            VarchenParams(p=10, m=64, step_c=0.1, n_epochs=20),
             seed=seed,
         )
         with np.errstate(over="ignore", invalid="ignore"):
             off = varchen_run(
                 prob,
                 VarchenParams(
-                    p=10, m=64, schedule=schedule, n_epochs=20,
+                    p=10, m=64, step_c=0.1, n_epochs=20,
                     lam_min=0.0, lam_max=float("inf"),
                 ),
                 seed=seed,
@@ -399,12 +405,12 @@ def test_criterion_12_eigenvalue_control_on_ill_conditioned_problem():
 
 
 def test_criterion_13_reduction_identities_bitwise():
-    ds = gen_synthetic(SyntheticSpec(N=30, n=4, noise=0.4, seed=6))
+    ds = gen_synthetic(SyntheticSpec(n_samples=30, n_features=4, noise=0.4, seed=6))
     prob = make_logistic(ds, lam=0.1)
     mismatches = 0
 
     mom = sgd_momentum_run(
-        prob, BaselineParams(alpha=0.05, momentum=0.0, m=7, n_epochs=3), seed=11
+        prob, MomentumParams(alpha=0.05, momentum=0.0, m=7, n_epochs=3), seed=11
     )
     plain = sgd_run(prob, BaselineParams(alpha=0.05, m=7, n_epochs=3), seed=11)
     mismatches += len(mom.trace) != len(plain.trace)
@@ -417,8 +423,7 @@ def test_criterion_13_reduction_identities_bitwise():
     svrg = svrg_run(prob, BaselineParams(alpha=0.05, m=7, n_epochs=3), seed=11)
     ref = varchen_run(
         prob,
-        VarchenParams(p=0, m=7, schedule=StepSchedule(kind="constant", c=0.05),
-                      n_epochs=3),
+        VarchenParams(p=0, m=7, step_c=0.05, n_epochs=3),
         seed=11,
     )
     mismatches += len(svrg.trace) != len(ref.trace)

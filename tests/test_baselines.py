@@ -5,7 +5,7 @@ import pytest
 
 from stochopt import (
     BaselineParams,
-    StepSchedule,
+    MomentumParams,
     VarchenParams,
     make_noisy_quadratic,
     make_quadratic,
@@ -27,22 +27,32 @@ def noisy_problem(rng, N=12, n=3):
 class TestBaselineParams:
     def test_defaults_valid(self):
         p = BaselineParams()
-        assert p.alpha == 0.1 and p.momentum == 0.0
+        assert p.alpha == 0.1 and p.m == 256 and p.n_epochs == 20
+        assert MomentumParams().momentum == 0.0
 
+    @pytest.mark.parametrize("cls", [BaselineParams, MomentumParams])
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"alpha": 0.0},  # constant iterates are disallowed by construction
             {"alpha": -0.1},
-            {"momentum": 1.0},
-            {"momentum": -0.1},
             {"m": 0},
             {"n_epochs": 0},
         ],
     )
-    def test_validation(self, kwargs):
+    def test_validation(self, cls, kwargs):
         with pytest.raises(ValueError):
-            BaselineParams(**kwargs)
+            cls(**kwargs)
+
+    @pytest.mark.parametrize("momentum", [1.0, -0.1])
+    def test_momentum_validation(self, momentum):
+        with pytest.raises(ValueError, match="momentum"):
+            MomentumParams(momentum=momentum)
+
+    def test_momentum_is_no_field_of_sgd_or_svrg(self):
+        # sgd_run and svrg_run read no momentum, so their class has none
+        with pytest.raises(TypeError):
+            BaselineParams(momentum=0.9)
 
 
 class TestSgd:
@@ -84,7 +94,7 @@ class TestSgd:
 class TestMomentum:
     def test_first_step_matches_sgd(self, rng):
         prob = noisy_problem(rng)
-        params = BaselineParams(alpha=0.05, momentum=0.9, m=prob.N, n_epochs=1)
+        params = MomentumParams(alpha=0.05, momentum=0.9, m=prob.N, n_epochs=1)
         x0 = rng.standard_normal(prob.n)
         res = sgd_momentum_run(prob, params, seed=0, x0=x0)
         np.testing.assert_array_equal(res.trace[0].x, x0 - 0.05 * prob.full_grad(x0))
@@ -95,7 +105,7 @@ class TestMomentum:
         #   v2 = mu v1 - alpha g(x1), x2 = x1 + v2
         prob = make_quadratic(np.array([[2.0]]), np.array([1.0]))
         alpha, mu = 0.1, 0.5
-        params = BaselineParams(alpha=alpha, momentum=mu, m=1, n_epochs=2)
+        params = MomentumParams(alpha=alpha, momentum=mu, m=1, n_epochs=2)
         x0 = np.array([2.0])
         res = sgd_momentum_run(prob, params, seed=0, x0=x0)
         v1 = mu * np.zeros(1) - alpha * prob.full_grad(x0)
@@ -110,9 +120,10 @@ class TestMomentum:
 
     def test_zero_momentum_reduces_to_sgd_bitwise(self, rng):
         prob = noisy_problem(rng)
-        params0 = BaselineParams(alpha=0.05, momentum=0.0, m=3, n_epochs=5)
+        params0 = MomentumParams(alpha=0.05, momentum=0.0, m=3, n_epochs=5)
         res_m = sgd_momentum_run(prob, params0, seed=3, x0=np.ones(prob.n))
-        res_s = sgd_run(prob, params0, seed=3, x0=np.ones(prob.n))
+        res_s = sgd_run(prob, BaselineParams(alpha=0.05, m=3, n_epochs=5), seed=3,
+                        x0=np.ones(prob.n))
         assert len(res_m.trace) == len(res_s.trace)
         for a, b in zip(res_m.trace, res_s.trace):
             np.testing.assert_array_equal(a.x, b.x)
@@ -123,7 +134,7 @@ class TestMomentum:
         # With momentum, the first step of epoch 2 differs from a plain SGD
         # step because v carries over the epoch boundary.
         prob = noisy_problem(rng)
-        params = BaselineParams(alpha=0.05, momentum=0.9, m=prob.N, n_epochs=2)
+        params = MomentumParams(alpha=0.05, momentum=0.9, m=prob.N, n_epochs=2)
         res = sgd_momentum_run(prob, params, seed=0, x0=np.ones(prob.n))
         x1 = res.trace[0].x
         plain_next = x1 - 0.05 * prob.full_grad(x1)
@@ -137,12 +148,7 @@ class TestSvrg:
         res_svrg = svrg_run(prob, params, seed=5, x0=np.ones(prob.n))
         res_ref = varchen_run(
             prob,
-            VarchenParams(
-                p=0,
-                m=4,
-                schedule=StepSchedule(kind="constant", c=0.05),
-                n_epochs=4,
-            ),
+            VarchenParams(p=0, m=4, step_c=0.05, n_epochs=4),
             seed=5,
             x0=np.ones(prob.n),
         )
@@ -173,8 +179,7 @@ class TestSvrg:
 
 
 def _varchen(prob, params, seed, x0):
-    vr = VarchenParams(p=2, m=params.m, n_epochs=params.n_epochs,
-                       schedule=StepSchedule(kind="constant", c=params.alpha))
+    vr = VarchenParams(p=2, m=params.m, step_c=params.alpha, n_epochs=params.n_epochs)
     return varchen_run(prob, vr, seed=seed, x0=x0)
 
 
@@ -194,7 +199,9 @@ class TestAbortRule:
     )
     def test_non_finite_iterate_ends_run(self, rng, run, alpha, epoch, k):
         prob = noisy_problem(rng)
-        params = BaselineParams(alpha=alpha, momentum=0.5, m=prob.N, n_epochs=5)
+        params = BaselineParams(alpha=alpha, m=prob.N, n_epochs=5)
+        if run is sgd_momentum_run:
+            params = MomentumParams(alpha=alpha, momentum=0.5, m=prob.N, n_epochs=5)
         x0 = np.ones(prob.n)
         with np.errstate(over="ignore", invalid="ignore"):
             res = run(prob, params, seed=0, x0=x0)

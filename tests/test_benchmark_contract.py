@@ -264,7 +264,7 @@ def test_every_entry_returns_a_run_result_the_benchmark_can_read(probe_module, m
     read, and the ARIG and ARAS facts a RunResult reads from its trace agree
     with a count made apart from it: sigma from every update_sigma call, the
     trigger from where the phase column turns stationary."""
-    from stochopt import (ArasParams, BaselineParams, Dataset, RegParams, StepSchedule,
+    from stochopt import (ArasParams, BaselineParams, Dataset, MomentumParams, RegParams,
                           VarchenParams, make_logistic)
 
     gen = np.random.default_rng(0)
@@ -280,16 +280,16 @@ def test_every_entry_returns_a_run_result_the_benchmark_can_read(probe_module, m
 
     original = stochopt.regularization.update_sigma
     monkeypatch.setattr(stochopt.regularization, "update_sigma", update_sigma)
-    baseline = BaselineParams(alpha=0.5, momentum=0.5, m=8, n_epochs=2)
+    baseline = BaselineParams(alpha=0.5, m=8, n_epochs=2)
+    momentum = MomentumParams(alpha=0.5, momentum=0.5, m=8, n_epochs=2)
     calls = {
         "arig": lambda: stochopt.harness.arig_run(prob, arig_params, seed=1),
         "aras": lambda: stochopt.harness.aras_run(
             prob, ArasParams(sigma0=2.0, m0=4, m_max=8, burn_in=1, n_epochs=6), seed=3),
         "varchen": lambda: stochopt.harness.varchen_run(
-            prob, VarchenParams(p=3, m=8, schedule=StepSchedule("constant", c=0.5),
-                                n_epochs=2), seed=2),
+            prob, VarchenParams(p=3, m=8, step_c=0.5, n_epochs=2), seed=2),
         "sgd": lambda: stochopt.harness.sgd_run(prob, baseline, seed=4),
-        "sgd-momentum": lambda: stochopt.harness.sgd_momentum_run(prob, baseline, seed=5),
+        "sgd-momentum": lambda: stochopt.harness.sgd_momentum_run(prob, momentum, seed=5),
         "svrg": lambda: stochopt.harness.svrg_run(prob, baseline, seed=6),
     }
     probe = probe_module.Probe().install()

@@ -1,6 +1,7 @@
 """Tests for the experiment harness: synthetic data, dataset IO, metrics CSV,
 config parsing, experiment runs, comparison, and the CLI."""
 
+import configparser
 import csv
 import json
 import math
@@ -38,6 +39,9 @@ from stochopt.harness import (
     write_metrics_csv,
 )
 from stochopt.problems import Dataset
+
+EXAMPLE_CONFIGS = sorted(
+    (Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.ini"))
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -102,25 +106,18 @@ def landed(cfg, section, key):
     if section in ("problem", "run"):
         value = getattr(cfg, key)
         return Path(value).name if key in ("dataset", "test_dataset", "out") else value
-    if section == "synthetic":
-        return getattr(cfg.synthetic, {"n_samples": "N", "n_features": "n"}.get(key, key))
-    if key == "mode":
-        return cfg.arig_mode
-    schedule = {"schedule": "kind", "step_c": "c", "step_beta": "beta"}
-    if key in schedule:
-        return getattr(cfg.algo_params.schedule, schedule[key])
-    return getattr(cfg.algo_params, key)
+    return getattr(cfg.synthetic if section == "synthetic" else cfg.algo_params, key)
 
 
 class TestSynthetic:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"N": 1, "n": 2},
-            {"N": 10, "n": 0},
-            {"N": 10, "n": 2, "noise": -0.1},
-            {"N": 10, "n": 2, "kappa": 0.5},
-            {"N": 10, "n": 2, "label_model": "bogus"},
+            {"n_samples": 1, "n_features": 2},
+            {"n_samples": 10, "n_features": 0},
+            {"n_samples": 10, "n_features": 2, "noise": -0.1},
+            {"n_samples": 10, "n_features": 2, "kappa": 0.5},
+            {"n_samples": 10, "n_features": 2, "label_model": "bogus"},
         ],
     )
     def test_spec_validation(self, kwargs):
@@ -128,19 +125,19 @@ class TestSynthetic:
             SyntheticSpec(**kwargs)
 
     def test_deterministic(self):
-        spec = SyntheticSpec(N=50, n=4, noise=0.3, kappa=10.0, seed=11)
+        spec = SyntheticSpec(n_samples=50, n_features=4, noise=0.3, kappa=10.0, seed=11)
         d1 = gen_synthetic(spec)
         d2 = gen_synthetic(spec)
         np.testing.assert_array_equal(d1.features, d2.features)
         np.testing.assert_array_equal(d1.labels, d2.labels)
 
     def test_labels_are_signs(self):
-        d = gen_synthetic(SyntheticSpec(N=100, n=3, noise=0.5, seed=2))
+        d = gen_synthetic(SyntheticSpec(n_samples=100, n_features=3, noise=0.5, seed=2))
         assert set(np.unique(d.labels)) <= {-1.0, 1.0}
 
     def test_noiseless_data_is_linearly_separable(self):
         # feasibility LP: exists w with y_i <x_i, w> >= 1 for all i
-        d = gen_synthetic(SyntheticSpec(N=200, n=4, noise=0.0, seed=5))
+        d = gen_synthetic(SyntheticSpec(n_samples=200, n_features=4, noise=0.0, seed=5))
         res = scipy.optimize.linprog(
             c=np.zeros(d.n),
             A_ub=-(d.labels[:, None] * d.features),
@@ -152,17 +149,17 @@ class TestSynthetic:
 
     def test_kappa_scales_column_spread(self):
         kappa = 100.0
-        d = gen_synthetic(SyntheticSpec(N=4000, n=3, kappa=kappa, seed=0))
+        d = gen_synthetic(SyntheticSpec(n_samples=4000, n_features=3, kappa=kappa, seed=0))
         stds = d.features.std(axis=0)
         # column scales span kappa**0 .. kappa**-0.5
         assert stds[0] / stds[-1] == pytest.approx(np.sqrt(kappa), rel=0.25)
-        d1 = gen_synthetic(SyntheticSpec(N=4000, n=3, kappa=1.0, seed=0))
+        d1 = gen_synthetic(SyntheticSpec(n_samples=4000, n_features=3, kappa=1.0, seed=0))
         stds1 = d1.features.std(axis=0)
         assert stds1.max() / stds1.min() < 1.2
 
     def test_sigmoid_svm_label_model(self):
         d = gen_synthetic(
-            SyntheticSpec(N=60, n=3, label_model="sigmoid-svm-planted", seed=4)
+            SyntheticSpec(n_samples=60, n_features=3, label_model="sigmoid-svm-planted", seed=4)
         )
         assert d.N == 60 and set(np.unique(d.labels)) <= {-1.0, 1.0}
 
@@ -523,8 +520,8 @@ class TestLoadConfig:
             p = 7
             """
         cfg = load_config(write_config(tmp_path, text))
-        assert cfg.algo_params.schedule.kind == "harmonic"
-        assert cfg.algo_params.schedule.c == 0.5
+        assert cfg.algo_params.schedule == "harmonic"
+        assert cfg.algo_params.step_c == 0.5
         assert cfg.algo_params.p == 7
 
     def test_mismatched_algorithm_section_rejected(self, tmp_path):
@@ -580,25 +577,20 @@ class TestLoadConfig:
             # syn's [algorithm] section is empty, so it holds the defaults
             assert landed(cfg, algorithm, key) == value != landed(syn, algorithm, key), key
 
-        # no key beyond these: the manifest lists every field behind a key
+        # no key beyond these: each manifest section is its config section,
+        # key for key, and its class has no field without a key
         manifest = cfg.as_manifest_dict()
         assert set(manifest["problem"]) == set(CONFIG_SURFACE["problem"])
-        assert set(manifest["run"]) - {"arig_mode"} == set(run)
-        names = {"n_samples": "N", "n_features": "n"}
-        assert set(syn.as_manifest_dict()["synthetic"]) == {
-            names.get(key, key) for key in CONFIG_SURFACE["synthetic"]}
-        fields = {"schedule" if key in ("step_c", "step_beta") else key
-                  for key in section if key != "mode"}
+        assert set(manifest["run"]) == set(run)
+        assert syn.as_manifest_dict()["synthetic"] == CONFIG_SURFACE["synthetic"]
+        assert manifest["params"] == section
         if algorithm in ("sgd", "svrg"):
-            fields.add("momentum")  # a field, but a key only under [sgd-momentum]
+            # momentum is a field of [sgd-momentum]'s class only
             text = ini_text({"problem": {"kind": "logistic"},
                              "synthetic": CONFIG_SURFACE["synthetic"], "run": run,
                              algorithm: dict(section, momentum=0.9)})
             with pytest.raises(ConfigError, match=rf"\[{algorithm}\] unknown key 'momentum'"):
                 load_config(write_config(tmp_path, text, name="momentum.ini"))
-        assert set(manifest["params"]) == fields
-        if algorithm == "varchen":
-            assert set(manifest["params"]["schedule"]) == {"kind", "c", "beta"}
 
 
 def strip_wall(path):
@@ -767,7 +759,7 @@ class TestRunExperiment:
         assert [r.iteration for r in rows] == list(range(1, len(rows) + 1))
 
     def test_test_accuracy_column(self, tmp_path):
-        test_ds = gen_synthetic(SyntheticSpec(N=40, n=5, seed=99))
+        test_ds = gen_synthetic(SyntheticSpec(n_samples=40, n_features=5, seed=99))
         save_csv(tmp_path / "test.csv", test_ds)
         text = BASE_SGD.replace(
             "kind = logistic", "kind = logistic\n    test_dataset = test.csv"
@@ -1156,12 +1148,60 @@ class TestCli:
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
         assert isinstance(manifest["numeric_env"]["simd_found"], list)
 
-    @pytest.mark.parametrize(
-        "path", sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.ini")),
-        ids=lambda path: path.name,
-    )
+    @pytest.mark.parametrize("path", EXAMPLE_CONFIGS, ids=lambda path: path.name)
     def test_example_config_validates(self, path, capsys):
         assert main(["validate-config", "--config", str(path)]) == 0
+
+    @pytest.mark.parametrize("path", EXAMPLE_CONFIGS, ids=lambda path: path.name)
+    def test_example_config_keys_reach_the_manifest(self, tmp_path, path):
+        """Every key an example config sets is in its run's manifest, in the
+        section of the same name ("params" for the algorithm's), under the
+        same key, with the value the file spells: a number, a dataset path
+        resolved from the config's directory, or the string itself."""
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                           interpolation=None)
+        parser.read(path, encoding="utf-8")
+        config = load_config(path)
+        config.out = str(tmp_path / "run.csv")
+        out = run_experiment(config)
+        manifest = json.loads(Path(out + ".manifest.json").read_text())["config"]
+        for section in parser.sections():
+            got = manifest["params" if section == config.algorithm else section]
+            for key, raw in parser.items(section):
+                assert key in got, (section, key)
+                if key in ("dataset", "test_dataset"):
+                    want = str((path.parent / raw).resolve())
+                else:
+                    want = raw
+                    for parse in (int, float):
+                        try:
+                            want = parse(raw)
+                            break
+                        except ValueError:
+                            pass
+                assert got[key] == want, (section, key)
+
+    def test_percent_in_a_dataset_name_is_literal(self, tmp_path, capsys):
+        """A '%' in a value is read as it is: gen-data writes a file named
+        data%20set.libsvm, and a config naming it validates and runs."""
+        cfg = write_config(tmp_path, BASE_SGD, name="gen.ini")
+        name = "data%20set.libsvm"
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        text = BASE_SGD.replace("[synthetic]\n    n_samples = 64\n    n_features = 5\n"
+                                "    seed = 3\n", "").replace("lam = 0.1", f"dataset = {name}")
+        cfg = write_config(tmp_path, text)
+        for verb in ("validate-config", "run"):
+            assert main([verb, "--config", cfg]) == 0, capsys.readouterr().err
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        assert manifest["config"]["problem"]["dataset"] == str(tmp_path / name)
+
+    def test_interpolation_syntax_in_an_output_name_is_literal(self, tmp_path):
+        """out = run_%(algorithm)s.csv names that very file, not run_sgd.csv."""
+        cfg = write_config(tmp_path, BASE_SGD.replace("out = run.csv",
+                                                      "out = run_%(algorithm)s.csv"))
+        assert main(["run", "--config", cfg]) == 0
+        assert (tmp_path / "run_%(algorithm)s.csv").is_file()
+        assert not (tmp_path / "run_sgd.csv").exists()
 
     def test_config_byte_order_mark_is_skipped(self, tmp_path, capsys):
         """A config saved with a UTF-8 byte-order mark (as Windows Notepad
@@ -1410,7 +1450,7 @@ class TestCli:
         ds_lib = load_libsvm(out_lib)
         np.testing.assert_array_equal(ds_csv.features, ds_lib.features)
         np.testing.assert_array_equal(ds_csv.labels, ds_lib.labels)
-        want = gen_synthetic(SyntheticSpec(N=64, n=5, seed=3))
+        want = gen_synthetic(SyntheticSpec(n_samples=64, n_features=5, seed=3))
         np.testing.assert_array_equal(ds_csv.features, want.features)
 
     def test_gen_data_requires_synthetic(self, tmp_path):

@@ -14,8 +14,8 @@ from stochopt import (
     ArasParams,
     BaselineParams,
     Dataset,
+    MomentumParams,
     RegParams,
-    StepSchedule,
     VarchenParams,
     aras_run,
     arig_run,
@@ -106,8 +106,7 @@ class TestVarchenCalls:
 
     def test_three_batch_grads_and_no_loss_per_step(self, gathers):
         prob = _problem()
-        params = VarchenParams(p=5, m=8, n_epochs=N_EPOCHS,
-                               schedule=StepSchedule(kind="constant", c=0.05))
+        params = VarchenParams(p=5, m=8, step_c=0.05, n_epochs=N_EPOCHS)
         res = varchen_run(prob, params, seed=3)
         assert not res.aborted and res.iterations == N_EPOCHS * 5
         # one full gradient per epoch anchor, then 3 batch passes a step
@@ -128,8 +127,7 @@ ANCHORED_EPOCHS = 3
 
 
 def _anchored_runs():
-    params = VarchenParams(p=5, m=8, n_epochs=ANCHORED_EPOCHS,
-                           schedule=StepSchedule(kind="constant", c=0.05))
+    params = VarchenParams(p=5, m=8, step_c=0.05, n_epochs=ANCHORED_EPOCHS)
     baseline = BaselineParams(alpha=0.05, m=8, n_epochs=ANCHORED_EPOCHS)
     return {
         "varchen": lambda prob: varchen_run(prob, params, seed=3),
@@ -186,10 +184,12 @@ class TestAnchorNormOnEpochEnd:
 
 
 class TestBaselineCalls:
-    @pytest.mark.parametrize("run, momentum", [(sgd_run, 0.0), (sgd_momentum_run, 0.9)])
-    def test_one_batch_grad_per_step(self, run, momentum):
+    @pytest.mark.parametrize("run, params", [
+        (sgd_run, BaselineParams(alpha=0.05, m=8, n_epochs=N_EPOCHS)),
+        (sgd_momentum_run, MomentumParams(alpha=0.05, momentum=0.9, m=8, n_epochs=N_EPOCHS)),
+    ])
+    def test_one_batch_grad_per_step(self, run, params):
         prob = _problem()
-        params = BaselineParams(alpha=0.05, momentum=momentum, m=8, n_epochs=N_EPOCHS)
         res = run(prob, params, seed=3)
         assert res.iterations == N_EPOCHS * 5
         assert prob.calls == {"batch_grad": res.iterations}
@@ -274,14 +274,15 @@ class TestArigReportCalls:
 
     # sigma0 below the curvature makes exact mode reject steps, so records
     # whose x is unchanged (a stale-gradient re-entry follows) are covered
-    PARAMS = RegParams(eps=1e-6, sigma0=0.01, sigma_min=0.005, eta0=0.1)
+    PARAMS = RegParams(eps=1e-6, sigma0=0.01, sigma_min=0.005)
 
     def report_passes(self, mode, cadence, max_iters=None):
         prob = _problem()
-        params = self.PARAMS
+        params = dataclasses.replace(self.PARAMS, mode=mode,
+                                     eta0=0.1 if mode == "inexact-g-and-f" else None)
         if max_iters is not None:
             params = dataclasses.replace(params, max_iters=max_iters)
-        res = arig_run(prob, params, mode=mode, seed=3)
+        res = arig_run(prob, params, seed=3)
         config = dataclasses.replace(load_config(CONFIG_DIR / "logistic_arig.ini"),
                                      cadence=cadence)
         prob.calls.clear()

@@ -498,8 +498,8 @@ class TestWholeSetMarginMemo:
         prob = make_logistic(Dataset(features=X, labels=y), lam=0.01)
         products = _count_products(prob, monkeypatch)
         # sigma0 this small makes the exact run reject some trial points
-        params = stochopt.RegParams(eps=1e-6, sigma0=0.01, sigma_min=0.01)
-        res = stochopt.arig_run(prob, params, mode=mode, seed=3)
+        params = stochopt.RegParams(mode=mode, eps=1e-6, sigma0=0.01, sigma_min=0.01)
+        res = stochopt.arig_run(prob, params, seed=3)
         assert res.terminated and res.iterations > 5
         assert mode != "exact" or res.n_success < res.iterations
         # x0 and each step's trial point, accepted or rejected

@@ -74,9 +74,8 @@ def library_run(config):
     with no recorder."""
     train, _, _ = harness._resolve_datasets(config)
     problem = LinearModelProblem(kind=config.kind, dataset=train, lam=config.lam)
-    kwargs = {"mode": config.arig_mode} if config.algorithm == "arig" else {}
     run = getattr(harness, ENTRIES[config.algorithm])
-    return run(problem, config.algo_params, seed=config.seed, **kwargs)
+    return run(problem, config.algo_params, seed=config.seed)
 
 
 def scalars(rec: StepRecord) -> dict:

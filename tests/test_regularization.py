@@ -61,9 +61,10 @@ class TestRegParams:
             {"gamma2": 0.9},
             {"gamma3": 1.5, "gamma2": 1.5},
             {"gamma3": 1.2, "gamma2": 1.5},
-            {"eta0": 0.125},  # must be strictly below eta1/2
-            {"eta0": 0.3},
-            {"eta0": 0.0},
+            {"mode": "bogus"},
+            {"mode": "inexact-g-and-f", "eta0": 0.125},  # must be strictly below eta1/2
+            {"mode": "inexact-g-and-f", "eta0": 0.3},
+            {"mode": "inexact-g-and-f", "eta0": 0.0},
             {"max_iters": 0},
         ],
     )
@@ -72,8 +73,18 @@ class TestRegParams:
             RegParams(**kwargs)
 
     def test_eta0_strictly_inside(self):
-        assert RegParams(eta0=0.1).eta0 == 0.1
-        assert RegParams(eta0=0.124).eta0 == 0.124
+        assert RegParams(mode="inexact-g-and-f", eta0=0.1).eta0 == 0.1
+        assert RegParams(mode="inexact-g-and-f", eta0=0.124).eta0 == 0.124
+
+    @pytest.mark.parametrize("kwargs", [
+        {"eta0": 0.1},
+        {"mode": "inexact-g", "eta0": 0.1},
+        {"mode": "inexact-g-and-f"},
+    ])
+    def test_eta0_set_exactly_in_inexact_f_mode(self, kwargs):
+        # eta0 is the noisy-f accuracy factor: no other mode reads it
+        with pytest.raises(ValueError, match="eta0 is required by mode = inexact-g-and-f"):
+            RegParams(**kwargs)
 
 
 class TestModelDecrease:
@@ -192,7 +203,7 @@ class TestSigmaMaxBound:
 
     def test_run_never_exceeds_bound(self):
         prob = diag_quadratic([1.0, 3.0, 5.0], b=[1.0, -2.0, 0.5])
-        res = arig_run(prob, RegParams(eps=1e-6), mode="exact", x0=np.ones(3))
+        res = arig_run(prob, RegParams(eps=1e-6), x0=np.ones(3))
         assert res.terminated
         assert res.sigma_max_observed <= sigma_max_bound(prob.L, DEFAULTS) + 1e-12
 
@@ -231,7 +242,7 @@ class TestComplexityBudget:
         prob = diag_quadratic([0.5, 2.0, 4.0], b=[1.0, 1.0, -1.0])
         params = RegParams(eps=1e-5)
         x0 = np.zeros(3)
-        res = arig_run(prob, params, mode="exact", x0=x0)
+        res = arig_run(prob, params, x0=x0)
         assert res.terminated
         max_succ, max_total = complexity_budget(
             prob.full_loss(x0), prob.f_low(), params.eps, params, prob.L
@@ -344,7 +355,7 @@ class TestArigStep:
     def test_dishonest_function_oracle_detected(self):
         grad, _ = half_norm_squared_oracles()
         fun = lambda x, w: (0.5 * float(x @ x), w * 2.0 + 1.0)
-        params = RegParams(eta0=0.1)
+        params = RegParams(mode="inexact-g-and-f", eta0=0.1)
         state = RegState(x=np.array([1.0, 0.0]), sigma=2.0)
         with pytest.raises(RuntimeError, match="did not honor"):
             arig_step(state, params, grad, fun)
@@ -357,7 +368,7 @@ class TestArigStep:
             return 0.5 * float(x @ x), w
 
         grad, _ = half_norm_squared_oracles()
-        params = RegParams(eta0=0.1)
+        params = RegParams(mode="inexact-g-and-f", eta0=0.1)
         state = RegState(x=np.array([2.0, 0.0]), sigma=2.0)
         arig_step(state, params, grad, recording_fun)
         # model decrease = ||g||^2/sigma = 4/2 = 2; request eta0 * 2 = 0.2
@@ -390,42 +401,41 @@ class TestArigRun:
         # Homogeneous quadratic: function values shrink with the iterates, so
         # the decrease ratio stays numerically meaningful down to eps=1e-8.
         prob = diag_quadratic([1.0, 2.0, 3.0, 4.0])
-        res = arig_run(prob, RegParams(eps=1e-8), mode="exact", x0=np.ones(4))
+        res = arig_run(prob, RegParams(eps=1e-8), x0=np.ones(4))
         assert res.terminated
         assert np.linalg.norm(prob.full_grad(res.x)) <= 1e-8
 
     def test_inexact_gradient_mode_reaches_tolerance(self):
         prob = diag_quadratic([1.0, 2.0, 3.0], b=[0.5, -0.5, 1.0])
-        res = arig_run(prob, RegParams(eps=1e-6), mode="inexact-g", seed=3, x0=np.ones(3))
+        res = arig_run(prob, RegParams(mode="inexact-g", eps=1e-6), seed=3, x0=np.ones(3))
         assert res.terminated
         # the guarantee is on the exact gradient at the returned point
         assert np.linalg.norm(prob.full_grad(res.x)) <= 1e-6
 
     def test_inexact_g_and_f_mode_reaches_tolerance(self):
         prob = diag_quadratic([1.0, 2.0], b=[1.0, 1.0])
-        params = RegParams(eps=1e-6, eta0=0.1)
-        res = arig_run(prob, params, mode="inexact-g-and-f", seed=7, x0=np.zeros(2))
+        params = RegParams(mode="inexact-g-and-f", eps=1e-6, eta0=0.1)
+        res = arig_run(prob, params, seed=7, x0=np.zeros(2))
         assert res.terminated
         assert np.linalg.norm(prob.full_grad(res.x)) <= 1e-6
 
     def test_unknown_mode_rejected(self):
-        prob = diag_quadratic([1.0])
-        with pytest.raises(ValueError, match="mode"):
-            arig_run(prob, DEFAULTS, mode="bogus")
+        with pytest.raises(ValueError, match="mode must be one of"):
+            RegParams(mode="bogus")
 
     def test_inexact_f_requires_eta0(self):
-        prob = diag_quadratic([1.0])
         with pytest.raises(ValueError, match="eta0"):
-            arig_run(prob, RegParams(), mode="inexact-g-and-f")
+            RegParams(mode="inexact-g-and-f")
 
-    def test_eta0_ignored_outside_inexact_f_mode(self):
-        prob = diag_quadratic([1.0, 2.0], b=[1.0, -1.0])
-        res = arig_run(prob, RegParams(eps=1e-8, eta0=0.1), mode="exact", x0=np.ones(2))
-        assert res.terminated
+    def test_eta0_rejected_outside_inexact_f_mode(self):
+        # no mode but inexact-g-and-f reads eta0, so setting it elsewhere is
+        # an error at construction, not a value the run drops
+        with pytest.raises(ValueError, match="eta0"):
+            RegParams(eps=1e-8, eta0=0.1)
 
     def test_trace_consistency(self):
         prob = diag_quadratic([0.5, 5.0], b=[2.0, 1.0])
-        res = arig_run(prob, RegParams(eps=1e-7), mode="exact", x0=np.zeros(2))
+        res = arig_run(prob, RegParams(eps=1e-7), x0=np.zeros(2))
         assert isinstance(res, RunResult)
         assert len(res.trace) == res.iterations
         ks = [r.k for r in res.trace]
@@ -445,7 +455,7 @@ class TestArigRun:
     def test_rejection_limit_on_huge_features_aborts(self):
         """Features scaled by 1e154 make every trial point's loss too large
         to decrease: the run ends aborted at x0 instead of raising."""
-        res = arig_run(_overflowing_logistic(1e154), RegParams(eps=1e-6), mode="exact")
+        res = arig_run(_overflowing_logistic(1e154), RegParams(eps=1e-6))
         assert res.aborted and not res.terminated
         assert res.abort_reason.startswith(f"{REJECTION_LIMIT} consecutive rejected steps")
         assert res.iterations == REJECTION_LIMIT and res.n_success == 0
@@ -455,7 +465,7 @@ class TestArigRun:
         """A rejected step doubles sigma, so a run that ends on rejected steps
         holds its largest sigma after the last step, which no record shows."""
         params = RegParams(eps=1e-6, max_iters=3)
-        res = arig_run(_overflowing_logistic(1e154), params, mode="exact")
+        res = arig_run(_overflowing_logistic(1e154), params)
         assert [rec.sigma for rec in res.trace] == [1.0, 2.0, 4.0] and res.n_reject == 3
         assert res.sigma_max_observed == res.sigma_final == 8.0
 
@@ -465,7 +475,7 @@ class TestArigRun:
         prob = _LossCounter(_overflowing_logistic(1e300))
         params = RegParams(eps=1e-6, sigma0=1e-10, sigma_min=1e-10)
         with np.errstate(over="ignore"):
-            res = arig_run(prob, params, mode="exact")
+            res = arig_run(prob, params)
         assert res.aborted and not res.terminated
         assert res.abort_reason == "non-finite trial iterate at iteration 0"
         assert res.iterations == 0 and res.trace == [] and prob.loss_calls == 0
@@ -473,12 +483,12 @@ class TestArigRun:
 
     def test_converging_run_is_not_aborted(self):
         prob = diag_quadratic([1.0, 2.0])
-        res = arig_run(prob, RegParams(eps=1e-8), mode="exact", x0=np.ones(2))
+        res = arig_run(prob, RegParams(eps=1e-8), x0=np.ones(2))
         assert res.terminated and not res.aborted and res.abort_reason is None
 
     def test_budget_exhaustion_is_flagged_not_fatal(self):
         prob = diag_quadratic([1.0, 3.0], b=[1.0, 1.0])
-        res = arig_run(prob, RegParams(eps=1e-12, max_iters=3), mode="exact", x0=np.zeros(2))
+        res = arig_run(prob, RegParams(eps=1e-12, max_iters=3), x0=np.zeros(2))
         assert not res.terminated
         assert res.iterations == 3
 
@@ -486,7 +496,7 @@ class TestArigRun:
         # Recompute the sigma sequence from the recorded rho values and
         # compare against the recorded sigmas.
         prob = diag_quadratic([0.5, 5.0], b=[2.0, 1.0])
-        res = arig_run(prob, RegParams(eps=1e-7), mode="exact", x0=np.zeros(2))
+        res = arig_run(prob, RegParams(eps=1e-7), x0=np.zeros(2))
         sigma = DEFAULTS.sigma0
         for rec in res.trace:
             assert rec.sigma == pytest.approx(sigma, rel=1e-12)
@@ -515,7 +525,7 @@ class TestArigFunctionOracleCalls:
         prob = diag_quadratic([0.5, 5.0], b=[2.0, 1.0])
         counter = _LossCounter(prob)
         x0 = np.zeros(2)
-        res = arig_run(counter, RegParams(eps=1e-7), mode=mode, seed=3, x0=x0)
+        res = arig_run(counter, RegParams(mode=mode, eps=1e-7), seed=3, x0=x0)
         accepted = [r.accepted for r in res.trace]
         assert any(accepted) and not all(accepted)  # both reuse paths ran
         assert counter.loss_calls == res.iterations + 1
@@ -527,8 +537,8 @@ class TestArigFunctionOracleCalls:
     def test_noisy_f_still_evaluated_twice_per_step(self):
         prob = diag_quadratic([1.0, 2.0], b=[1.0, 1.0])
         counter = _LossCounter(prob)
-        params = RegParams(eps=1e-6, eta0=0.1)
-        res = arig_run(counter, params, mode="inexact-g-and-f", seed=7, x0=np.zeros(2))
+        params = RegParams(mode="inexact-g-and-f", eps=1e-6, eta0=0.1)
+        res = arig_run(counter, params, seed=7, x0=np.zeros(2))
         assert res.iterations > 0
         assert counter.loss_calls == 2 * res.iterations
 
@@ -614,7 +624,7 @@ class TestRunProperties:
         prob = diag_quadratic(diag, b)
         params = RegParams(eps=1e-6)
         x0 = gen.standard_normal(n)
-        res = arig_run(prob, params, mode="exact", x0=x0)
+        res = arig_run(prob, params, x0=x0)
         assert res.terminated
         assert np.linalg.norm(prob.full_grad(res.x)) <= params.eps
         assert res.sigma_max_observed <= sigma_max_bound(prob.L, params) + 1e-12

@@ -61,7 +61,7 @@ def csr_dataset(N=20000, n=3000, per_row=50, index_dtype=np.int32, canonical=Tru
 
 class TestGenerationScalesInPlace:
     def test_kappa_scaling_adds_no_copy(self, traced_peak):
-        spec = SyntheticSpec(N=10000, n=100, noise=0.1, kappa=100.0, seed=3)
+        spec = SyntheticSpec(n_samples=10000, n_features=100, noise=0.1, kappa=100.0, seed=3)
         ds, peak = traced_peak(gen_synthetic, spec)
         # a scaled copy would be another 7.6 MiB
         assert peak <= nbytes(ds) + BLOCK_BYTES, f"peak {peak / 2**20:.1f} MiB"

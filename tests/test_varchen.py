@@ -8,7 +8,6 @@ from stochopt import (
     Dataset,
     LBFGSMemory,
     SamplerState,
-    StepSchedule,
     VarchenParams,
     harmonic_schedule_from_L,
     make_logistic,
@@ -16,7 +15,6 @@ from stochopt import (
     make_quadratic,
     power_schedule_from_L,
     push_pair,
-    step_size,
     svrg_gradient,
     two_loop_apply,
     varchen_run,
@@ -33,52 +31,49 @@ def random_spd_quadratic(rng, n=8, lo=0.5, hi=2.0):
     return make_quadratic(A, b)
 
 
-class TestStepSchedule:
+class TestVarchenSchedule:
     def test_constant(self):
-        sched = StepSchedule(kind="constant", c=0.1)
-        assert [step_size(sched, k) for k in (0, 1, 7)] == [0.1, 0.1, 0.1]
+        params = VarchenParams(schedule="constant", step_c=0.1)
+        assert [params.step_size(k) for k in (0, 1, 7)] == [0.1, 0.1, 0.1]
 
     def test_harmonic(self):
-        sched = StepSchedule(kind="harmonic", c=1.0)
-        assert step_size(sched, 3) == pytest.approx(0.25)
-        assert step_size(sched, 0) == pytest.approx(1.0)
+        params = VarchenParams(schedule="harmonic", step_c=1.0)
+        assert params.step_size(3) == pytest.approx(0.25)
+        assert params.step_size(0) == pytest.approx(1.0)
 
     def test_power(self):
-        sched = StepSchedule(kind="power", c=1.0, beta=0.6)
-        assert step_size(sched, 1) == pytest.approx(1.0)
-        assert step_size(sched, 4) == pytest.approx(4.0 ** -0.6)
+        params = VarchenParams(schedule="power", step_c=1.0, step_beta=0.6)
+        assert params.step_size(1) == pytest.approx(1.0)
+        assert params.step_size(4) == pytest.approx(4.0 ** -0.6)
         # the decay starts at 1: k=0 maps to the k=1 value
-        assert step_size(sched, 0) == step_size(sched, 1)
+        assert params.step_size(0) == params.step_size(1)
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            step_size(StepSchedule(kind="constant", c=0.1), -1)
+            VarchenParams(step_c=0.1).step_size(-1)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"kind": "bogus"},
-            {"kind": "constant", "c": 0.0},
-            {"kind": "constant", "c": -1.0},
-            {"kind": "power", "beta": 0.5},
-            {"kind": "power", "beta": 1.0},
-            {"kind": "power", "beta": 0.2},
+            {"schedule": "bogus"},
+            {"schedule": "constant", "step_c": 0.0},
+            {"schedule": "constant", "step_c": -1.0},
+            {"schedule": "power", "step_beta": 0.5},
+            {"schedule": "power", "step_beta": 1.0},
+            {"schedule": "power", "step_beta": 0.2},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
-            StepSchedule(**kwargs)
+            VarchenParams(**kwargs)
 
     def test_harmonic_from_L(self):
-        sched = harmonic_schedule_from_L(2.0, lam_min=0.01, lam_max=10.0)
-        assert sched.kind == "harmonic"
-        assert sched.c == pytest.approx(0.01 / 20.0)
+        assert harmonic_schedule_from_L(2.0, lam_min=0.01, lam_max=10.0) == pytest.approx(
+            0.01 / 20.0)
 
     def test_power_from_L(self):
-        sched = power_schedule_from_L(2.0, lam_min=0.01, lam_max=10.0, beta=0.6)
-        assert sched.kind == "power"
-        assert sched.c == pytest.approx(0.01 / 200.0)
-        assert sched.beta == 0.6
+        assert power_schedule_from_L(2.0, lam_min=0.01, lam_max=10.0) == pytest.approx(
+            0.01 / 200.0)
 
     def test_from_L_validation(self):
         with pytest.raises(ValueError):
@@ -171,9 +166,7 @@ class TestVarchenRun:
         # variance-reduced gradient is the full gradient bit-for-bit.
         prob = random_spd_quadratic(rng, n=4)
         alpha = 0.05
-        params = VarchenParams(
-            p=5, m=prob.N, schedule=StepSchedule(kind="constant", c=alpha), n_epochs=1
-        )
+        params = VarchenParams(p=5, m=prob.N, step_c=alpha, n_epochs=1)
         x0 = rng.standard_normal(4)
         res = varchen_run(prob, params, seed=0, x0=x0)
         expected_first = x0 + alpha * (-prob.full_grad(x0))
@@ -181,9 +174,7 @@ class TestVarchenRun:
 
     def test_epoch_structure(self, rng):
         prob = random_spd_quadratic(rng, n=3)  # N = 3? no: N = n for quadratics
-        params = VarchenParams(
-            p=4, m=2, schedule=StepSchedule(kind="constant", c=0.05), n_epochs=4
-        )
+        params = VarchenParams(p=4, m=2, step_c=0.05, n_epochs=4)
         res = varchen_run(prob, params, seed=1)
         assert not res.aborted
         assert sorted({r.epoch for r in res.trace}) == list(range(params.n_epochs))
@@ -194,9 +185,7 @@ class TestVarchenRun:
 
     def test_epochs_anchor_at_previous_iterate(self, rng, monkeypatch):
         prob = random_spd_quadratic(rng, n=4)
-        params = VarchenParams(
-            p=4, m=2, schedule=StepSchedule(kind="constant", c=0.05), n_epochs=3
-        )
+        params = VarchenParams(p=4, m=2, step_c=0.05, n_epochs=3)
         x0 = rng.standard_normal(4)
         anchors = []
         full_grad = type(prob).full_grad
@@ -236,7 +225,7 @@ class TestVarchenRun:
             gamma_under=0.1,
             gamma_over=2.0,
             m=4,
-            schedule=StepSchedule(kind="constant", c=c),
+            step_c=c,
             n_epochs=200,
         )
         res = varchen_run(prob, params, seed=3, x0=np.ones(n))
@@ -252,7 +241,7 @@ class TestVarchenRun:
             gamma_under=0.1,
             gamma_over=1e3,
             m=2,
-            schedule=StepSchedule(kind="constant", c=0.05),
+            step_c=0.05,
             n_epochs=10,
         )
         res = varchen_run(prob, params, seed=4)
@@ -264,9 +253,7 @@ class TestVarchenRun:
 
     def test_non_finite_iterate_aborts_with_diagnostic(self, rng):
         prob = random_spd_quadratic(rng, n=3)
-        params = VarchenParams(
-            p=0, m=prob.N, schedule=StepSchedule(kind="constant", c=1e200), n_epochs=5
-        )
+        params = VarchenParams(p=0, m=prob.N, step_c=1e200, n_epochs=5)
         with np.errstate(over="ignore", invalid="ignore"):
             res = varchen_run(prob, params, seed=5, x0=np.ones(3))
         assert res.aborted
@@ -276,26 +263,20 @@ class TestVarchenRun:
 
     def test_zero_memory_never_pushes(self, rng):
         prob = random_spd_quadratic(rng, n=4)
-        params = VarchenParams(
-            p=0, m=2, schedule=StepSchedule(kind="constant", c=0.05), n_epochs=2
-        )
+        params = VarchenParams(p=0, m=2, step_c=0.05, n_epochs=2)
         res = varchen_run(prob, params, seed=6)
         assert all(r.gamma_tilde == 1.0 for r in res.trace)
         assert all(r.lam == 1.0 and r.Lam == 1.0 for r in res.trace)
 
     def test_batch_size_capped_at_N(self, rng):
         prob = random_spd_quadratic(rng, n=4)
-        params = VarchenParams(
-            p=2, m=10 * prob.N, schedule=StepSchedule(kind="constant", c=0.05), n_epochs=2
-        )
+        params = VarchenParams(p=2, m=10 * prob.N, step_c=0.05, n_epochs=2)
         res = varchen_run(prob, params, seed=7)
         assert all(r.m_used == prob.N for r in res.trace)
 
     def test_deterministic_given_seed(self, rng):
         prob = random_spd_quadratic(rng, n=5)
-        params = VarchenParams(
-            p=3, m=2, schedule=StepSchedule(kind="constant", c=0.05), n_epochs=3
-        )
+        params = VarchenParams(p=3, m=2, step_c=0.05, n_epochs=3)
         r1 = varchen_run(prob, params, seed=11)
         r2 = varchen_run(prob, params, seed=11)
         np.testing.assert_array_equal(r1.x, r2.x)
@@ -314,7 +295,7 @@ class TestVarchenRun:
             lam_min=0.0,
             lam_max=float("inf"),
             m=m,
-            schedule=StepSchedule(kind="constant", c=alpha),
+            step_c=alpha,
             n_epochs=n_epochs,
         )
         x0 = rng.standard_normal(5)
