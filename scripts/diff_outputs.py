@@ -5,15 +5,15 @@
 Pairs the metrics CSVs (``*.csv``) and manifests (``*.manifest.json``) of
 DIR_A and DIR_B by file name and compares them cell by cell: CSV cells by
 column, manifest values by their key path.  The ``wall_ms`` column and the
-``out`` key (the run's own output path) are ignored, and so is the dataset
-path ``config.problem.dataset`` when both manifests hash the same dataset
-bytes (``dataset_sha256``), as two checkouts of one run do.  That hash
-covers the training set only, so a ``config.problem.test_dataset`` path
-that differs is still reported: two checkouts of a run with a test set
-differ there.  Prints one line per differing column or key: its file, its
-name, how many cells differ and the largest distance in float64 ulps, or
-``non-numeric`` where a differing cell is not a number on both sides (a
-missing file, key or cell counts as one).
+``out`` key (the run's own output path) are ignored, and so is the training
+set's path ``config.problem.dataset`` when both manifests hash the same
+dataset bytes (``dataset_sha256``), as two checkouts of one run do; the
+test set's path ``config.problem.test_dataset`` is ignored in the same way
+when both hash the same test set bytes (``test_dataset_sha256``).  A path
+whose data differ is reported, beside its digest.  Prints one line per
+differing column or key: its file, its name, how many cells differ and the
+largest distance in float64 ulps, or ``non-numeric`` where a differing cell
+is not a number on both sides (a missing file, key or cell counts as one).
 Exits 1 when a distance exceeds K ulps (default 0) or a non-numeric cell
 differs, else 0.
 """
@@ -81,10 +81,11 @@ def manifest_pairs(va, vb, path=()):
 def pairs(a: Path, b: Path):
     if a.name.endswith(".manifest.json"):
         ma, mb = (json.loads(p.read_text(encoding="utf-8")) for p in (a, b))
-        digest = ma.get("dataset_sha256")
-        if digest is not None and digest == mb.get("dataset_sha256"):
-            for manifest in (ma, mb):
-                manifest.get("config", {}).get("problem", {}).pop("dataset", None)
+        for key in ("dataset", "test_dataset"):
+            digest = ma.get(f"{key}_sha256")
+            if digest is not None and digest == mb.get(f"{key}_sha256"):
+                for manifest in (ma, mb):
+                    manifest.get("config", {}).get("problem", {}).pop(key, None)
         return manifest_pairs(ma, mb)
     return csv_pairs(a, b)
 

@@ -57,11 +57,19 @@ class MomentumParams(BaselineParams):
             raise ValueError("momentum must lie in [0, 1)")
 
 
+def _no_momentum(params: BaselineParams, entry: str) -> None:
+    """Refuse a MomentumParams, whose momentum `entry` would drop."""
+    if isinstance(params, MomentumParams):
+        raise TypeError(f"{entry} takes BaselineParams, not MomentumParams: "
+                        "its momentum is read only by sgd_momentum_run")
+
+
 def sgd_run(
     problem, params: BaselineParams, seed: int = 0, x0: Optional[np.ndarray] = None,
     recorder: Optional[Recorder] = None,
 ) -> RunResult:
     """x <- x - alpha * batch gradient."""
+    _no_momentum(params, "sgd_run")
 
     def step(x, batch, k):
         return x - params.alpha * problem.batch_grad(batch, x), None
@@ -90,5 +98,6 @@ def svrg_run(
 ) -> RunResult:
     """Variance-reduced gradient steps with identity H: the zero-memory,
     constant-step case of the quasi-Newton driver."""
+    _no_momentum(params, "svrg_run")
     vr_params = VarchenParams(p=0, m=params.m, step_c=params.alpha, n_epochs=params.n_epochs)
     return varchen_run(problem, vr_params, seed=seed, x0=x0, recorder=recorder)

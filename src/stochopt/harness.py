@@ -10,11 +10,13 @@ each parameter class checks its fields (VarchenParams by building the
 L-BFGS memory it describes) and load_config checks [problem] and [run].  A
 run writes one CSV of MetricsRecord rows (fixed column order, empty cells
 for metrics an algorithm does not produce) plus a JSON manifest holding the
-resolved config under the file's own key names, the seed, a content hash
-of the dataset, the run's events (ARIG's accepted and rejected steps and
-final and largest sigma, ARAS's trigger step and sigma, VARCHEN's and
-SVRG's flush count; see _EVENTS) and the numeric environment the bits can
-depend on (numpy, BLAS, SIMD level, BLAS threads).
+resolved config under the file's own key names, the seed, SHA-256 content
+hashes of the training and test sets (computed on a worker thread while
+the run goes ahead; see _resolve_datasets), the run's events (ARIG's
+accepted and rejected steps and final and largest sigma, ARAS's trigger
+step and sigma, VARCHEN's and SVRG's flush count; see _EVENTS) and the
+numeric environment the bits can depend on (numpy, BLAS, SIMD level, BLAS
+threads).
 Everything a run writes is byte-identical across reruns on one machine
 except the wall_ms column.
 
@@ -47,16 +49,19 @@ place a bad line is found, a label other than -1 or +1 included (both
 problem kinds take +-1 labels), so every fault is reported at the first bad
 line in file order, with its line or row number.  compare resolves each
 distinct dataset source once and hands the datasets to its runs, which run
-one after another, so each run's wall_ms is its own optimizer time.
+one after another, so each run's wall_ms is its own optimizer time; it
+waits for the digests before its first run only when its configs name two
+or more sources.
 
 Generation and hashing add at most one bounded block to the dataset:
-generation scales the features in place and the hash reads the arrays' own
-buffers.  load_csv keeps numbers only as float64 arrays and peaks near
-twice its result.  load_libsvm counts the file's ':' bytes first and
-fills a CSR result's value and column arrays in place, block by block, so
-it peaks at the result plus one 256-line block's token strings: 4.74 MiB
-for a 2.93 MiB result on a 10,000-row file, and an RSS rise of 32.4 MiB
-for a 29.3 MiB result on a 100,000-row file.
+generation scales the features in place and the hash, on a worker thread
+beside the run, reads the arrays' own buffers.  load_csv keeps numbers
+only as float64 arrays and peaks near twice its result.  load_libsvm
+counts the file's ':' bytes first and fills a CSR result's value and
+column arrays in place, block by block, so it peaks at the result plus
+one 256-line block's token strings: 4.74 MiB for a 2.93 MiB result on a
+10,000-row file, and an RSS rise of 32.4 MiB for a 29.3 MiB result on a
+100,000-row file.
 
 CLI verbs: run, compare, gen-data, validate-config.  Exit codes: 0 success,
 1 config error, 2 runtime error.
@@ -74,6 +79,7 @@ import math
 import os
 import stat
 import sys
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -830,7 +836,8 @@ def _dataset_hash(dataset: Dataset) -> str:
     the arrays' own buffers, and an index array of another integer type is
     converted to int64 one block at a time, so hashing adds no copy of the
     dataset; sha256 is a stream, so the digest is that of the concatenated
-    bytes."""
+    bytes.  Runs call it on _resolve_datasets' worker thread, beside the
+    optimizer: hashlib releases the interpreter lock for each buffer."""
     h = hashlib.sha256()
     feats = dataset.features
     if sp.issparse(feats):
@@ -857,7 +864,19 @@ def _load_dataset_file(path: str, label_column: int, header: bool,
     return load_libsvm(path, n_features=n_features)
 
 
-def _resolve_datasets(config: ExperimentConfig) -> Tuple[Dataset, Optional[Dataset], str]:
+# what _resolve_datasets returns: (train, test or None, a future of their digests)
+Resolved = Tuple[Dataset, Optional[Dataset], Future]
+
+
+def _resolve_datasets(config: ExperimentConfig) -> Resolved:
+    """The config's training and test sets, and a future of their digests.
+
+    The digests, (_dataset_hash(train), _dataset_hash(test) or None), are
+    computed on one worker thread, so the run starts without waiting for
+    them: hashlib releases the interpreter lock while it reads a buffer,
+    and the worker only reads arrays that nothing writes once the problem
+    is built.  The future's result() waits for them and re-raises a
+    digest's error."""
     if config.synthetic is not None:
         train = gen_synthetic(config.synthetic)
     else:
@@ -871,7 +890,11 @@ def _resolve_datasets(config: ExperimentConfig) -> Tuple[Dataset, Optional[Datas
         if test.n != train.n:  # a CSV's width; a libsvm test set takes train's
             raise ValueError(f"{config.test_dataset}: test dataset width {test.n} "
                              f"!= train width {train.n}")
-    return train, test, _dataset_hash(train)
+    worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="stochopt-digest")
+    digests = worker.submit(
+        lambda: (_dataset_hash(train), None if test is None else _dataset_hash(test)))
+    worker.shutdown(wait=False)  # the thread ends with its one task
+    return train, test, digests
 
 
 def _accuracy(dataset: Dataset, x: np.ndarray) -> float:
@@ -992,11 +1015,12 @@ _EVENTS = {
 }
 
 
-def _run(config: ExperimentConfig, resolved: Tuple[Dataset, Optional[Dataset], str]
-         ) -> Tuple[str, List[MetricsRecord]]:
+def _run(config: ExperimentConfig, resolved: Resolved) -> Tuple[str, List[MetricsRecord]]:
     """run_experiment on datasets already resolved for this config; returns
-    the metrics CSV path and the rows written to it."""
-    train, test, ds_hash = resolved
+    the metrics CSV path and the rows written to it.  The run and its report
+    go ahead while the digests are computed; they are waited for before
+    any file is written, so a digest's error leaves no output file."""
+    train, test, digests = resolved
     # the entries are looked up here, at call time, where a wrapper patched
     # onto the module's names (benchmarks/probe.py) sees the call
     run = {"arig": arig_run, "aras": aras_run, "varchen": varchen_run, "sgd": sgd_run,
@@ -1011,6 +1035,7 @@ def _run(config: ExperimentConfig, resolved: Tuple[Dataset, Optional[Dataset], s
                      recorder=Recorder(config.cadence))
         rows = _trace_to_metrics(config, problem, test, result)
 
+    ds_hash, test_hash = digests.result()
     out_path = Path(config.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(out_path, rows)
@@ -1019,6 +1044,7 @@ def _run(config: ExperimentConfig, resolved: Tuple[Dataset, Optional[Dataset], s
         "config": config.as_manifest_dict(),
         "seed": config.seed,
         "dataset_sha256": ds_hash,
+        "test_dataset_sha256": test_hash,
         "problem_fingerprint": _problem_fingerprint(config, ds_hash),
         "aborted": result.aborted,
         "abort_reason": result.abort_reason,
@@ -1035,25 +1061,38 @@ def _run(config: ExperimentConfig, resolved: Tuple[Dataset, Optional[Dataset], s
 
 
 def compare(config_paths: Sequence[str]) -> List[Dict]:
-    """Run >= 2 configs over the same problem and tabulate their outcomes."""
+    """Run >= 2 configs over the same problem and tabulate their outcomes.
+
+    One problem is one (kind, lam, training-set digest).  When every config
+    names one dataset source, the digest is common to all of them, so the
+    kinds and lams decide at once and the runs start while the digest is
+    computed; configs naming two or more sources wait for their digests
+    before the first run.  The fingerprints a rejection lists, and the
+    summaries' "problem", are computed from the digests."""
     if len(config_paths) < 2:
         raise ConfigError(["compare needs at least two --config arguments"])
     configs = [load_config(p) for p in config_paths]
 
     # each distinct source is read (or generated) once and shared by its runs
-    by_source: Dict[Tuple, Tuple[Dataset, Optional[Dataset], str]] = {}
+    by_source: Dict[Tuple, Resolved] = {}
     resolved = []
     for cfg in configs:
         key = _dataset_source(cfg)
         if key not in by_source:
             by_source[key] = _resolve_datasets(cfg)
         resolved.append(by_source[key])
-    fingerprints = [_problem_fingerprint(cfg, ds_hash)
-                    for cfg, (_, _, ds_hash) in zip(configs, resolved)]
-    if len(set(fingerprints)) != 1:
+
+    def fingerprints() -> List[str]:
+        return [_problem_fingerprint(cfg, digests.result()[0])
+                for cfg, (_, _, digests) in zip(configs, resolved)]
+
+    shared = len(by_source) == 1
+    problems = {(cfg.kind, repr(float(cfg.lam)), None if shared else digests.result()[0])
+                for cfg, (_, _, digests) in zip(configs, resolved)}
+    if len(problems) != 1:
         raise ConfigError(
             ["compare configs target different problems: "
-             + ", ".join(f"{Path(p).name}={fp}" for p, fp in zip(config_paths, fingerprints))]
+             + ", ".join(f"{Path(p).name}={fp}" for p, fp in zip(config_paths, fingerprints()))]
         )
 
     # every file the runs write, CSV and manifest, by its real path: two
@@ -1066,7 +1105,7 @@ def compare(config_paths: Sequence[str]) -> List[Dict]:
     runs = [_run(cfg, res) for cfg, res in zip(configs, resolved)]
 
     summaries: List[Dict] = []
-    for cfg, fp, (csv_path, rows) in zip(configs, fingerprints, runs):
+    for cfg, fp, (csv_path, rows) in zip(configs, fingerprints(), runs):
         losses = [r.loss for r in rows if r.loss is not None]
         accs = [r.test_accuracy for r in rows if r.test_accuracy is not None]
         summaries.append(

@@ -54,6 +54,15 @@ class TestBaselineParams:
         with pytest.raises(TypeError):
             BaselineParams(momentum=0.9)
 
+    @pytest.mark.parametrize("entry", [sgd_run, svrg_run])
+    @pytest.mark.parametrize("momentum", [0.9, 0.0])
+    def test_sgd_and_svrg_refuse_momentum_params(self, rng, entry, momentum):
+        # a MomentumParams is a BaselineParams, but these entries would
+        # drop its momentum and run without it
+        params = MomentumParams(alpha=0.05, momentum=momentum, m=4, n_epochs=1)
+        with pytest.raises(TypeError, match="sgd_momentum_run"):
+            entry(noisy_problem(rng), params, seed=0)
+
 
 class TestSgd:
     def test_one_full_batch_step_exact(self, rng):

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -627,8 +628,9 @@ class TestRunExperiment:
         out = run_experiment(load_config(write_config(tmp_path, BASE_SGD)))
         manifest = json.loads(Path(out + ".manifest.json").read_text())
         # the keys written before numeric_env existed stay as they were
-        assert set(manifest) == {"config", "seed", "dataset_sha256", "problem_fingerprint",
-                                 "aborted", "abort_reason", "events", "numeric_env"}
+        assert set(manifest) == {"config", "seed", "dataset_sha256", "test_dataset_sha256",
+                                 "problem_fingerprint", "aborted", "abort_reason", "events",
+                                 "numeric_env"}
         assert manifest["abort_reason"] is None
         info = np.show_config(mode="dicts")
         blas = info["Build Dependencies"]["blas"]
@@ -939,8 +941,12 @@ class TestCompare:
             ),
             name="b.ini",
         )
-        with pytest.raises(ConfigError, match="different problems"):
+        # one source: the message's fingerprints wait for the common digest
+        digest = harness._dataset_hash(gen_synthetic(load_config(c1).synthetic))
+        fps = [harness._problem_fingerprint(load_config(c), digest) for c in (c1, c2)]
+        with pytest.raises(ConfigError, match="different problems") as info:
             compare([c1, c2])
+        assert f"a.ini={fps[0]}, b.ini={fps[1]}" in info.value.errors[0]
 
     def test_compare_rejects_shared_output(self, tmp_path):
         c1 = write_config(tmp_path, BASE_SGD, name="a.ini")
@@ -1036,6 +1042,143 @@ class TestCsrRuns:
         assert manifest["aborted"] is False
         first = strip_wall(tmp_path / "a.csv")
         assert len(first) > 2 and first == strip_wall(tmp_path / "b.csv")
+
+
+
+class TestDigestWorker:
+    """A run's dataset digests are computed on a worker thread beside the
+    run: the first step does not wait for them, the output files do."""
+
+    ENTRIES = ("arig_run", "aras_run", "varchen_run", "sgd_run", "sgd_momentum_run",
+               "svrg_run")
+
+    def digest_after_first_step(self, monkeypatch):
+        """Make each digest wait until an algorithm entry has started.  A
+        digest that the run waits for would wait forever, so it gives up
+        after 10 s and raises."""
+        started = threading.Event()
+        real_hash = harness._dataset_hash
+
+        def digest(dataset):
+            if not started.wait(timeout=10):
+                raise RuntimeError("the run waited for the digest")
+            return real_hash(dataset)
+
+        def starting(real):
+            def entry(*args, **kwargs):
+                started.set()
+                return real(*args, **kwargs)
+            return entry
+
+        monkeypatch.setattr(harness, "_dataset_hash", digest)
+        for name in self.ENTRIES:
+            monkeypatch.setattr(harness, name, starting(getattr(harness, name)))
+
+    def test_run_starts_before_the_digest_returns(self, tmp_path, monkeypatch):
+        config = load_config(write_config(tmp_path, BASE_SGD))
+        self.digest_after_first_step(monkeypatch)
+        out = run_experiment(config)
+        monkeypatch.undo()
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        assert manifest["dataset_sha256"] == harness._dataset_hash(
+            gen_synthetic(config.synthetic))
+
+    def test_one_source_compare_starts_before_the_digest_returns(self, tmp_path,
+                                                                  monkeypatch):
+        c1, c2 = TestCompare().two_configs(tmp_path)
+        self.digest_after_first_step(monkeypatch)
+        summaries = compare([c1, c2])
+        monkeypatch.undo()
+        config = load_config(c1)
+        want = harness._problem_fingerprint(
+            config, harness._dataset_hash(gen_synthetic(config.synthetic)))
+        assert [s["problem"] for s in summaries] == [want, want]
+
+    def test_digest_error_fails_the_run_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                           capsys):
+        def broken(dataset):
+            raise OSError("digest failed")
+
+        monkeypatch.setattr(harness, "_dataset_hash", broken)
+        path = write_config(tmp_path, BASE_SGD)
+        with pytest.raises(OSError, match="digest failed"):
+            run_experiment(load_config(path))
+        assert not list(tmp_path.glob("run.csv*"))
+        capsys.readouterr()
+        assert main(["run", "--config", path]) == 2
+        assert "error: digest failed" in capsys.readouterr().err
+        assert not list(tmp_path.glob("run.csv*"))
+
+    def libsvm_configs(self, tmp_path, second, lam_b=0.1):
+        """Configs a.ini (sgd on d.libsvm) and b.ini (svrg on e.libsvm at
+        lam_b); e.libsvm is d.libsvm's text passed through `second`."""
+        data = gen_synthetic(SyntheticSpec(n_samples=40, n_features=4, noise=0.3, seed=2))
+        save_libsvm(tmp_path / "d.libsvm", data)
+        (tmp_path / "e.libsvm").write_text(second((tmp_path / "d.libsvm").read_text()))
+        paths = []
+        for name, algo, dataset, lam in (("a.ini", "sgd", "d.libsvm", 0.1),
+                                         ("b.ini", "svrg", "e.libsvm", lam_b)):
+            paths.append(write_config(tmp_path, ini_text({
+                "problem": {"kind": "logistic", "lam": lam, "dataset": dataset},
+                "run": {"algorithm": algo, "seed": 1, "out": f"{algo}.csv"},
+                algo: {"alpha": 0.1, "m": 8, "n_epochs": 2},
+            }), name=name))
+        fingerprints = [harness._problem_fingerprint(
+            load_config(path), harness._dataset_hash(load_libsvm(tmp_path / dataset)))
+            for path, dataset in zip(paths, ("d.libsvm", "e.libsvm"))]
+        return paths, fingerprints
+
+    def test_compare_of_two_sources_with_one_digest_runs(self, tmp_path):
+        paths, (fp_a, fp_b) = self.libsvm_configs(tmp_path, lambda text: text)
+        assert fp_a == fp_b
+        summaries = compare(paths)
+        assert [s["problem"] for s in summaries] == [fp_a, fp_b]
+
+    @pytest.mark.parametrize("second, lam_b", [
+        (lambda text: text.replace(text.split()[1], "1:7.5", 1), 0.1),
+        (lambda text: text, 0.2),
+    ], ids=["one-value-changed", "other-lam"])
+    def test_compare_of_two_sources_rejects_different_problems(self, tmp_path,
+                                                               second, lam_b):
+        paths, (fp_a, fp_b) = self.libsvm_configs(tmp_path, second, lam_b)
+        assert fp_a != fp_b
+        with pytest.raises(ConfigError, match="different problems") as info:
+            compare(paths)
+        assert f"a.ini={fp_a}, b.ini={fp_b}" in info.value.errors[0]
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+    def test_manifest_digests_are_the_datasets(self, tmp_path, csr):
+        if csr:
+            write_csr_libsvm(tmp_path / "train.libsvm")
+            write_csr_libsvm(tmp_path / "test.libsvm", N=60, seed=5)
+            sections = {"problem": {"kind": "logistic", "lam": 0.1,
+                                    "dataset": "train.libsvm"}}
+        else:
+            save_libsvm(tmp_path / "test.libsvm", gen_synthetic(
+                SyntheticSpec(n_samples=30, n_features=5, noise=0.2, seed=9)))
+            sections = {"problem": {"kind": "logistic", "lam": 0.1},
+                        "synthetic": {"n_samples": 64, "n_features": 5, "seed": 3}}
+        sections.update({"run": {"algorithm": "sgd", "seed": 1, "out": "run.csv"},
+                         "sgd": {"alpha": 0.1, "m": 16, "n_epochs": 2}})
+        for test in (None, "test.libsvm"):
+            if test is not None:
+                sections["problem"]["test_dataset"] = test
+            config = load_config(write_config(tmp_path, ini_text(sections)))
+            out = run_experiment(config)
+            manifest = json.loads(Path(out + ".manifest.json").read_text())
+            train = (load_libsvm(tmp_path / "train.libsvm") if csr
+                     else gen_synthetic(config.synthetic))
+            assert sp.issparse(train.features) == csr
+            assert manifest["dataset_sha256"] == harness._dataset_hash(train)
+            assert manifest["problem_fingerprint"] == harness._problem_fingerprint(
+                config, harness._dataset_hash(train))
+            if test is None:
+                assert manifest["test_dataset_sha256"] is None
+            else:
+                test_set = load_libsvm(tmp_path / test, n_features=train.n)
+                assert sp.issparse(test_set.features) == csr
+                assert manifest["test_dataset_sha256"] == harness._dataset_hash(test_set)
 
 
 class TestCli:
@@ -1587,6 +1730,50 @@ class TestDiffOutputs:
         out = capsys.readouterr().out
         assert "run.csv.manifest.json  config.problem.dataset  1 cells  non-numeric" in out
         assert "run.csv.manifest.json  dataset_sha256  1 cells  non-numeric" in out
+
+    TEST_SET_CONFIG = """\
+        [problem]
+        kind = logistic
+        dataset = d.libsvm
+        test_dataset = t.libsvm
+
+        [run]
+        algorithm = sgd
+        out = out/run.csv
+
+        [sgd]
+        m = 2
+        n_epochs = 1
+        """
+
+    def run_with_test_set(self, tmp_path, test_b):
+        """One config run in two directories on the same training set, with
+        the test set "1 1:2.0\\n-1 1:3.0\\n" in a and `test_b` in b."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        for d, test in ((a, "1 1:2.0\n-1 1:3.0\n"), (b, test_b)):
+            d.mkdir()
+            (d / "d.libsvm").write_text("1 1:2.0\n-1 1:3.0\n")
+            (d / "t.libsvm").write_text(test)
+            assert main(["run", "--config", write_config(d, self.TEST_SET_CONFIG)]) == 0
+        return a / "out", b / "out"
+
+    def test_test_set_path_ignored_when_its_bytes_agree(self, tmp_path):
+        """Two checkouts of a run with a test set: the test set's path
+        differs, its digest does not."""
+        a, b = self.run_with_test_set(tmp_path, "1 1:2.0\n-1 1:3.0\n")
+        manifests = [json.loads((d / "run.csv.manifest.json").read_text()) for d in (a, b)]
+        assert manifests[0]["config"]["problem"]["test_dataset"] != \
+            manifests[1]["config"]["problem"]["test_dataset"]
+        assert _load_diff_outputs().main([str(a), str(b)]) == 0
+
+    def test_test_set_that_differs_is_reported(self, tmp_path, capsys):
+        a, b = self.run_with_test_set(tmp_path, "1 1:2.0\n-1 1:3.5\n")
+        capsys.readouterr()
+        assert _load_diff_outputs().main([str(a), str(b)]) == 1
+        out = capsys.readouterr().out
+        assert "run.csv.manifest.json  config.problem.test_dataset  1 cells  non-numeric" in out
+        assert "run.csv.manifest.json  test_dataset_sha256  1 cells  non-numeric" in out
+        assert "config.problem.dataset " not in out and "  dataset_sha256" not in out
 
 
 class TestRunConfigs:
