@@ -16,7 +16,8 @@ Public surface:
 - record: StepRecord, the per-step trace entry of every optimizer, and
   RunResult, every run's outcome (ARIG adds terminated and sigma_final; its
   step counts and max sigma, and ARAS's trigger, are read from the trace),
-  and Recorder, the trace a harness run keeps x in only on report rows
+  and Recorder, the trace of a harness run, which holds its report rows
+  only and tallies the events of the records it removes
 - harness: configs (each section is one of the classes above, key for
   field), dataset IO, metrics CSV, CLI
 """

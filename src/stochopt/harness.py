@@ -23,10 +23,10 @@ except the wall_ms column.
 Every optimizer traces its steps as StepRecords (see record.py), so the
 report (_trace_to_metrics) reads each row's columns and sample charge from
 the record, with no reference to the algorithm.  A run records into a
-record.Recorder, which keeps a record's iterate only when the report will
-read it, so a run holds one iterate per report row, not one per step.  The
-report runs after the algorithm entry returns: the full-pass loss, gradient
-norm and accuracy of the selected rows are evaluation, kept out of the
+record.Recorder, which keeps only the records the report makes rows of,
+so a run holds one record per report row, not one per step.  The report
+runs after the algorithm entry returns: the full-pass loss, gradient
+norm and accuracy of its rows are evaluation, kept out of the
 optimizer's time and oracle counts.  Where the run already computed the
 exact loss and gradient norm at a row's iterate (ARIG's full passes with an
 exact f), the record carries them and the report makes no second pass;
@@ -98,7 +98,7 @@ from .problems import (
     LinearModelProblem,
     block_rows,
 )
-from .record import Recorder, is_report_row
+from .record import Recorder
 from .regularization import RegParams, arig_run
 from .varchen import VarchenParams, varchen_run
 
@@ -214,6 +214,10 @@ _INT32_MAX = np.iinfo(np.int32).max
 _INT64_MAX = np.iinfo(np.int64).max
 # Bytes per read of load_libsvm's ':' count.
 _COUNT_BUFFER_BYTES = 1 << 20
+# CSR index entries _dataset_hash converts to int64 at a time, through one
+# reused 64 KiB block: the digest worker's own malloc arena then keeps no
+# 1 MiB block, which raised aras-csr-adaptive's peak RSS by about 0.3 MB.
+_HASH_INDEX_BLOCK = 8192
 
 # Every byte but NUL and ':', for bytes.translate to delete.
 _NOT_COLON_OR_NUL = bytes(b for b in range(256) if b not in b"\0:")
@@ -833,11 +837,12 @@ def _dataset_hash(dataset: Dataset) -> str:
 
     A CSR set hashes its data bytes as stored and its indices and indptr as
     int64; a dense set hashes its C-order float64 values.  hashlib reads
-    the arrays' own buffers, and an index array of another integer type is
-    converted to int64 one block at a time, so hashing adds no copy of the
-    dataset; sha256 is a stream, so the digest is that of the concatenated
-    bytes.  Runs call it on _resolve_datasets' worker thread, beside the
-    optimizer: hashlib releases the interpreter lock for each buffer."""
+    the arrays' own buffers, and the index arrays go through one reused
+    block of _HASH_INDEX_BLOCK int64 entries, so hashing adds no copy of
+    the dataset; sha256 is a stream, so the digest is that of the
+    concatenated bytes.  Runs call it on _resolve_datasets' worker thread,
+    beside the optimizer: hashlib releases the interpreter lock for each
+    buffer."""
     h = hashlib.sha256()
     feats = dataset.features
     if sp.issparse(feats):
@@ -845,10 +850,12 @@ def _dataset_hash(dataset: Dataset) -> str:
         h.update(b"csr")
         h.update(np.array(feats.shape, dtype=np.int64))
         h.update(np.ascontiguousarray(feats.data))
-        step = block_rows(8)
+        block = np.empty(_HASH_INDEX_BLOCK, dtype=np.int64)
         for index in (feats.indices, feats.indptr):
-            for lo in range(0, index.size, step):
-                h.update(np.ascontiguousarray(index[lo:lo + step], dtype=np.int64))
+            for lo in range(0, index.size, block.size):
+                part = block[:index.size - lo]
+                part[...] = index[lo:lo + block.size]
+                h.update(part)
     else:
         h.update(b"dense")
         h.update(np.array(feats.shape, dtype=np.int64))
@@ -932,19 +939,18 @@ def _numeric_env() -> Dict:
     return env
 
 
-def _trace_to_metrics(
-    config: ExperimentConfig, problem, test: Optional[Dataset], result
-) -> List[MetricsRecord]:
-    """Downsample a trace of StepRecords at the configured cadence (0: the
-    last step of each epoch; record.is_report_row, the rule by which the
-    run's Recorder kept x on these records only), computing the N-cost
-    metrics (full loss, full gradient norm, test accuracy) only at the
-    selected rows.
+def _trace_to_metrics(problem, test: Optional[Dataset], result) -> List[MetricsRecord]:
+    """The metrics rows of a run's trace, one per record: the run's
+    record.Recorder kept only the records the report at the config's
+    cadence makes rows of (0: the last step of each epoch; see
+    record.is_report_row), each charged the samples of the steps it
+    replaced.  The N-cost metrics (full loss, full gradient norm, test
+    accuracy) are computed at these rows only.
 
     A record that carries the exact loss and grad_norm at its x (ARIG with
     exact function values, see record.py) gives them to its row as they
-    are.  The report first selects its rows, then evaluates the iterates of
-    the rest with problem.full_losses, FULL_PASS_CHUNK points per call:
+    are.  The report evaluates the iterates of the other rows with
+    problem.full_losses, FULL_PASS_CHUNK points per call:
     those of records with grad_norm alone (ARIG in "inexact-g-and-f" mode,
     the last step of a VARCHEN/SVRG epoch that another epoch's anchor
     followed) loss-only, and those of records without grad_norm (the last
@@ -953,14 +959,7 @@ def _trace_to_metrics(
     a full_loss or loss_and_grad pass over all N samples; CSR rows take one
     pass per call."""
     trace = result.trace
-    selected = []  # (record, cumulative samples)
-    cum_samples = 0
-    for rec, nxt in zip(trace, [*trace[1:], None]):
-        cum_samples += rec.samples
-        if is_report_row(rec, nxt, config.cadence):
-            selected.append((rec, cum_samples))
-
-    values = [(rec.loss, rec.grad_norm) for rec, _ in selected]
+    values = [(rec.loss, rec.grad_norm) for rec in trace]
     need_both = [j for j, (_, grad_norm) in enumerate(values) if grad_norm is None]
     need_loss = [j for j, (loss, grad_norm) in enumerate(values)
                  if loss is None and grad_norm is not None]
@@ -970,11 +969,13 @@ def _trace_to_metrics(
         for lo in range(0, len(need), FULL_PASS_CHUNK):
             part = need[lo:lo + FULL_PASS_CHUNK]
             for j, (loss, g) in zip(part, problem.full_losses(
-                    [selected[j][0].x for j in part], grad=grad)):
+                    [trace[j].x for j in part], grad=grad)):
                 values[j] = (loss, float(np.linalg.norm(g)) if grad else values[j][1])
 
     rows: List[MetricsRecord] = []
-    for (rec, samples), (loss, grad_norm) in zip(selected, values):
+    samples = 0
+    for rec, (loss, grad_norm) in zip(trace, values):
+        samples += rec.samples
         rows.append(
             MetricsRecord(
                 epoch=rec.epoch,
@@ -1030,10 +1031,10 @@ def _run(config: ExperimentConfig, resolved: Resolved) -> Tuple[str, List[Metric
     # inf cells report it, so numpy's warnings would only repeat that.
     with np.errstate(over="ignore", invalid="ignore"):
         problem = LinearModelProblem(kind=config.kind, dataset=train, lam=config.lam)
-        # the run keeps x only on the records the report reads
+        # the run keeps only the records the report makes rows of
         result = run(problem, config.algo_params, seed=config.seed,
                      recorder=Recorder(config.cadence))
-        rows = _trace_to_metrics(config, problem, test, result)
+        rows = _trace_to_metrics(problem, test, result)
 
     ds_hash, test_hash = digests.result()
     out_path = Path(config.out)

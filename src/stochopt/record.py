@@ -25,28 +25,31 @@ loss-only pass, and one without grad_norm a full loss_and_grad pass.
 All six run loops return a RunResult: the final x, the step count, the
 trace, and the abort_reason of a run that diverged (aborted is its
 presence).  A result stores only what its trace cannot give: ARIG's
-terminated and sigma_final.  The per-algorithm facts are read from the trace:
-ARIG's n_success, n_reject and sigma_max_observed, ARAS's triggered,
-trigger_k and sigma_trigger, and VARCHEN's and SVRG's n_flush.
+terminated and sigma_final.  The per-algorithm events are read from the
+trace: ARIG's n_success, n_reject and sigma_max_observed, ARAS's
+triggered, trigger_k and sigma_trigger, and VARCHEN's and SVRG's n_flush.
 
-The metrics report keeps a row for the records is_report_row names, and
-reads a record's x only there.  A library call keeps every record's x.  A
-harness run hands its run loop a Recorder, a trace that drops the x of a
-record once the next record shows it is no report row, so the run holds
-one iterate per row plus the newest, not one per step.  A dropped x is
-NO_X, and every record keeps its other fields, so the RunResult
-properties read the same from either trace.
+A library call keeps every record.  A harness run hands its run loop a
+Recorder, a trace that keeps only the records the metrics report makes rows
+of (is_report_row) and the newest, which may be the last.  A record the
+next one shows to be no row is removed: its samples charge moves into the
+next record, so the report's cumulative samples keep their value, and its
+event fields go into the Recorder's tallies (Events), which the RunResult
+properties add to those of the records the trace holds.  So a harness run
+holds one record per report row, not one per step, and its events equal
+the library run's.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["StepRecord", "RunResult", "NO_X", "is_report_row", "Recorder", "run_start",
+__all__ = ["StepRecord", "RunResult", "Events", "is_report_row", "Recorder", "run_start",
            "no_clock"]
 
 # stamp(x) -> the x (a copy) and wall_ms fields of a StepRecord at x
@@ -55,9 +58,9 @@ Stamp = Callable[[np.ndarray], dict]
 
 @dataclass
 class StepRecord:
-    """One step.  Not frozen: a Recorder rebinds x to NO_X, and ARIG and
-    VARCHEN set grad_norm on their last record once the next full gradient
-    gives it."""
+    """One step.  Not frozen: a Recorder adds a removed record's samples
+    to the next, and ARIG and VARCHEN set grad_norm on their last record
+    once the next full gradient gives it."""
 
     k: int
     epoch: int
@@ -85,6 +88,27 @@ class StepRecord:
     gamma_tilde: Optional[float] = None  # VARCHEN/SVRG: L-BFGS scaling after the step
 
 
+@dataclass
+class Events:
+    """Tallies of the records' event fields, folded in step order."""
+
+    n_success: int = 0  # ARIG: records with accepted True
+    n_reject: int = 0  # ARIG: records with accepted False
+    n_flush: int = 0  # VARCHEN/SVRG: records with flushed True
+    sigma_max: Optional[float] = None  # the largest sigma
+    trigger_k: Optional[int] = None  # ARAS: k and sigma_after of the first
+    sigma_trigger: Optional[float] = None  # record with triggered_now
+
+    def fold(self, rec: StepRecord) -> None:
+        self.n_success += bool(rec.accepted)
+        self.n_reject += rec.accepted is False
+        self.n_flush += bool(rec.flushed)
+        if rec.sigma is not None and (self.sigma_max is None or rec.sigma > self.sigma_max):
+            self.sigma_max = rec.sigma
+        if rec.triggered_now and self.trigger_k is None:
+            self.trigger_k, self.sigma_trigger = rec.k, rec.sigma_after
+
+
 @dataclass(frozen=True)
 class RunResult:
     """Outcome of a run.  On abort, x is the last finite iterate (x0 when no
@@ -101,33 +125,43 @@ class RunResult:
     def aborted(self) -> bool:
         return self.abort_reason is not None
 
+    def events(self) -> Events:
+        """The run's event tallies: those a Recorder folded from the records
+        it removed, plus those of the records the trace holds."""
+        events = dataclasses.replace(getattr(self.trace, "folded", Events()))
+        for rec in self.trace:
+            events.fold(rec)
+        return events
+
     @property
     def n_success(self) -> int:
         """ARIG: accepted steps."""
-        return sum(1 for rec in self.trace if rec.accepted)
+        return self.events().n_success
 
     @property
     def n_reject(self) -> int:
         """ARIG: rejected steps."""
-        return sum(1 for rec in self.trace if rec.accepted is False)
+        return self.events().n_reject
 
     @property
     def sigma_max_observed(self) -> Optional[float]:
         """ARIG: the largest sigma the run held.  A step's sigma after is the
-        next step's sigma, so the trace and sigma_final hold every one."""
+        next step's sigma, so the records' sigmas and sigma_final hold every
+        one."""
         if self.sigma_final is None:
             return None
-        return max([rec.sigma for rec in self.trace] + [self.sigma_final])
+        sigma_max = self.events().sigma_max
+        return self.sigma_final if sigma_max is None else max(sigma_max, self.sigma_final)
 
     @property
     def trigger_k(self) -> Optional[int]:
         """ARAS: the step that ended the transient phase."""
-        return next((rec.k for rec in self.trace if rec.triggered_now), None)
+        return self.events().trigger_k
 
     @property
     def sigma_trigger(self) -> Optional[float]:
         """ARAS: sigma after the step that ended the transient phase."""
-        return next((rec.sigma_after for rec in self.trace if rec.triggered_now), None)
+        return self.events().sigma_trigger
 
     @property
     def triggered(self) -> bool:
@@ -137,13 +171,7 @@ class RunResult:
     @property
     def n_flush(self) -> int:
         """VARCHEN/SVRG: steps that flushed the L-BFGS memory first."""
-        return sum(1 for rec in self.trace if rec.flushed)
-
-
-# The x of a record whose iterate was dropped: one shared, empty, read-only
-# array, so code that sums rec.x.nbytes over a trace counts what it holds.
-NO_X = np.empty(0)
-NO_X.flags.writeable = False
+        return self.events().n_flush
 
 
 def is_report_row(rec: StepRecord, nxt: Optional[StepRecord], cadence: int) -> bool:
@@ -159,18 +187,21 @@ def is_report_row(rec: StepRecord, nxt: Optional[StepRecord], cadence: int) -> b
 
 
 class Recorder(list):
-    """A run's trace that keeps x only where the report at `cadence` reads
-    it: appending a record sets the x of the one before it to NO_X unless
-    that one is a report row.  The newest record keeps its x, since it may
-    be the last."""
+    """A run's trace that holds only the records the report at `cadence`
+    makes rows of, and the newest, which may be the last.  Appending a
+    record removes the one before it unless that one is a report row: the
+    new record takes over its samples charge and `folded` its events."""
 
     def __init__(self, cadence: int):
         super().__init__()
         self.cadence = cadence
+        self.folded = Events()
 
     def append(self, rec: StepRecord) -> None:
         if self and not is_report_row(self[-1], rec, self.cadence):
-            self[-1].x = NO_X
+            prev = self.pop()
+            rec.samples += prev.samples
+            self.folded.fold(prev)
         super().append(rec)
 
 

@@ -1,7 +1,7 @@
 """The names benchmarks/probe.py patches on stochopt, and what it reads from
 a run, stay in place: install and uninstall leave the package as it was,
-an entry the probe records holds a trace of StepRecords with iterates on
-the report's rows and empty ones elsewhere, the ARAS spans and row counts
+an entry the probe records holds a trace of StepRecords, one per report
+row, each with its iterate, the ARAS spans and row counts
 follow the stationary step's one fused pass, the probe can read the rows
 of every problem method it counts, no problem kind hides an oracle method
 from its wrappers, and every algorithm entry returns a RunResult with what
@@ -28,6 +28,7 @@ from stochopt.problems import (
     Dataset, FiniteSumProblem, LinearModelProblem, QuadraticProblem, make_logistic,
     make_noisy_quadratic)
 from stochopt.record import RunResult, StepRecord
+from test_harness import library_run
 
 PROBE_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "probe.py"
 
@@ -114,14 +115,16 @@ def test_run_under_probe_records_step_records(probe_module, tmp_path):
 
     (entry,) = probe.entries
     assert entry.algorithm == "svrg"
-    assert entry.result.iterations == len(entry.result.trace) == 8
-    # at cadence 0 the report reads x on the last step of each of the 2
-    # epochs, and the run keeps it there only
+    library = library_run(stochopt.harness.load_config(config))
+    assert entry.result.iterations == len(library.trace) == 8
+    # at cadence 0 the report's rows are the last step of each of the 2
+    # epochs, and the run keeps those records only
     rows = stochopt.harness.read_metrics_csv(tmp_path / "svrg.csv")
     assert [row.iteration for row in rows] == [4, 8]
+    assert [rec.k for rec in entry.result.trace] == [4, 8]
     for rec in entry.result.trace:
         assert isinstance(rec, StepRecord) and isinstance(rec.x, np.ndarray)
-        assert rec.x.shape == ((3,) if rec.k in (4, 8) else (0,))
+        assert rec.x.shape == (3,)
     metrics = probe.layer_metrics(rows[-1].samples)
     assert metrics["harness.trace_bytes"] == 2 * 3 * 8
     assert metrics["baselines.svrg_run.steps"] == 8
@@ -157,8 +160,11 @@ def test_aras_under_probe_one_variance_call_per_stationary_step(probe_module, tm
     finally:
         probe.uninstall()
 
+    # the harness trace holds the report rows only; the library run of the
+    # config has the same steps, each with its record
     (entry,) = probe.entries
-    trace = entry.result.trace
+    trace = library_run(stochopt.harness.load_config(config)).trace
+    assert len(trace) == entry.result.iterations
     transient = sum(rec.m_used for rec in trace if rec.phase == "transient")
     stationary = [rec for rec in trace if rec.phase == "stationary"]
     assert entry.result.triggered and stationary

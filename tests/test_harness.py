@@ -102,6 +102,19 @@ def ini_text(sections):
     )
 
 
+LIBRARY_ENTRIES = {"arig": "arig_run", "aras": "aras_run", "varchen": "varchen_run",
+                   "sgd": "sgd_run", "sgd-momentum": "sgd_momentum_run", "svrg": "svrg_run"}
+
+
+def library_run(config):
+    """A config's run as a library call: its algorithm entry on its problem
+    with no recorder, so the trace keeps every step's record."""
+    train, _, _ = harness._resolve_datasets(config)
+    problem = problems.LinearModelProblem(kind=config.kind, dataset=train, lam=config.lam)
+    run = getattr(harness, LIBRARY_ENTRIES[config.algorithm])
+    return run(problem, config.algo_params, seed=config.seed)
+
+
 def landed(cfg, section, key):
     """Where load_config put the value of `key` in `section`."""
     if section in ("problem", "run"):
@@ -799,12 +812,13 @@ REPORT_ALGO_SECTIONS = {
 class TestReport:
     """The metrics CSV against the per-algorithm column rules in
     oracles.report_columns_reference, and its loss and grad_norm columns
-    against oracles.report_values_reference, applied to the run's own trace."""
+    against oracles.report_values_reference, applied to the trace of the
+    library run of the same config, which keeps every step."""
 
     @staticmethod
     def run(tmp_path, monkeypatch, algorithm, cadence, section=None):
         """The CSV rows of a run on a 40 x 4 logistic problem, with the
-        problem and the result its report read."""
+        problem its report read and the library run of its config."""
         section = REPORT_ALGO_SECTIONS[algorithm] if section is None else section
         text = f"""\
     [problem]
@@ -829,15 +843,18 @@ class TestReport:
         seen = []
         report = harness._trace_to_metrics
 
-        def capture(config, problem, test, result):
+        def capture(problem, test, result):
             seen.append((problem, result))
-            return report(config, problem, test, result)
+            return report(problem, test, result)
 
         monkeypatch.setattr(harness, "_trace_to_metrics", capture)
-        rows = read_metrics_csv(run_experiment(load_config(write_config(tmp_path, text))))
+        config = load_config(write_config(tmp_path, text))
+        rows = read_metrics_csv(run_experiment(config))
         (problem, result), = seen
-        assert len(result.trace) > 3
-        return rows, problem, result
+        library = library_run(config)
+        assert library.iterations == result.iterations == len(library.trace) > 3
+        assert library.terminated == result.terminated
+        return rows, problem, library
 
     @staticmethod
     def check(rows, problem, result, algorithm, cadence):

@@ -5,6 +5,7 @@ and compare's one resolve per dataset source."""
 
 import codecs
 import csv
+import hashlib
 import json
 import os
 import stat
@@ -18,7 +19,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stochopt.harness as harness
-import stochopt.problems as problems
 from oracles import load_csv_reference, load_libsvm_reference
 from stochopt.harness import (
     compare,
@@ -584,11 +584,12 @@ def csr_dataset(indptr, index_dtype=np.int32):
 class TestDatasetHashPinned:
     """Digests computed by the whole-array hash (tobytes of each array), so
     that the manifests' dataset_sha256 cannot change under a rewrite; CSR
-    index arrays hash as int64 whatever their stored type."""
+    index arrays hash as int64 whatever their stored type, whatever the
+    size of the block they are converted through."""
 
     CSR = "32236f075f0501d17f36848c1f8c75ab5155d19c173954172b3cc55a0c19027c"
 
-    @pytest.mark.parametrize("block_bytes", [8, 24, 1 << 20])
+    @pytest.mark.parametrize("block_entries", [1, 3, 8192])
     @pytest.mark.parametrize(
         "make, digest",
         [
@@ -601,9 +602,27 @@ class TestDatasetHashPinned:
              "40ec6bfc0f1d39086ce0f5d358f5cfa46ec0925f5631d641e93c0d54e65bf8d8"),
         ],
     )
-    def test_literal_digest(self, monkeypatch, make, digest, block_bytes):
-        monkeypatch.setattr(problems, "BLOCK_BYTES", block_bytes)
+    def test_literal_digest(self, monkeypatch, make, digest, block_entries):
+        monkeypatch.setattr(harness, "_HASH_INDEX_BLOCK", block_entries)
         assert harness._dataset_hash(make()) == digest
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_blocks_hash_as_the_whole_conversion(self, index_dtype):
+        """Index arrays several blocks long, ending mid-block, give the
+        digest of their whole int64 conversion hashed at once."""
+        N, per_row = 3001, 7
+        gen = np.random.default_rng(5)
+        feats = sp.random(N, 500, density=per_row / 500, format="csr", random_state=gen)
+        feats.indices = feats.indices.astype(index_dtype)
+        feats.indptr = feats.indptr.astype(index_dtype)
+        assert feats.nnz % harness._HASH_INDEX_BLOCK and feats.nnz > 2 * harness._HASH_INDEX_BLOCK
+        labels = np.where(gen.random(N) < 0.5, 1.0, -1.0)
+        whole = hashlib.sha256()
+        for part in (b"csr", np.array(feats.shape, dtype=np.int64), feats.data,
+                     feats.indices.astype(np.int64), feats.indptr.astype(np.int64), labels):
+            whole.update(part)
+        got = harness._dataset_hash(Dataset(features=feats, labels=labels))
+        assert got == whole.hexdigest()
 
 
 # -- output files ---------------------------------------------------------------

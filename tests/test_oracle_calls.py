@@ -27,6 +27,7 @@ from stochopt import (
 )
 from stochopt.harness import _trace_to_metrics, gen_synthetic, load_config
 from stochopt.problems import FULL_PASS_CHUNK
+from stochopt.record import Recorder
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -68,6 +69,15 @@ def _problem(seed=0, N=40, n=4):
     X = gen.standard_normal((N, n))
     y = np.where(X @ gen.standard_normal(n) + 0.5 * gen.standard_normal(N) > 0, 1.0, -1.0)
     return CountingProblem(make_logistic(Dataset(features=X, labels=y), lam=0.01))
+
+
+def _recorded(res, cadence):
+    """A library run's result as a harness run at `cadence` holds it: its
+    records, copied, appended to a Recorder, which keeps the report rows."""
+    trace = Recorder(cadence)
+    for rec in res.trace:
+        trace.append(dataclasses.replace(rec))
+    return dataclasses.replace(res, trace=trace)
 
 
 def _report_passes(prob, trace, rows):
@@ -161,10 +171,8 @@ class TestAnchorNormOnEpochEnd:
     def test_report_makes_a_loss_pass_for_an_epoch_end_row(self, algo, cadence):
         prob = _problem()
         res = _anchored_runs()[algo](prob)
-        config = dataclasses.replace(load_config(CONFIG_DIR / "svm_varchen.ini"),
-                                     cadence=cadence)
         prob.calls.clear()
-        rows = _trace_to_metrics(config, prob, None, res)
+        rows = _trace_to_metrics(prob, None, _recorded(res, cadence))
         passes = _report_passes(prob, res.trace, rows)
         carried = sum(rec.grad_norm is not None and (cadence == 0 or rec.k % cadence == 0)
                       for rec in res.trace)
@@ -283,17 +291,15 @@ class TestArigReportCalls:
         if max_iters is not None:
             params = dataclasses.replace(params, max_iters=max_iters)
         res = arig_run(prob, params, seed=3)
-        config = dataclasses.replace(load_config(CONFIG_DIR / "logistic_arig.ini"),
-                                     cadence=cadence)
         prob.calls.clear()
-        rows = _trace_to_metrics(config, prob, None, res)
+        rows = _trace_to_metrics(prob, None, _recorded(res, cadence))
         assert len(rows) > 1
-        return res, rows, _report_passes(prob, res.trace, rows), config, prob
+        return res, rows, _report_passes(prob, res.trace, rows), prob
 
     @pytest.mark.parametrize("cadence", [0, 1, 3])
     @pytest.mark.parametrize("mode", ["exact", "inexact-g"])
     def test_exact_f_modes_make_no_report_pass(self, mode, cadence):
-        res, rows, passes, _, _ = self.report_passes(mode, cadence)
+        res, rows, passes, _ = self.report_passes(mode, cadence)
         assert res.terminated
         if mode == "exact":
             assert res.n_reject > 0
@@ -301,18 +307,18 @@ class TestArigReportCalls:
 
     @pytest.mark.parametrize("cadence", [0, 1, 3])
     def test_noisy_f_mode_makes_one_pass_per_row(self, cadence):
-        res, rows, passes, config, prob = self.report_passes("inexact-g-and-f", cadence)
+        res, rows, passes, prob = self.report_passes("inexact-g-and-f", cadence)
         assert res.terminated
         assert all(rec.loss is None and rec.grad_norm is not None for rec in res.trace)
         assert passes == {"full_loss": len(rows)}
         # the oracle's norm has the bits of the report's own gradient pass
         bare = dataclasses.replace(res, trace=[dataclasses.replace(rec, grad_norm=None)
                                                for rec in res.trace])
-        assert _trace_to_metrics(config, prob, None, bare) == rows
+        assert _trace_to_metrics(prob, None, _recorded(bare, cadence)) == rows
 
     @pytest.mark.parametrize("cadence", [0, 1, 3])
     def test_exhausted_run_makes_one_pass_for_its_last_row(self, cadence):
-        res, rows, passes, _, prob = self.report_passes("exact", cadence, max_iters=7)
+        res, rows, passes, prob = self.report_passes("exact", cadence, max_iters=7)
         assert not res.terminated and res.iterations == 7
         assert passes == {"loss_and_grad": 1}
         assert [rec.grad_norm is None for rec in res.trace] == [False] * 6 + [True]

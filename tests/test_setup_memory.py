@@ -1,8 +1,9 @@
 """Set-up memory: data generation, hashing, the problem build's row norms and
 CSV writing each hold at most one copy of the dataset plus one bounded
-block (problems.BLOCK_BYTES for the passes over a built dataset), load_csv
-about twice its result, and load_libsvm a CSR result plus one block,
-measured with tracemalloc; and the row norms do not depend on the block."""
+block (problems.BLOCK_BYTES for the passes over a built dataset, one
+64 KiB index block for the hash), load_csv about twice its result, and
+load_libsvm a CSR result plus one block, measured with tracemalloc; and
+the row norms do not depend on the block."""
 
 import numpy as np
 import pytest
@@ -73,10 +74,10 @@ class TestDatasetHashReadsBuffers:
         lambda: csr_dataset(index_dtype=np.int32),
         lambda: csr_dataset(index_dtype=np.int64),
     ])
-    def test_hash_adds_at_most_one_block(self, traced_peak, make):
+    def test_hash_adds_at_most_one_index_block(self, traced_peak, make):
         ds = make()
         _, peak = traced_peak(harness._dataset_hash, ds)
-        assert peak <= BLOCK_BYTES + SLACK, f"peak {peak / 2**20:.1f} MiB"
+        assert peak <= 8 * harness._HASH_INDEX_BLOCK + SLACK, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestRowNorms:
